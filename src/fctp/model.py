@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import FctpError, ParseError
 
@@ -53,6 +54,22 @@ Cost = Fraction | _Infinity
 
 def is_inf(value) -> bool:
     return value is INF
+
+
+def integer_scaled(*matrices):
+    """Scale matrices to ints by the lcm of their finite entries' denominators.
+
+    Returns (scale, scaled): each matrix as rows of scale * x, None for INF.
+    """
+    scale = lcm(
+        *{x.denominator for rows in matrices for row in rows for x in row if x is not INF}
+    )
+    scaled = [
+        [[None if x is INF else x.numerator * (scale // x.denominator) for x in row]
+         for row in rows]
+        for rows in matrices
+    ]
+    return scale, scaled
 
 
 def rational(text: str) -> Fraction:
@@ -173,6 +190,12 @@ def check_instance(inst: Instance) -> None:
         raise FctpError(f"invalid instance: {report}")
 
 
+def check_balanced(inst: Instance) -> None:
+    """The O(n + m) balance check, for solvers too hot for validate_instance."""
+    if sum(inst.supplies) != sum(inst.demands):
+        raise FctpError("invalid instance: sum(a) != sum(b)")
+
+
 @dataclass(frozen=True)
 class VariantTag:
     """Which restricted variants an instance belongs to.
@@ -248,8 +271,10 @@ def validate_solution(inst: Instance, sol: FlowSolution) -> str | None:
     """Exact marginal check; returns None or the first violation.
 
     Relaxation-tagged solutions keep exact row sums but only need column sums
-    inside the (1 +/- eps) band.
+    inside the (1 +/- eps) band, for a tag eps in (0, 1).
     """
+    if sol.relaxation is not None and not 0 < sol.relaxation < 1:
+        return f"relaxation tag {sol.relaxation} outside (0, 1)"
     for (i, j), x in sol.entries.items():
         if not (0 <= i < inst.n and 0 <= j < inst.m):
             return f"edge ({i + 1}, {j + 1}) out of range"
@@ -393,6 +418,8 @@ def parse_solution(text: str) -> FlowSolution:
         if len(parts) != 2:
             raise ParseError(2, "expected 'relaxed p/q'")
         relaxation = _parse_cost(parts[1], 2, allow_inf=False)
+        if not 0 < relaxation < 1:
+            raise ParseError(2, "relaxation tag must lie in (0, 1)")
         start = 2
     entries: dict[tuple[int, int], Fraction] = {}
     for offset, line in enumerate(lines[start:]):

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import FctpError, GuardError, InfeasibleError
-from .model import INF, FlowSolution, Instance, check_instance
+from .model import INF, FlowSolution, Instance, check_instance, integer_scaled
 from .pfct_u import (
     BalancedPartition,
     BalancedSet,
@@ -47,18 +46,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     if total_vertices > guard:
         raise GuardError(f"exact_fct guard exceeded: n + m = {total_vertices} > {guard}")
 
-    scale = 1
-    for row in inst.fixed:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    for row in inst.linear:
-        for x in row:
-            if x is not INF:
-                scale = lcm(scale, x.denominator)
-    fix = [[int(x * scale) for x in row] for row in inst.fixed]
-    lin = [
-        [None if x is INF else int(x * scale) for x in row] for row in inst.linear
-    ]
+    scale, (fix, lin) = integer_scaled(inst.fixed, inst.linear)
 
     values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
     size = 1 << total_vertices

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError, VariantError
-from .model import FlowSolution, Instance, classify_variant, evaluate_cost
+from .model import FlowSolution, Instance, check_balanced, classify_variant, evaluate_cost
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def _require_pfct_s(inst: Instance) -> None:
 
 def greedy_solve(inst: Instance) -> FlowSolution:
     """Two-pointer sweep over the sorted view; crossing-free forest flow."""
+    check_balanced(inst)
     _require_pfct_s(inst)
     view = sorted_view(inst)
     entries: dict[tuple[int, int], Fraction] = {}
@@ -166,8 +167,8 @@ def compare_residual_bound(inst1: Instance, inst2: Instance, delta: int) -> bool
 
         greedy_cost(inst2) <= opt(inst1) + delta * f_1 + sum_{i>=2} f_i
 
-    exactly, with opt from the exact oracle.  A test utility; the CLI uses
-    it for bound tables.
+    exactly, with opt from the exact oracle.  A test utility for the
+    residual-instance bound; no CLI command calls it.
     """
     from . import oracle
 

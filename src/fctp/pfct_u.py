@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateError, FctpError, GuardError, VariantError
-from .model import FlowSolution, Instance, classify_variant, pure_instance
+from .model import FlowSolution, Instance, check_balanced, classify_variant, pure_instance
 
 SOURCE = "source"
 SINK = "sink"
@@ -447,6 +447,7 @@ def solve_pfct_u(
     size.  The remainder of the residual after packing forms one extra part
     (split further if the routing disconnects it; both only lower the cost).
     """
+    check_balanced(inst)
     if mode not in ("exact", "ls"):
         raise FctpError(f"unknown mode {mode!r}")
     pairs, residual = preprocess_matched_pairs(inst)

@@ -1,10 +1,10 @@
 """Exact minimization of linear objectives over the transportation polytope.
 
 Successive shortest paths with Dijkstra potentials on the bipartite network,
-entirely in rational arithmetic, followed by cycle cancellation so the
-returned support is always a forest (an extreme point).  Forbidden edges
-(weight INF) are excluded from the residual graph rather than given a big-M
-weight, keeping every comparison exact.
+run on the weights scaled to ints by one common denominator (exact, since it
+keeps every comparison), followed by cycle cancellation so the returned
+support is always a forest (an extreme point).  Forbidden edges (weight INF)
+are excluded from the residual graph rather than given a big-M weight.
 """
 
 from __future__ import annotations
@@ -13,16 +13,16 @@ import heapq
 from fractions import Fraction
 
 from .errors import InfeasibleError
-from .model import INF, FlowSolution, Instance
-
-WeightMatrix = tuple  # n x m rows of Fraction | INF
+from .model import INF, FlowSolution, Instance, check_balanced, integer_scaled
 
 
 def as_weight_matrix(rows) -> tuple[tuple, ...]:
     """Coerce a nested iterable into a weight matrix of Fractions / INF."""
     out = []
     for row in rows:
-        out.append(tuple(x if x is INF else Fraction(x) for x in row))
+        out.append(
+            tuple(x if x is INF or type(x) is Fraction else Fraction(x) for x in row)
+        )
     return tuple(out)
 
 
@@ -31,32 +31,35 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
 
     Returns (solution, objective).  The solution is an optimal extreme point:
     integral flows (integrality of the transportation polytope) with acyclic
-    support of at most n + m - 1 edges.  Raises InfeasibleError when the
-    finite-weight edges cannot carry any feasible flow, and ValueError on
-    negative weights (the Dijkstra potentials require w >= 0).
+    support of at most n + m - 1 edges.  Raises FctpError on an unbalanced
+    instance, InfeasibleError when the finite-weight edges cannot carry any
+    feasible flow, and ValueError on negative weights (the Dijkstra
+    potentials require w >= 0).
     """
+    check_balanced(inst)
     n, m = inst.n, inst.m
     w = as_weight_matrix(weights)
     if len(w) != n or any(len(row) != m for row in w):
         raise ValueError("weight matrix shape must match the instance")
-    for row in w:
-        for x in row:
-            if x is not INF and x < 0:
-                raise ValueError("negative weights are not supported")
+    scale, (iw,) = integer_scaled(w)
+    if any(x is not None and x < 0 for row in iw for x in row):
+        raise ValueError("negative weights are not supported")
 
     # Node ids: sources 0..n-1, sinks n..n+m-1.
-    adj = [[] for _ in range(n)]  # source -> usable sinks
-    radj = [[] for _ in range(m)]  # sink -> usable sources
+    adj = [[] for _ in range(n)]  # source -> (sink node, j, weight)
+    radj = [[] for _ in range(m)]  # sink -> (source, weight)
     for i in range(n):
         for j in range(m):
-            if w[i][j] is not INF:
-                adj[i].append(j)
-                radj[j].append(i)
+            x = iw[i][j]
+            if x is not None:
+                adj[i].append((n + j, j, x))
+                radj[j].append((i, x))
 
+    heappush, heappop = heapq.heappush, heapq.heappop
     rem_a = list(inst.supplies)
     rem_b = list(inst.demands)
     flow: dict[tuple[int, int], int] = {}
-    pot = [Fraction(0)] * (n + m)
+    pot = [0] * (n + m)
     total_left = sum(rem_a)
 
     while total_left > 0:
@@ -64,40 +67,40 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
         # over reduced costs (nonnegative by the potential invariant).
         # All reachable nodes are settled so the potential update below
         # only ever sees final distances.
-        dist: list[Fraction | None] = [None] * (n + m)
+        dist: list[int | None] = [None] * (n + m)
         parent: list[tuple[int, int] | None] = [None] * (n + m)
         heap = []
         counter = 0
         for i in range(n):
             if rem_a[i] > 0:
-                dist[i] = Fraction(0)
-                heapq.heappush(heap, (Fraction(0), counter, i))
+                dist[i] = 0
+                heappush(heap, (0, counter, i))
                 counter += 1
         while heap:
-            d, _, v = heapq.heappop(heap)
-            if dist[v] is None or d > dist[v]:
+            d, _, v = heappop(heap)
+            if d > dist[v]:
                 continue
             if v < n:
-                i = v
-                for j in adj[i]:
-                    rc = w[i][j] + pot[i] - pot[n + j]
-                    nd = d + rc
-                    u = n + j
-                    if dist[u] is None or nd < dist[u]:
+                base = d + pot[v]
+                for u, j, x in adj[v]:
+                    nd = base + x - pot[u]
+                    du = dist[u]
+                    if du is None or nd < du:
                         dist[u] = nd
-                        parent[u] = (i, j)
-                        heapq.heappush(heap, (nd, counter, u))
+                        parent[u] = (v, j)
+                        heappush(heap, (nd, counter, u))
                         counter += 1
             else:
                 j = v - n
-                for i in radj[j]:
-                    if flow.get((i, j), 0) > 0:
-                        rc = -w[i][j] + pot[v] - pot[i]
-                        nd = d + rc
-                        if dist[i] is None or nd < dist[i]:
+                base = d + pot[v]
+                for i, x in radj[j]:
+                    if (i, j) in flow:
+                        nd = base - x - pot[i]
+                        di = dist[i]
+                        if di is None or nd < di:
                             dist[i] = nd
                             parent[i] = (i, j)
-                            heapq.heappush(heap, (nd, counter, i))
+                            heappush(heap, (nd, counter, i))
                             counter += 1
         target = -1
         for j in range(m):
@@ -136,14 +139,14 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
 
         # Standard potential update keeps reduced costs nonnegative.
         dt = dist[target]
-        for v in range(n + m):
-            if dist[v] is not None and dist[v] < dt:
-                pot[v] += dist[v] - dt
+        for v, dv in enumerate(dist):
+            if dv is not None and dv < dt:
+                pot[v] += dv - dt
 
     sol = FlowSolution(entries={e: Fraction(x) for e, x in sorted(flow.items())})
     sol = cancel_cycles(sol, w)
-    value = sum((w[i][j] * x for (i, j), x in sol.entries.items()), Fraction(0))
-    return sol, value
+    value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
+    return sol, Fraction(value, scale)
 
 
 def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:

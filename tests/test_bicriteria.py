@@ -173,3 +173,9 @@ def test_bicriteria_properties_on_random_instances():
             assert report.cost_bound == cost_factor(eps / 4) * report.lp_value
             opt, _ = oracle.exact_fct(inst)
             assert report.lp_value <= opt
+
+
+def test_bicriteria_rejects_unbalanced_instance():
+    inst = make_instance((2,), (2, 3), [[1, 2]], [[0, 1]])
+    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
+        solve_bicriteria(inst, Fraction(1, 4))

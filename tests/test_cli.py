@@ -91,6 +91,17 @@ def test_verify_ok_and_violation(e1_file, tmp_path, capsys):
     assert "sink" in record["detail"] or "column" in record["detail"]
 
 
+def test_verify_rejects_relaxation_tag_above_one(tmp_path, capsys):
+    inst = tmp_path / "inst.fct"
+    inst.write_text(
+        serialize_instance(make_instance((2, 3), (2, 3), [[0, 0], [0, 0]], [[0, 0], [0, 0]]))
+    )
+    sol = tmp_path / "relaxed.sol"
+    sol.write_text("SOL v1\nrelaxed 5\n1 1 2\n2 1 3\n")
+    assert main(["verify", str(inst), str(sol)]) == 2
+    assert "relaxation tag" in capsys.readouterr().err
+
+
 def test_certify_lp65_deterministic(capsys):
     assert main(["certify", "lp65"]) == 0
     first = capsys.readouterr().out

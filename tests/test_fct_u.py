@@ -6,7 +6,7 @@ import pytest
 from util import is_forest
 
 from fctp import oracle
-from fctp.errors import InfeasibleError, VariantError
+from fctp.errors import FctpError, InfeasibleError, VariantError
 from fctp.fct_u import solve_fct_u
 from fctp.generators import random_fct_u
 from fctp.model import INF, evaluate_cost, make_instance, validate_solution
@@ -84,3 +84,9 @@ def test_fct_u_with_forbidden_edges():
     sol = solve_fct_u(inst)
     assert sol.entries == {(0, 0): Fraction(2), (1, 1): Fraction(2)}
     assert evaluate_cost(inst, sol) == 2
+
+
+def test_fct_u_rejects_unbalanced_instance():
+    inst = make_instance((2,), (2, 3), [[1, 1]], [[0, 0]])
+    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
+        solve_fct_u(inst)

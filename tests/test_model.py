@@ -139,6 +139,20 @@ def test_relaxed_solution_round_trip():
     assert parse_solution(text) == sol
 
 
+def test_parse_solution_rejects_relaxation_tag_outside_open_unit_interval():
+    for tag in ("0", "1", "5", "3/2"):
+        with pytest.raises(ParseError, match="line 2: relaxation tag"):
+            parse_solution(f"SOL v1\nrelaxed {tag}\n1 1 2\n")
+
+
+def test_validate_solution_rejects_relaxation_tag_of_one_or_more():
+    # A tag >= 1 empties the demand band's lower end: sink 2 gets nothing.
+    inst = make_instance((2, 3), (2, 3), [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    for tag in (Fraction(1), Fraction(5)):
+        sol = FlowSolution(entries={(0, 0): Fraction(2), (1, 0): Fraction(3)}, relaxation=tag)
+        assert "relaxation tag" in validate_solution(inst, sol)
+
+
 def test_parse_solution_errors():
     with pytest.raises(ParseError, match="expected header"):
         parse_solution("nope\n")

@@ -204,3 +204,9 @@ def test_compare_residual_bound_requires_shared_sources(e1):
     other = pure_instance((5, 3), (4, 2, 2), [[9] * 3, [4] * 3])
     with pytest.raises(FctpError, match="fixed costs"):
         compare_residual_bound(e1, other, 0)
+
+
+def test_greedy_rejects_unbalanced_instance():
+    inst = pure_instance((2,), (2, 3), [[5, 5]])
+    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
+        greedy_solve(inst)

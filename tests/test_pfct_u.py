@@ -268,3 +268,9 @@ def test_certificate_rejects_perturbed_dual():
     assert "y3 + y4 + y5 != 1" in str(info.value)
     with pytest.raises(CertificateError, match="coefficient"):
         verify_factor_revealing_certificate(dual={"beta": Fraction(1, 4)})
+
+
+def test_solve_pfct_u_rejects_unbalanced_instance():
+    # Routing would serve sink 1 only and leave sink 2 empty.
+    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
+        solve_pfct_u(uniform_pure_instance((2,), (2, 3)))

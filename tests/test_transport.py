@@ -1,13 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from util import brute_force_min_linear, is_forest
 
-from fctp.errors import InfeasibleError
-from fctp.generators import random_fct
-from fctp.model import INF, make_flow, make_instance
+from fctp.errors import FctpError, InfeasibleError
+from fctp.generators import generate, random_fct
+from fctp.model import INF, make_flow, make_instance, serialize_solution, validate_solution
 from fctp.transport import cancel_cycles, solve_transportation
 
 
@@ -44,6 +46,87 @@ def test_negative_weights_rejected():
     inst = make_instance((1,), (1,), [[0]], [[0]])
     with pytest.raises(ValueError):
         solve_transportation(inst, [[-1]])
+
+
+def test_unbalanced_instance_rejected():
+    inst = make_instance((2,), (2, 3), [[0, 0]], [[0, 0]])
+    with pytest.raises(FctpError, match=r"invalid instance: sum\(a\) != sum\(b\)"):
+        solve_transportation(inst, [[0, 0]])
+
+
+def random_weights(rng, n, m, forbid=0.15):
+    return [
+        [
+            INF if rng.random() < forbid else Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 8)))
+            for _ in range(m)
+        ]
+        for _ in range(n)
+    ]
+
+
+def test_scaling_weights_keeps_flow_and_scales_objective():
+    # One positive factor keeps every comparison, so the flow is identical.
+    rng = random.Random(13)
+    for k in (Fraction(7, 3), Fraction(5), Fraction(1, 6)):
+        for _ in range(5):
+            n, m = rng.randint(1, 6), rng.randint(1, 8)
+            inst = random_fct(rng, n, m)
+            weights = random_weights(rng, n, m)
+            scaled = [[x if x is INF else k * x for x in row] for row in weights]
+            sol, value = solve_transportation(inst, weights)
+            sol_k, value_k = solve_transportation(inst, scaled)
+            assert sol_k.entries == sol.entries
+            assert value_k == k * value
+
+
+def test_matches_networkx_min_cost_flow_beyond_brute_force():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for n, m in ((8, 12), (12, 18), (15, 25), (20, 30)):
+        inst = random_fct(rng, n, m, max_supply=30)
+        weights = random_weights(rng, n, m)
+        scale = lcm(*(x.denominator for row in weights for x in row if x is not INF))
+        graph = nx.DiGraph()
+        for i, a in enumerate(inst.supplies):
+            graph.add_node(("s", i), demand=-a)
+        for j, b in enumerate(inst.demands):
+            graph.add_node(("t", j), demand=b)
+        for i in range(n):
+            for j in range(m):
+                if weights[i][j] is not INF:
+                    graph.add_edge(("s", i), ("t", j), weight=int(weights[i][j] * scale))
+        expected = Fraction(nx.cost_of_flow(graph, nx.min_cost_flow(graph)), scale)
+        sol, value = solve_transportation(inst, weights)
+        assert value == expected
+        assert weighted_cost(weights, sol.entries) == value
+        assert validate_solution(inst, sol) is None
+        assert is_forest(sol.entries)
+
+
+def test_solution_bytes_pinned_on_18x36_instance():
+    # Digests recorded from an SSP loop in Fraction arithmetic: output must
+    # not depend on the number type.  The bicriteria weights c + f / min(a, b)
+    # and, where a changed tie-break shows, the tie-heavy linear costs alone.
+    inst = generate("fct", 18, 36, seed=2024)
+    bicriteria = [
+        [c + f / min(a, b) for c, f, b in zip(lin, fix, inst.demands)]
+        for lin, fix, a in zip(inst.linear, inst.fixed, inst.supplies)
+    ]
+    for weights, digest, objective in (
+        (
+            bicriteria,
+            "348a48546d9dbd7349df27c7e83c668c880045882ab64788c6cd420be301ba67",
+            Fraction(64001, 360),
+        ),
+        (
+            inst.linear,
+            "0ea9be53c9d032c147ea0347b441cbef04ace41eb1a82cacb7121bcb288c96ce",
+            Fraction(95, 2),
+        ),
+    ):
+        sol, value = solve_transportation(inst, weights)
+        assert hashlib.sha256(serialize_solution(sol).encode()).hexdigest() == digest
+        assert value == objective
 
 
 def test_optimal_on_all_small_instances():
