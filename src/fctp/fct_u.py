@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import VariantError
 from .model import FlowSolution, Instance, classify_variant
-from .transport import cancel_cycles, solve_transportation
+# Unused here; perfbench/tracing.py wraps fctp.fct_u.cancel_cycles by name.
+from .transport import cancel_cycles, solve_transportation  # noqa: F401
 
 
 def solve_fct_u(inst: Instance) -> FlowSolution:
@@ -18,7 +19,7 @@ def solve_fct_u(inst: Instance) -> FlowSolution:
     tag = classify_variant(inst)
     if not tag.uniform:
         raise VariantError("requires FCT-U")
+    # solve_transportation cancels cycles before it returns: the support is
+    # already a forest.
     sol, _ = solve_transportation(inst, inst.linear)
-    # Cancellation runs unconditionally so the forest invariant never
-    # depends on which inner solver produced the flow.
-    return cancel_cycles(sol, inst.linear)
+    return sol

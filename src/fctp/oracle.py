@@ -8,6 +8,15 @@ rooted-subtree DP over vertex subsets, with a partition DP on top; costs are
 integer-scaled internally (exact common-denominator scaling) to keep the hot
 loop off Fraction arithmetic.
 
+A tree on block mask rooted at v is a child subtree on sub, hung from v by
+one edge, plus a smaller tree on mask ^ sub still rooted at v.  The cheapest
+attaching edge depends only on (v, sub), so it is computed once, when the
+trees on sub are finished, and kept in the cells of the same table where v is
+not in the block; each split then costs two lookups.  Every split walk, here
+and in exact_balanced_partition, visits only the sub-blocks holding the
+block's lowest remaining vertex, so each unordered split is seen once.  Both
+subset DPs refuse n + m above MAX_SUBSET_VERTICES whatever their guard.
+
 A second, independent strategy (exact_fct_enumerated) recursively assigns
 every integral distribution of each supply; the suite checks the two agree.
 Guards are hard errors, never silent truncation.
@@ -30,6 +39,21 @@ from .pfct_u import (
 from .reductions import DigraphInstance, DstInstance, SetCoverInstance
 
 
+# Largest n + m the subset DPs accept, whatever guard a caller passes:
+# exact_fct allocates (n + m) * 2^(n + m) slots per table, about 170 MB
+# each at 20.
+MAX_SUBSET_VERTICES = 20
+
+
+def _check_subset_guard(name: str, total_vertices: int, guard: int) -> None:
+    if total_vertices > guard:
+        raise GuardError(f"{name} guard exceeded: n + m = {total_vertices} > {guard}")
+    if total_vertices > MAX_SUBSET_VERTICES:
+        raise GuardError(
+            f"{name} memory ceiling exceeded: n + m = {total_vertices} > {MAX_SUBSET_VERTICES}"
+        )
+
+
 def _net_table(values: list[int], size: int) -> list[int]:
     net = [0] * size
     for mask in range(1, size):
@@ -43,8 +67,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     check_instance(inst)
     n, m = inst.n, inst.m
     total_vertices = n + m
-    if total_vertices > guard:
-        raise GuardError(f"exact_fct guard exceeded: n + m = {total_vertices} > {guard}")
+    _check_subset_guard("exact_fct", total_vertices, guard)
 
     scale, (fix, lin) = integer_scaled(inst.fixed, inst.linear)
 
@@ -85,12 +108,19 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
             comp[w] = mask
             assigned[w] = True
 
+    # h[v][mask] and choice[v][mask] hold two kinds of cell, told apart by
+    # whether v is in mask.  For v in mask: the cheapest tree spanning mask
+    # rooted at v, and the sub-block its last child subtree spans.  For v not
+    # in mask: the cheapest tree spanning mask hung from v by one edge
+    # (v, u), and the lowest such u.  Each kind is written once, when mask is
+    # reached, so the subtree loop reads an attaching cost in O(1).
     h = [[None] * size for _ in range(total_vertices)]
     choice = [[None] * size for _ in range(total_vertices)]
     g_val = [None] * size
     g_root = [None] * size
 
     for mask in range(1, size):
+        rooted = 0
         probe = mask
         while probe:
             v_bit = probe & -probe
@@ -98,60 +128,89 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
             v = v_bit.bit_length() - 1
             if mask == v_bit:
                 h[v][mask] = 0
+                rooted |= v_bit
                 continue
             if mask & ~comp[v]:
                 continue
             rest = mask ^ v_bit
-            adj_v = adj[v]
-            if not adj_v & rest:
+            if not adj[v] & rest:
                 continue
+            # Only sub-blocks holding rest's lowest vertex: each split of
+            # rest into child subtrees is then reached once.
             low = rest & -rest
+            others = rest ^ low
             h_v = h[v]
             best = None
-            best_choice = None
-            sub = rest
-            while sub:
-                if sub & low:
+            best_sub = None
+            part = others
+            while True:
+                sub = part | low
+                attach = h_v[sub]
+                if attach is not None:
                     remainder = h_v[mask ^ sub]
                     if remainder is not None:
-                        nets = net[sub]
-                        if nets > 0:
-                            candidates = sub & adj_v & src_mask
-                            amount = nets
-                        elif nets < 0:
-                            candidates = sub & adj_v & ~src_mask
-                            amount = -nets
-                        else:
-                            candidates = sub & adj_v
-                            amount = 0
-                        while candidates:
-                            u_bit = candidates & -candidates
-                            candidates ^= u_bit
-                            u = u_bit.bit_length() - 1
-                            h_u = h[u][sub]
-                            if h_u is None:
-                                continue
-                            if u < n:
-                                i, j = u, v - n
-                            else:
-                                i, j = v, u - n
-                            total = (
-                                remainder + h_u + fix[i][j] + lin[i][j] * amount
-                            )
-                            if best is None or total < best:
-                                best = total
-                                best_choice = (sub, u)
-                sub = (sub - 1) & rest
+                        total = remainder + attach
+                        if best is None or total < best:
+                            best = total
+                            best_sub = sub
+                if not part:
+                    break
+                part = (part - 1) & others
+            if best is not None:
+                h_v[mask] = best
+                choice[v][mask] = best_sub
+                rooted |= v_bit
+
+        # Attaching costs of the finished block: edge (v, u) carries
+        # |net[mask]| out of a surplus block, so u must then be a source,
+        # and into a deficit block, so u must then be a sink.
+        nets = net[mask]
+        if nets > 0:
+            roots = rooted & src_mask
+            amount = nets
+        elif nets < 0:
+            roots = rooted & ~src_mask
+            amount = -nets
+        else:
+            roots = rooted
+            amount = 0
+        outside = 0
+        probe = roots
+        while probe:
+            u_bit = probe & -probe
+            probe ^= u_bit
+            outside |= adj[u_bit.bit_length() - 1]
+        outside &= ~mask
+        while outside:
+            v_bit = outside & -outside
+            outside ^= v_bit
+            v = v_bit.bit_length() - 1
+            best = None
+            best_u = None
+            candidates = roots & adj[v]
+            while candidates:
+                u_bit = candidates & -candidates
+                candidates ^= u_bit
+                u = u_bit.bit_length() - 1
+                if u < n:
+                    i, j = u, v - n
+                else:
+                    i, j = v, u - n
+                total = h[u][mask] + fix[i][j] + lin[i][j] * amount
+                if best is None or total < best:
+                    best = total
+                    best_u = u
             h[v][mask] = best
-            choice[v][mask] = best_choice
-        if net[mask] == 0:
-            probe = mask
+            choice[v][mask] = best_u
+
+        if nets == 0:
+            probe = rooted
             while probe:
                 v_bit = probe & -probe
                 probe ^= v_bit
                 v = v_bit.bit_length() - 1
                 cand = h[v][mask]
-                if cand is not None and (g_val[mask] is None or cand < g_val[mask]):
+                if g_val[mask] is None or cand < g_val[mask]:
                     g_val[mask] = cand
                     g_root[mask] = v
 
@@ -162,18 +221,22 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
         if net[mask] != 0:
             continue
         low = mask & -mask
+        others = mask ^ low
         best = None
         best_sub = None
-        sub = mask
-        while sub:
-            if sub & low and net[sub] == 0 and g_val[sub] is not None:
+        part = others
+        while True:
+            sub = part | low
+            if net[sub] == 0 and g_val[sub] is not None:
                 remainder = dp[mask ^ sub]
                 if remainder is not None:
                     total = g_val[sub] + remainder
                     if best is None or total < best:
                         best = total
                         best_sub = sub
-            sub = (sub - 1) & mask
+            if not part:
+                break
+            part = (part - 1) & others
         dp[mask] = best
         dp_choice[mask] = best_sub
 
@@ -185,7 +248,8 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
 
     def emit(v: int, mask: int) -> None:
         while mask != 1 << v:
-            sub, u = choice[v][mask]
+            sub = choice[v][mask]
+            u = choice[v][sub]
             amount = abs(net[sub])
             if amount:
                 edge = (u, v - n) if u < n else (v, u - n)
@@ -253,10 +317,7 @@ def exact_balanced_partition(
     """Maximum number of balanced parts covering S and T (subset DP)."""
     n, m = inst.n, inst.m
     total_vertices = n + m
-    if total_vertices > guard:
-        raise GuardError(
-            f"partition guard exceeded: n + m = {total_vertices} > {guard}"
-        )
+    _check_subset_guard("partition", total_vertices, guard)
     values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
     size = 1 << total_vertices
     net = _net_table(values, size)
@@ -269,16 +330,20 @@ def exact_balanced_partition(
         if net[mask] != 0:
             continue
         low = mask & -mask
+        others = mask ^ low
         best = None
         best_sub = None
-        sub = mask
-        while sub:
-            if sub & low and net[sub] == 0 and dp[mask ^ sub] is not None:
+        part = others
+        while True:
+            sub = part | low
+            if net[sub] == 0 and dp[mask ^ sub] is not None:
                 cand = dp[mask ^ sub] + 1
                 if best is None or cand > best:
                     best = cand
                     best_sub = sub
-            sub = (sub - 1) & mask
+            if not part:
+                break
+            part = (part - 1) & others
         dp[mask] = best
         pick[mask] = best_sub
 
@@ -433,13 +498,11 @@ def exact_pfct_digraph(dg: DigraphInstance, edge_guard: int = 16) -> Fraction:
     sink_node = nv + 1
     base_arcs = [(source_node, index[v], a) for v, a in sorted(dg.supplies.items(), key=lambda kv: index[kv[0]])]
     base_arcs += [(index[v], sink_node, b) for v, b in sorted(dg.demands.items(), key=lambda kv: index[kv[0]])]
-    best: Fraction | None = None
-    order = sorted(range(1 << len(edges)), key=lambda mask: sum(edges[p][2] for p in range(len(edges)) if mask >> p & 1))
-    for mask in order:
-        cost = sum(
-            (edges[p][2] for p in range(len(edges)) if mask >> p & 1),
-            Fraction(0),
-        )
+    scale, [[weights]] = integer_scaled([[cost for _, _, cost in edges]])
+    costs = _net_table(weights, 1 << len(edges))
+    best: int | None = None
+    for mask in sorted(range(1 << len(edges)), key=costs.__getitem__):
+        cost = costs[mask]
         if best is not None and cost >= best:
             break
         arcs = list(base_arcs)
@@ -451,7 +514,7 @@ def exact_pfct_digraph(dg: DigraphInstance, edge_guard: int = 16) -> Fraction:
             best = cost
     if best is None:
         raise InfeasibleError("no feasible digraph flow")
-    return best
+    return Fraction(best, scale)
 
 
 def _max_flow(num_nodes: int, arcs, s: int, t: int) -> int:

@@ -12,6 +12,7 @@ from fctp.model import (
     parse_solution,
     serialize_instance,
 )
+from fctp.pfct_u import uniform_pure_instance
 
 
 @pytest.fixture
@@ -120,6 +121,15 @@ def test_certify_perturbed_fails(capsys):
 def test_oracle_command(e1_file, capsys):
     assert main(["oracle", "--input", e1_file]) == 0
     assert json.loads(capsys.readouterr().out)["cost"] == "28"
+
+
+def test_oracle_memory_ceiling_exits_2(tmp_path, capsys):
+    # n + m = 21 is over the subset-DP ceiling, so a large --guard must not
+    # reach the (n + m) * 2^(n + m) allocation.
+    path = tmp_path / "wide.fct"
+    path.write_text(serialize_instance(uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)))
+    assert main(["oracle", "--input", str(path), "--guard", "64"]) == 2
+    assert "memory ceiling exceeded: n + m = 21 > 20" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

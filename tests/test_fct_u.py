@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from util import is_forest
 from fctp import oracle
 from fctp.errors import FctpError, InfeasibleError, VariantError
 from fctp.fct_u import solve_fct_u
-from fctp.generators import random_fct_u
-from fctp.model import INF, evaluate_cost, make_instance, validate_solution
+from fctp.generators import generate, random_fct_u
+from fctp.model import INF, evaluate_cost, make_instance, serialize_solution, validate_solution
 from fctp.transport import solve_transportation
 
 
@@ -90,3 +91,15 @@ def test_fct_u_rejects_unbalanced_instance():
     inst = make_instance((2,), (2, 3), [[1, 1]], [[0, 0]])
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         solve_fct_u(inst)
+
+
+def test_fct_u_output_pinned_on_seeded_instance():
+    # Digest recorded when solve_fct_u cancelled cycles a second time on the
+    # flow solve_transportation returned; that pass could remove no edge.
+    inst = generate("fct-u", 12, 20, seed=2024, max_linear=2, forbid_probability=0.2)
+    sol = solve_fct_u(inst)
+    assert len(sol.entries) <= inst.n + inst.m - 1
+    assert (
+        hashlib.sha256(serialize_solution(sol).encode()).hexdigest()
+        == "02c54aa751c02d326be54c9b4bba9a727817fe19e8a0ea7b4909ddbdf4f96cc8"
+    )

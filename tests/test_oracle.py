@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,8 +8,15 @@ from util import brute_force_opt, is_forest
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError
-from fctp.generators import random_fct, random_pfct_u
-from fctp.model import INF, evaluate_cost, make_instance, validate_solution
+from fctp.generators import random_fct, random_fct_u, random_pfct_s, random_pfct_u, random_pure
+from fctp.model import (
+    INF,
+    evaluate_cost,
+    format_rational,
+    make_instance,
+    serialize_solution,
+    validate_solution,
+)
 from fctp.pfct_u import uniform_pure_instance, validate_partition
 from fctp.reductions import make_dst, make_setcover
 
@@ -53,6 +61,9 @@ def test_exact_fct_guard():
     inst = uniform_pure_instance((1,) * 9, (1,) * 9)
     with pytest.raises(GuardError):
         oracle.exact_fct(inst, guard=16)
+    wide = uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)
+    with pytest.raises(GuardError, match="memory ceiling"):
+        oracle.exact_fct(wide, guard=64)
 
 
 def test_strategies_agree_on_small_instances():
@@ -66,6 +77,47 @@ def test_strategies_agree_on_small_instances():
         assert validate_solution(inst, flow) is None
         assert evaluate_cost(inst, flow) == opt
         assert is_forest(flow.entries)
+
+
+def _pinned_instances():
+    """150 seeded instances, n + m from 2 to 12, with few distinct costs so
+    that ties are common; fct gets sixths and forbidden edges."""
+    rng = random.Random(2026)
+    for k in range(150):
+        total = 2 + k % 11
+        n = rng.randint(1, total - 1)
+        m = total - n
+        family = k % 4
+        if family == 0:
+            yield random_pfct_s(rng, n, m, max_supply=4, max_fixed=3)
+        elif family == 1:
+            base = random_fct(rng, n, m, max_supply=4, max_fixed=3, max_linear=2)
+            linear = [
+                [INF if i and j and rng.random() < 0.25 else c / 3 for j, c in enumerate(row)]
+                for i, row in enumerate(base.linear)
+            ]
+            yield make_instance(base.supplies, base.demands, base.fixed, linear)
+        elif family == 2:
+            yield random_fct_u(rng, n, m, max_supply=4, max_linear=2, forbid_probability=0.3)
+        else:
+            yield random_pure(rng, n, m, max_supply=4, max_fixed=2)
+
+
+def test_exact_fct_output_pinned():
+    # Recorded before the attaching-edge memo and the low-bit submask walk:
+    # any change in which optimal forest exact_fct picks among ties, or in
+    # the order it emits edges, changes this digest.
+    digest = hashlib.sha256()
+    for inst in _pinned_instances():
+        try:
+            cost, flow = oracle.exact_fct(inst)
+        except InfeasibleError:
+            digest.update(b"infeasible\n")
+            continue
+        digest.update(format_rational(cost).encode() + b"\n")
+        digest.update(serialize_solution(flow).encode())
+        digest.update(repr(list(flow.entries)).encode() + b"\n")
+    assert digest.hexdigest() == "dca9a78dbd7233cd95dc090d5d3987687068f3511f2e7703e01d24facc2ab4f1"
 
 
 def test_balanced_partition_examples():
@@ -180,3 +232,6 @@ def test_partition_guard():
     inst = uniform_pure_instance((1,) * 9, (1,) * 9)
     with pytest.raises(GuardError):
         oracle.exact_balanced_partition(inst, guard=16)
+    wide = uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)
+    with pytest.raises(GuardError, match="memory ceiling"):
+        oracle.exact_balanced_partition(wide, guard=64)
