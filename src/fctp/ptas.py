@@ -1,13 +1,33 @@
 """(1 + eps)-approximation for pure instances with few sources.
 
-Guess the set P of expensive edges used by the optimum: for every candidate
-P, edges outside P costlier than P's cheapest member are forbidden, the
-linear relaxation sum(x_ij / b_j * f_ij) is solved over the rest (P's fixed
-costs are sunk), and the candidate's actual cost is evaluated; the cheapest
-candidate wins.  Candidates run over all edge sets of size up to
-min(2n/eps, nm, n + m - 1): a guess of size exactly 2n/eps covers optima
-with at least that many support edges, and the exact optimal support (at
-most n + m - 1 edges, forests) covers the rest.
+Guess the set P of expensive edges used by the optimum.  With t the cheapest
+fixed cost in P, a guess allows A(P) = P plus every edge with f <= t; the
+linear relaxation sum(x_ij / b_j * f_ij) is solved over A(P) (P's fixed
+costs are sunk, so P's edges weigh 0) and the candidate's actual cost is
+evaluated; the cheapest candidate wins, the first enumerated among equals.
+Candidates run over all edge sets of size up to min(2n/eps, nm, n + m - 1),
+by size and then lexicographically: a guess of size exactly 2n/eps covers
+optima with at least that many support edges, and the exact optimal support
+(at most n + m - 1 edges, forests) covers the rest.
+
+Only a guess that could strictly beat the best candidate so far reaches the
+transport core.  Two kinds are skipped, each without changing the result:
+
+- Infeasible: no flow fits inside A(P).  On a balanced instance a flow
+  exists exactly when a(S) <= b(N(S)) for every set S of sources, N(S) being
+  the sinks A(P) joins to S (Gale 1957).  That is 2^n subsets, n being the
+  scheme's parameter, checked on per-source sink bitmasks, and not at all
+  when the edges with f <= t pass it alone.  These are the guesses
+  transport would reject.
+- Dominated: transport's support lies inside A(P) and touches every source
+  and sink, so the flow costs at least the larger of the two sums, over
+  sinks and over sources, of the cheapest fixed cost A(P) allows there.  A
+  guess whose bound is at least the best cost so far cannot win the strict
+  comparison.
+
+Costs are compared as ints, the fixed costs scaled by one common
+denominator.  The per-threshold tables are O(nm) each, so no state grows
+with the number of guesses.
 """
 
 from __future__ import annotations
@@ -18,26 +38,19 @@ from fractions import Fraction
 from math import comb
 
 from .errors import FctpError, GuardError, InfeasibleError, VariantError
-from .model import INF, FlowSolution, Instance, classify_variant, evaluate_cost
+# evaluate_cost is unused here; perfbench/tracing.py wraps fctp.ptas.evaluate_cost by name.
+from .model import (  # noqa: F401
+    INF,
+    FlowSolution,
+    Instance,
+    check_balanced,
+    classify_variant,
+    evaluate_cost,
+    integer_scaled,
+)
 from .transport import solve_transportation
 
-
-@dataclass(frozen=True)
-class GuessedSet:
-    """One candidate set of expensive edges and its cheapest fixed cost.
-
-    An empty guess has threshold INF, meaning "no forbidding": the candidate
-    degenerates to the plain linear relaxation.
-    """
-
-    edges: tuple[tuple[int, int], ...]
-    threshold: object  # Fraction, or INF for the empty guess
-
-    @classmethod
-    def from_edges(cls, inst: Instance, edges) -> "GuessedSet":
-        edges = tuple(sorted(edges))
-        threshold = min((inst.fixed[i][j] for i, j in edges), default=INF)
-        return cls(edges=edges, threshold=threshold)
+ZERO = Fraction(0)
 
 
 def candidate_sizes(inst: Instance, eps: Fraction) -> range:
@@ -51,6 +64,7 @@ def candidate_sizes(inst: Instance, eps: Fraction) -> range:
 
 def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
     """Best-of-all-guesses solution; cost at most (1 + eps) times optimal."""
+    check_balanced(inst)
     tag = classify_variant(inst)
     if not (tag.pure or tag.pure_modulo_forbidden):
         raise VariantError("requires PFCT")
@@ -63,16 +77,20 @@ def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
     if total_candidates > guard:
         raise GuardError("instance too large for PTAS enumeration")
 
-    best_cost: Fraction | None = None
+    guesses = _Guesses(inst)
+    fixed = guesses.fixed
+    best_cost: int | None = None
     best_flow: FlowSolution | None = None
     for size in sizes:
         for combo in itertools.combinations(edges, size):
-            guess = GuessedSet.from_edges(inst, combo)
-            try:
-                sol, _ = solve_transportation(inst, _guess_weights(inst, guess))
-            except InfeasibleError:
+            threshold = min((fixed[i][j] for i, j in combo), default=None)
+            level = guesses.level(threshold)
+            if not level.feasible and not guesses.fits(level, combo):
                 continue
-            cost = evaluate_cost(inst, sol)
+            if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
+                continue
+            sol, _ = solve_transportation(inst, guesses.weights(level, combo))
+            cost = sum(fixed[i][j] for i, j in sol.entries)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_flow = sol
@@ -81,33 +99,127 @@ def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
     return best_flow
 
 
-def _guess_weights(inst: Instance, guess: GuessedSet):
-    """Relaxation weights under a guess: guessed edges are free (their fixed
-    costs are sunk), cheaper edges pay f/b fractionally, pricier ones are
-    forbidden."""
-    guessed = set(guess.edges)
-    weights = []
-    for i in range(inst.n):
-        row = []
-        for j in range(inst.m):
-            if inst.linear[i][j] is INF:
-                row.append(INF)
-            elif (i, j) in guessed:
-                row.append(Fraction(0))
-            elif inst.fixed[i][j] <= guess.threshold:
-                row.append(inst.fixed[i][j] / inst.demands[j])
-            else:
-                row.append(INF)
-        weights.append(tuple(row))
-    return tuple(weights)
-
-
 def restricted_lp_value(inst: Instance, edges) -> Fraction:
     """LP value for one candidate set: sunk fixed costs plus the relaxation.
 
     Test hook for the bound "correctly guessed P has LP value <= opt".
     """
-    guess = GuessedSet.from_edges(inst, edges)
-    _, value = solve_transportation(inst, _guess_weights(inst, guess))
-    sunk = sum((inst.fixed[i][j] for i, j in guess.edges), Fraction(0))
+    edges = tuple(edges)
+    guesses = _Guesses(inst)
+    threshold = min((guesses.fixed[i][j] for i, j in edges), default=None)
+    level = guesses.level(threshold)
+    _, value = solve_transportation(inst, guesses.weights(level, edges))
+    sunk = sum((inst.fixed[i][j] for i, j in edges), Fraction(0))
     return sunk + value
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The edges with scaled fixed cost <= t (every edge when t is None).
+
+    ``masks`` hold each source's sinks as a bitmask, ``feasible`` says
+    whether these edges alone can carry the flow, ``sink_min`` and
+    ``source_min`` hold each node's cheapest scaled fixed cost among them
+    (0 for a node with nothing to ship, None for one they leave unreached),
+    and ``weights`` is the relaxation with no edge guessed.
+    """
+
+    masks: tuple[int, ...]
+    feasible: bool
+    sink_min: tuple
+    source_min: tuple
+    weights: tuple[tuple, ...]
+
+
+class _Guesses:
+    """Per-instance tables every guess reads, one :class:`_Level` per threshold."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        _, (self.fixed,) = integer_scaled(inst.fixed)
+        # supply_sums[s] = a(S) for every set S of sources, s being S as a bitmask.
+        self.supply_sums = [0] * (1 << inst.n)
+        for s in range(1, len(self.supply_sums)):
+            low = s & -s
+            self.supply_sums[s] = self.supply_sums[s ^ low] + inst.supplies[low.bit_length() - 1]
+        self._levels: dict = {}
+
+    def level(self, threshold) -> _Level:
+        level = self._levels.get(threshold)
+        if level is None:
+            level = self._levels[threshold] = self._build_level(threshold)
+        return level
+
+    def _build_level(self, threshold) -> _Level:
+        inst, fixed = self.inst, self.fixed
+        masks = [0] * inst.n
+        sink_min = [None if b else 0 for b in inst.demands]
+        source_min = [None if a else 0 for a in inst.supplies]
+        weights = [[INF] * inst.m for _ in range(inst.n)]
+        for i, j in inst.edges():
+            c = fixed[i][j]
+            if threshold is not None and c > threshold:
+                continue
+            masks[i] |= 1 << j
+            if sink_min[j] is None or c < sink_min[j]:
+                sink_min[j] = c
+            if source_min[i] is None or c < source_min[i]:
+                source_min[i] = c
+            weights[i][j] = inst.fixed[i][j] / inst.demands[j]
+        return _Level(
+            masks=tuple(masks),
+            feasible=self._hall(masks),
+            sink_min=tuple(sink_min),
+            source_min=tuple(source_min),
+            weights=tuple(tuple(row) for row in weights),
+        )
+
+    def _hall(self, masks) -> bool:
+        """a(S) <= b(N(S)) for every nonempty set S of sources."""
+        supply_sums, demands = self.supply_sums, self.inst.demands
+        reach = [0] * len(supply_sums)
+        for s in range(1, len(supply_sums)):
+            low = s & -s
+            reach[s] = reach[s ^ low] | masks[low.bit_length() - 1]
+            need, rest = supply_sums[s], reach[s]
+            while rest and need > 0:
+                bit = rest & -rest
+                need -= demands[bit.bit_length() - 1]
+                rest ^= bit
+            if need > 0:
+                return False
+        return True
+
+    def fits(self, level: _Level, combo) -> bool:
+        """Whether any flow fits inside the level's edges plus ``combo``."""
+        masks = list(level.masks)
+        for i, j in combo:
+            masks[i] |= 1 << j
+        return self._hall(masks)
+
+    def lower_bound(self, level: _Level, combo) -> int:
+        """Scaled cost floor of any flow inside the level's edges plus ``combo``.
+
+        Call only on a feasible guess, where every node that ships or
+        receives has an allowed edge.
+        """
+        fixed = self.fixed
+        sinks, sources = list(level.sink_min), list(level.source_min)
+        for i, j in combo:
+            c = fixed[i][j]
+            if sinks[j] is None or c < sinks[j]:
+                sinks[j] = c
+            if sources[i] is None or c < sources[i]:
+                sources[i] = c
+        return max(sum(sinks), sum(sources))
+
+    def weights(self, level: _Level, combo) -> tuple[tuple, ...]:
+        """Relaxation weights under a guess: guessed edges are free (their
+        fixed costs are sunk), the level's other edges pay f/b fractionally,
+        the rest are forbidden."""
+        rows = [list(row) for row in level.weights]
+        linear = self.inst.linear
+        for i, j in combo:
+            if linear[i][j] is not INF:
+                rows[i][j] = ZERO
+        return tuple(map(tuple, rows))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,10 +7,18 @@ import pytest
 from util import is_forest
 
 from fctp import oracle
-from fctp.errors import FctpError, GuardError, VariantError
+from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
 from fctp.generators import random_pure
-from fctp.model import evaluate_cost, make_instance, pure_instance, validate_solution
-from fctp.ptas import candidate_sizes, ptas_solve, restricted_lp_value
+from fctp.model import (
+    INF,
+    evaluate_cost,
+    make_instance,
+    pure_instance,
+    serialize_solution,
+    validate_solution,
+)
+from fctp.ptas import _Guesses, candidate_sizes, ptas_solve, restricted_lp_value
+from fctp.transport import solve_transportation
 
 
 def test_single_source_forced_support():
@@ -79,7 +88,93 @@ def test_requires_pure_instance():
         ptas_solve(inst, Fraction(1, 2))
 
 
+def test_unbalanced_instance_rejected():
+    inst = pure_instance((3,), (1, 1), [[1, 1]])
+    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
+        ptas_solve(inst, Fraction(1, 2))
+
+
+def test_blocked_instance_is_infeasible():
+    # Balanced and every node has an edge, but source 1 ships 2 and reaches
+    # only sink 1, which takes 1.
+    inst = make_instance((2, 1), (1, 2), [[1, 1], [1, 1]], [[0, INF], [0, 0]])
+    with pytest.raises(InfeasibleError, match="no feasible transportation"):
+        ptas_solve(inst, Fraction(1, 2))
+
+
+def test_pruning_predicates_agree_with_transport():
+    # Random guesses on random allowed-edge sets, with n <= m and n > m: the
+    # Hall check says infeasible exactly when transport raises, and the lower
+    # bound never exceeds the cost of the flow transport returns.
+    rng = random.Random(83)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        base = random_pure(rng, n, m, max_supply=6, max_fixed=4)
+        fixed = [
+            [Fraction(rng.randint(0, 8), rng.choice((1, 2, 3))) for _ in range(m)]
+            for _ in range(n)
+        ]
+        linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+        inst = make_instance(base.supplies, base.demands, fixed, linear)
+        guesses = _Guesses(inst)
+        edges = sorted(inst.edges())
+        for _ in range(6):
+            combo = tuple(sorted(rng.sample(edges, rng.randint(0, len(edges)))))
+            threshold = min((guesses.fixed[i][j] for i, j in combo), default=None)
+            level = guesses.level(threshold)
+            feasible = level.feasible or guesses.fits(level, combo)
+            assert feasible == guesses.fits(level, combo)
+            seen[feasible] += 1
+            try:
+                sol, _ = solve_transportation(inst, guesses.weights(level, combo))
+            except InfeasibleError:
+                assert not feasible
+                continue
+            assert feasible
+            cost = sum(guesses.fixed[i][j] for i, j in sol.entries)
+            assert guesses.lower_bound(level, combo) <= cost
+    assert min(seen.values()) >= 100
+
+
 def test_enumeration_guard():
     inst = pure_instance((2, 2, 2), (2, 2, 2), [[1] * 3] * 3)
     with pytest.raises(GuardError, match="too large"):
         ptas_solve(inst, Fraction(1, 2), guard=3)
+
+
+def _pinned_cases():
+    """Seeded (instance, eps) pairs: pure shapes up to 3 x 4, forbidden edges
+    (linear 0 / INF), fractional and zero-heavy fixed costs, 1 x m and n x 1,
+    each under eps in {1, 1/2, 1/3}.  Few distinct costs keep ties common."""
+    rng = random.Random(7331)
+    shapes = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)]
+    shapes += [(1, 5), (1, 6), (4, 1), (5, 1)]
+    for k, (n, m) in enumerate(shapes):
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
+            yield random_pure(rng, n, m, max_supply=6, max_fixed=9), eps
+            base = random_pure(rng, n, m, max_supply=5, max_fixed=2)
+            family = k % 3
+            if family == 0:
+                linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+                yield make_instance(base.supplies, base.demands, base.fixed, linear), eps
+            elif family == 1:
+                fixed = [[Fraction(rng.randint(0, 12), 6) for _ in range(m)] for _ in range(n)]
+                yield pure_instance(base.supplies, base.demands, fixed), eps
+            else:
+                yield base, eps
+
+
+def test_ptas_output_pinned():
+    # Recorded before the guess loop learned to skip guesses: any change in
+    # which guess's flow wins a tie, or in its edge order, changes this digest.
+    digest = hashlib.sha256()
+    for inst, eps in _pinned_cases():
+        try:
+            flow = ptas_solve(inst, eps)
+        except InfeasibleError:
+            digest.update(b"infeasible\n")
+            continue
+        digest.update(serialize_solution(flow).encode())
+        digest.update(repr(list(flow.entries)).encode() + b"\n")
+    assert digest.hexdigest() == "945ba7e7ab354aa1d7e968c644a2df125cb54ed41b5011f2adbe317cfe6e24ef"
