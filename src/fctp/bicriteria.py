@@ -2,11 +2,12 @@
 
 Pipeline: solve the linear relaxation with capacity-normalized weights
 c_ij + f_ij / p_ij where p_ij = min(a_i, b_j); normalize the forest solution
-to y_e = x_e / p_e in [0, 1]; per tree, round every y below a threshold to 0
-or the threshold without raising the cost; rescale each source's outgoing
-flow so supplies are met exactly.  Each sink then receives within
-(1 +/- eps) of its demand and the cost is at most K(eps') times the LP value
-with K(t) = 1 / (t (1 - 2t)).
+to y_e = x_e / p_e in [0, 1]; walk the whole forest once, each tree rooted
+at its lowest vertex, and at every vertex round the child edges whose y is
+below a threshold to 0 or the threshold without raising the cost; rescale
+each source's outgoing flow so supplies are met exactly.  Each sink then
+receives within (1 +/- eps) of its demand and the cost is at most K(eps')
+times the LP value with K(t) = 1 / (t (1 - 2t)).
 
 The public eps is pre-shrunk internally to eps' = eps / 4, which guarantees
 (1 - 2 eps') / (1 + eps') >= 1 - eps and (1 + eps') / (1 - 2 eps') <= 1 + eps
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import INF, FlowSolution, Instance
+from .model import INF, FlowSolution, Instance, evaluate_cost
 from .transport import solve_transportation
 
 
@@ -51,7 +52,7 @@ def cost_factor(internal_eps: Fraction) -> Fraction:
 
 
 def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
-    # (c p + f) per unit of p-mass equals the LP weight c + f/p.
+    # (c p + f) per unit of p-mass: the LP weight c + f/p.
     p = min(inst.supplies[i], inst.demands[j])
     return inst.linear[i][j] + inst.fixed[i][j] / p
 
@@ -59,43 +60,42 @@ def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
 def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractional:
     """Round sub-threshold child edges to {0, eps} per vertex, group by group.
 
-    For every vertex v with child edges E', the output satisfies, exactly:
-    y' = y where y >= eps; y' in {0, eps} elsewhere; the p-mass of E' drops
-    by less than eps times v's supply/demand and never grows; the group cost
-    sum (c p + f) y' never grows.  Mass moves from expensive small edges to
-    cheap ones (cheapest unit rate filled first) and the final leftover
-    fragment is dropped.
+    The support may be a forest.  Each tree is rooted at its lowest vertex
+    (vertices are sources 0..n-1, then sinks n..n+m-1) and walked breadth
+    first with neighbours in index order; a vertex's child edges form its
+    group.  For every vertex v with child edges E', the output satisfies,
+    exactly: y' = y where y >= eps; y' in {0, eps} elsewhere; the p-mass of
+    E' drops by less than eps times v's supply/demand and never grows; the
+    group cost sum (c p + f) y' never grows.  Mass moves from expensive small
+    edges to cheap ones (cheapest unit rate filled first) and the final
+    leftover fragment is dropped.  A support with a cycle is rejected.
     """
     inst = tree.instance
     eps = Fraction(eps)
-    support = sorted(tree.y)
-    if not support:
-        return tree
-    vertices = set()
     neighbors: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in support:
+    for (i, j) in sorted(tree.y):
         u, v = i, inst.n + j
-        vertices |= {u, v}
         neighbors.setdefault(u, []).append((v, (i, j)))
         neighbors.setdefault(v, []).append((u, (i, j)))
-    if len(support) != len(vertices) - 1:
-        raise FctpError("non-tree support")
-    root = min(vertices)
-    order = [root]
-    parent = {root: None}
-    children: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for v in order:
-        for u, edge in sorted(neighbors[v]):
-            if u not in parent:
-                parent[u] = v
-                children[v].append(edge)
-                order.append(u)
-    if len(parent) != len(vertices):
+    children: dict[int, list[tuple[int, int]]] = {}
+    for root in sorted(neighbors):
+        if root in children:
+            continue
+        children[root] = []
+        queue = [root]
+        for v in queue:
+            for u, edge in sorted(neighbors[v]):
+                if u not in children:
+                    children[u] = []
+                    children[v].append(edge)
+                    queue.append(u)
+    # A forest is exactly a support whose every edge is some vertex's child.
+    if sum(map(len, children.values())) != len(tree.y):
         raise FctpError("non-tree support")
 
     new_y = dict(tree.y)
-    for v in order:
-        small = [e for e in children[v] if tree.y[e] < eps]
+    for edges in children.values():
+        small = [e for e in edges if tree.y[e] < eps]
         if not small:
             continue
         mass = sum(
@@ -116,27 +116,6 @@ def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractiona
     )
 
 
-def _components(entries) -> list[list[tuple[int, int]]]:
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in entries:
-        for node in ((0, i), (1, j)):
-            parent.setdefault(node, node)
-        a, b = find((0, i)), find((1, j))
-        if a != b:
-            parent[a] = b
-    groups: dict = {}
-    for e in sorted(entries):
-        groups.setdefault(find((0, e[0])), []).append(e)
-    return [groups[key] for key in sorted(groups)]
-
-
 def solve_bicriteria(
     inst: Instance, eps
 ) -> tuple[FlowSolution, BicriteriaReport]:
@@ -149,51 +128,36 @@ def solve_bicriteria(
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")
     internal = eps / 4
-    weights = []
-    for i in range(inst.n):
-        row = []
-        for j in range(inst.m):
-            c = inst.linear[i][j]
-            if c is INF:
-                row.append(INF)
-            else:
-                p = min(inst.supplies[i], inst.demands[j])
-                row.append(c + inst.fixed[i][j] / p)
-        weights.append(tuple(row))
-    lp_sol, lp_value = solve_transportation(inst, tuple(weights))
+    weights = tuple(
+        tuple(
+            INF if inst.linear[i][j] is INF else _unit_rate(inst, i, j)
+            for j in range(inst.m)
+        )
+        for i in range(inst.n)
+    )
+    lp_sol, lp_value = solve_transportation(inst, weights)
 
     y_all = {
         (i, j): x / min(inst.supplies[i], inst.demands[j])
         for (i, j), x in lp_sol.entries.items()
     }
-    rounded: dict[tuple[int, int], Fraction] = {}
-    for component in _components(y_all):
-        piece = NormalizedFractional(
-            instance=inst, y={e: y_all[e] for e in component}
-        )
-        rounded.update(round_tree(piece, internal).y)
+    rounded = round_tree(NormalizedFractional(instance=inst, y=y_all), internal).y
 
-    scaled: dict[tuple[int, int], Fraction] = {}
-    row_sums = [Fraction(0)] * inst.n
-    for (i, j), y in rounded.items():
-        row_sums[i] += y * min(inst.supplies[i], inst.demands[j])
+    unscaled = {
+        (i, j): y * min(inst.supplies[i], inst.demands[j]) for (i, j), y in rounded.items()
+    }
+    row_sums = FlowSolution(entries=unscaled).row_sums(inst.n)
     for i in range(inst.n):
         # Rounding keeps every row sum strictly inside ((1-2eps')a_i, (1+eps')a_i].
         if row_sums[i] <= 0:
             raise FctpError("rounding emptied a source row")
-    for (i, j), y in rounded.items():
-        x = y * min(inst.supplies[i], inst.demands[j])
-        scaled[(i, j)] = x * inst.supplies[i] / row_sums[i]
-
+    scaled = {(i, j): x * inst.supplies[i] / row_sums[i] for (i, j), x in unscaled.items()}
     flow = FlowSolution(entries=scaled, relaxation=eps)
-    actual = Fraction(0)
-    for (i, j), x in scaled.items():
-        actual += inst.fixed[i][j] + inst.linear[i][j] * x
     report = BicriteriaReport(
         epsilon=eps,
         internal_epsilon=internal,
         lp_value=lp_value,
         cost_bound=cost_factor(internal) * lp_value,
-        actual_cost=actual,
+        actual_cost=evaluate_cost(inst, flow),
     )
     return flow, report

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -22,6 +23,7 @@ from .bicriteria import solve_bicriteria
 from .errors import CertificateError, FctpError, GuardError, ParseError
 from .fct_u import solve_fct_u
 from .model import (
+    LineReader,
     evaluate_cost,
     format_rational,
     parse_instance,
@@ -45,6 +47,8 @@ from .reductions import (
 )
 
 VARIANTS = ("pfct-s", "pfct-u", "fct-u", "fct-bicriteria", "pfct-ptas")
+# Solver options of `fctp solve`; a bench row's params are merged over them.
+SOLVE_DEFAULTS = {"mode": "exact", "swap": 2, "epsilon": None, "guard": 16}
 
 
 @dataclass
@@ -94,35 +98,35 @@ def _parse_fraction(text: str) -> Fraction:
         raise FctpError(f"not a rational: {text!r}") from None
 
 
-def _dispatch_solver(inst, args):
-    """Returns (flow, algorithm name, extra report fields)."""
-    variant = args.variant
+def _dispatch_solver(inst, variant, options):
+    """Returns (flow, algorithm name, parameters echoed in the report)."""
+    parameters = {}
+    if variant == "pfct-u":
+        parameters["mode"] = options["mode"]
+        if options["mode"] == "ls":
+            parameters["swap"] = options["swap"]
+    if options["epsilon"] is not None:
+        parameters["epsilon"] = options["epsilon"]
+    elif variant in ("fct-bicriteria", "pfct-ptas"):
+        raise FctpError(f"--epsilon is required for {variant}")
     if variant == "pfct-s":
         flow = greedy_solve(inst)
-        extra = {
-            "opt_lower_bound": format_rational(opt_lower_bound(inst)),
-            "greedy_upper_bound": format_rational(greedy_upper_bound(inst)),
-        }
-        return flow, "greedy", extra
+        parameters["opt_lower_bound"] = format_rational(opt_lower_bound(inst))
+        parameters["greedy_upper_bound"] = format_rational(greedy_upper_bound(inst))
+        return flow, "greedy", parameters
     if variant == "pfct-u":
-        _, flow = solve_pfct_u(inst, mode=args.mode, swap_size=args.swap)
-        return flow, f"balanced-packing-{args.mode}", {}
+        _, flow = solve_pfct_u(inst, mode=options["mode"], swap_size=options["swap"])
+        return flow, f"balanced-packing-{options['mode']}", parameters
     if variant == "fct-u":
-        return solve_fct_u(inst), "linear-then-forest", {}
+        return solve_fct_u(inst), "linear-then-forest", parameters
     if variant == "fct-bicriteria":
-        if args.epsilon is None:
-            raise FctpError("--epsilon is required for fct-bicriteria")
-        flow, report = solve_bicriteria(inst, _parse_fraction(args.epsilon))
-        extra = {
-            "lp_value": format_rational(report.lp_value),
-            "cost_bound": format_rational(report.cost_bound),
-        }
-        return flow, "bicriteria-rounding", extra
+        flow, report = solve_bicriteria(inst, _parse_fraction(options["epsilon"]))
+        parameters["lp_value"] = format_rational(report.lp_value)
+        parameters["cost_bound"] = format_rational(report.cost_bound)
+        return flow, "bicriteria-rounding", parameters
     if variant == "pfct-ptas":
-        if args.epsilon is None:
-            raise FctpError("--epsilon is required for pfct-ptas")
-        flow = ptas_solve(inst, _parse_fraction(args.epsilon))
-        return flow, "guess-expensive-edges", {}
+        flow = ptas_solve(inst, _parse_fraction(options["epsilon"]))
+        return flow, "guess-expensive-edges", parameters
     raise FctpError(f"unknown variant {variant!r}")
 
 
@@ -133,17 +137,9 @@ def cmd_solve(args) -> int:
         print(f"invalid instance: {report}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    flow, algorithm, extra = _dispatch_solver(inst, args)
+    flow, algorithm, parameters = _dispatch_solver(inst, args.variant, vars(args))
     elapsed = time.perf_counter() - started
     cost = evaluate_cost(inst, flow)
-    parameters = {}
-    if args.variant == "pfct-u":
-        parameters["mode"] = args.mode
-        if args.mode == "ls":
-            parameters["swap"] = args.swap
-    if args.epsilon is not None:
-        parameters["epsilon"] = args.epsilon
-    parameters.update(extra)
     run = RunReport(
         instance=args.input,
         variant=args.variant,
@@ -234,12 +230,6 @@ def cmd_oracle(args) -> int:
 # --- generator input formats (line-oriented; see README) -------------------
 
 
-def _split_line(lines, lineno, what):
-    if lineno > len(lines):
-        raise ParseError(lineno, f"missing {what} line")
-    return lines[lineno - 1].split()
-
-
 def _ints(tokens, lineno, what):
     try:
         return [int(tok) for tok in tokens]
@@ -248,18 +238,14 @@ def _ints(tokens, lineno, what):
 
 
 def parse_dst_file(text: str):
-    lines = [line for line in text.splitlines()]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "DST v1":
-        raise ParseError(1, "expected header 'DST v1'")
-    nv, ne = _ints(_split_line(lines, 2, "dimensions"), 2, "dimensions")
-    root = _ints(_split_line(lines, 3, "root"), 3, "root")[0]
-    terminals = _ints(_split_line(lines, 4, "terminals"), 4, "terminals")
+    reader = LineReader(text, "DST v1")
+    nv, ne = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
+    (root,) = _ints(reader.fields(3, "root", 1), 3, "root")
+    terminals = _ints(reader.fields(4, "terminals"), 4, "terminals")
     edges = []
     for k in range(ne):
         lineno = 5 + k
-        parts = _split_line(lines, lineno, "edge")
+        parts = reader.fields(lineno, "edge")
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'u v cost'")
         u, v = _ints(parts[:2], lineno, "edge endpoints")
@@ -268,16 +254,12 @@ def parse_dst_file(text: str):
 
 
 def parse_setcover_file(text: str):
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "SETCOVER v1":
-        raise ParseError(1, "expected header 'SETCOVER v1'")
-    m, n = _ints(_split_line(lines, 2, "dimensions"), 2, "dimensions")
+    reader = LineReader(text, "SETCOVER v1")
+    m, n = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
     sets = []
     for k in range(m):
         lineno = 3 + k
-        row = _ints(_split_line(lines, lineno, "set"), lineno, "set")
+        row = _ints(reader.fields(lineno, "set"), lineno, "set")
         if not row or row[0] != len(row) - 1:
             raise ParseError(lineno, "expected 'k e1 ... ek'")
         sets.append(tuple(e - 1 for e in row[1:]))
@@ -285,16 +267,12 @@ def parse_setcover_file(text: str):
 
 
 def parse_threedm_file(text: str):
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "3DM v1":
-        raise ParseError(1, "expected header '3DM v1'")
-    n, m = _ints(_split_line(lines, 2, "dimensions"), 2, "dimensions")
+    reader = LineReader(text, "3DM v1")
+    n, m = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
     triples = []
     for k in range(m):
         lineno = 3 + k
-        x, y, z = _ints(_split_line(lines, lineno, "triple"), lineno, "triple")
+        x, y, z = _ints(reader.fields(lineno, "triple", 3), lineno, "triple")
         triples.append((x - 1, y - 1, z - 1))
     return make_threedm(n, triples)
 
@@ -333,29 +311,72 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _bench_rows(config: dict):
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise FctpError(f"bench config: {message}")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true and false are bools, not counts
+
+
+def _bench_rows(config) -> list[tuple]:
+    """Check the whole config, then return its rows in run order."""
+    _check(isinstance(config, dict), "the top level must be an object")
+    _check(isinstance(config.get("rows", []), list), "'rows' must be a list")
+    rows = []
     for block in config.get("rows", []):
-        family = block["family"]
+        _check(isinstance(block, dict), "each row must be an object")
+        family = block.get("family")
         solver = block.get("solver", family)
-        params = dict(block.get("params", {}))
-        oracle_flag = bool(block.get("oracle", False))
-        seeds = block.get("seeds", [])
-        if isinstance(seeds, int):
-            base = int(block.get("seed_base", 0))
+        _check(
+            isinstance(family, str) and isinstance(solver, str),
+            "'family' and 'solver' must be strings",
+        )
+        _check(isinstance(block.get("params", {}), dict), "'params' must be an object")
+        params = {**SOLVE_DEFAULTS, "generator": {}, **block.get("params", {})}
+        _check(_is_int(params["swap"]), "'swap' must be an integer")
+        _check(_is_int(params["guard"]), "'guard' must be an integer")
+        epsilon = params["epsilon"]
+        _check(
+            epsilon is None or isinstance(epsilon, str) or _is_int(epsilon),
+            "'epsilon' must be a string 'p/q' or an integer",
+        )
+        generator = params["generator"]
+        _check(isinstance(generator, dict), "'generator' must be an object")
+        if family in generators.FAMILIES:  # otherwise the row records the unknown family
+            try:
+                inspect.signature(generators.FAMILIES[family]).bind(None, 1, 1, **generator)
+            except TypeError as exc:
+                raise FctpError(f"bench config: family {family!r}: {exc}") from None
+        seeds, base = block.get("seeds", []), block.get("seed_base", 0)
+        _check(_is_int(base), "'seed_base' must be an integer")
+        if _is_int(seeds):
             seeds = list(range(base, base + seeds))
-        for n, m in block.get("sizes", []):
-            for seed in seeds:
-                yield family, solver, int(n), int(m), int(seed), params, oracle_flag
+        _check(
+            isinstance(seeds, list) and all(map(_is_int, seeds)),
+            "'seeds' must be an integer or a list of integers",
+        )
+        sizes = block.get("sizes", [])
+        _check(
+            isinstance(sizes, list)
+            and all(isinstance(size, list) and len(size) == 2 for size in sizes)
+            and all(_is_int(k) and k >= 1 for size in sizes for k in size),
+            "'sizes' must be a list of [n, m] pairs of positive integers",
+        )
+        want_oracle = bool(block.get("oracle", False))
+        rows += [
+            (family, solver, n, m, seed, params, want_oracle) for n, m in sizes for seed in seeds
+        ]
+    return sorted(rows, key=lambda r: (r[0], r[2], r[3], r[4], r[1]))
 
 
 def cmd_bench(args) -> int:
-    config = json.loads(_read(args.config)) if args.config else {}
-    rows = sorted(
-        _bench_rows(config), key=lambda r: (r[0], r[2], r[3], r[4], r[1])
-    )
     out_rows = []
     max_ratio: dict[str, Fraction] = {}
-    for family, solver, n, m, seed, params, want_oracle in rows:
+    for family, solver, n, m, seed, params, want_oracle in _bench_rows(
+        json.loads(_read(args.config))
+    ):
         record = {
             "family": family,
             "solver": solver,
@@ -368,18 +389,12 @@ def cmd_bench(args) -> int:
             "error": "",
         }
         try:
-            inst = generators.generate(family, n, m, seed, **params.get("generator", {}))
-            ns = argparse.Namespace(
-                variant=solver,
-                mode=params.get("mode", "exact"),
-                swap=int(params.get("swap", 2)),
-                epsilon=params.get("epsilon"),
-            )
-            flow, _, _ = _dispatch_solver(inst, ns)
+            inst = generators.generate(family, n, m, seed, **params["generator"])
+            flow, _, _ = _dispatch_solver(inst, solver, params)
             cost = evaluate_cost(inst, flow)
             record["cost"] = format_rational(cost)
             if want_oracle:
-                opt, _ = oracle.exact_fct(inst, guard=int(params.get("guard", 16)))
+                opt, _ = oracle.exact_fct(inst, guard=params["guard"])
                 record["oracle_cost"] = format_rational(opt)
                 if opt > 0:
                     ratio = cost / opt
@@ -417,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--variant", choices=VARIANTS, required=True)
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument("--out", help="write the solution file here")
-    p_solve.add_argument("--mode", choices=("exact", "ls"), default="exact")
-    p_solve.add_argument("--swap", type=int, default=2)
+    p_solve.add_argument("--mode", choices=("exact", "ls"))
+    p_solve.add_argument("--swap", type=int)
     p_solve.add_argument("--epsilon", help="rational like 1/4")
     p_solve.add_argument("--oracle", action="store_true", help="also run the exact oracle")
-    p_solve.add_argument("--guard", type=int, default=16)
+    p_solve.add_argument("--guard", type=int)
     p_solve.add_argument("--timing", action="store_true")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, **SOLVE_DEFAULTS)
 
     p_verify = sub.add_parser("verify", help="recheck a solution file against an instance")
     p_verify.add_argument("instance")

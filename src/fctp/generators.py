@@ -119,12 +119,13 @@ def random_fct_u(
     return make_instance(supplies, demands, fixed, linear)
 
 
+# Each family takes (rng, n, m) and its own keyword options.
 FAMILIES = {
-    "pfct-s": lambda rng, n, m, **kw: random_pfct_s(rng, n, m, **kw),
-    "pfct-u": lambda rng, n, m, **kw: random_pfct_u(rng, n + m, **kw),
-    "pure": lambda rng, n, m, **kw: random_pure(rng, n, m, **kw),
-    "fct": lambda rng, n, m, **kw: random_fct(rng, n, m, **kw),
-    "fct-u": lambda rng, n, m, **kw: random_fct_u(rng, n, m, **kw),
+    "pfct-s": random_pfct_s,
+    "pfct-u": lambda rng, n, m, max_supply=10: random_pfct_u(rng, n + m, max_supply),
+    "pure": random_pure,
+    "fct": random_fct,
+    "fct-u": random_fct_u,
 }
 
 

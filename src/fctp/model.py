@@ -329,13 +329,24 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fields(lines: list[str], lineno: int, expected: int, what: str) -> list[str]:
-    if lineno > len(lines):
-        raise ParseError(lineno, f"missing {what} line")
-    parts = lines[lineno - 1].split()
-    if len(parts) != expected:
-        raise ParseError(lineno, f"expected {expected} {what} fields, got {len(parts)}")
-    return parts
+class LineReader:
+    """The lines of a text format: header checked, trailing blank lines dropped."""
+
+    def __init__(self, text: str, header: str):
+        self.lines = text.splitlines()
+        while self.lines and not self.lines[-1].strip():
+            self.lines.pop()
+        if not self.lines or self.lines[0].strip() != header:
+            raise ParseError(1, f"expected header {header!r}")
+
+    def fields(self, lineno: int, what: str, expected: int | None = None) -> list[str]:
+        """Line `lineno` (1-based) split on whitespace; exactly `expected` fields if given."""
+        if lineno > len(self.lines):
+            raise ParseError(lineno, f"missing {what} line")
+        parts = self.lines[lineno - 1].split()
+        if expected is not None and len(parts) != expected:
+            raise ParseError(lineno, f"expected {expected} {what} fields, got {len(parts)}")
+        return parts
 
 
 def _parse_positive_int(token: str, lineno: int, what: str) -> int:
@@ -362,33 +373,29 @@ def _parse_cost(token: str, lineno: int, allow_inf: bool) -> Cost:
 
 def parse_instance(text: str) -> Instance:
     """Parse the FCT v1 format; raises ParseError with a 1-based line number."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "FCT v1":
-        raise ParseError(1, "expected header 'FCT v1'")
-    n_m = _fields(lines, 2, 2, "dimension")
+    reader = LineReader(text, "FCT v1")
+    n_m = reader.fields(2, "dimension", 2)
     n = _parse_positive_int(n_m[0], 2, "n")
     m = _parse_positive_int(n_m[1], 2, "m")
     if n < 1 or m < 1:
         raise ParseError(2, "n and m must be >= 1")
     supplies = tuple(
-        _parse_positive_int(tok, 3, "supply") for tok in _fields(lines, 3, n, "supply")
+        _parse_positive_int(tok, 3, "supply") for tok in reader.fields(3, "supply", n)
     )
     demands = tuple(
-        _parse_positive_int(tok, 4, "demand") for tok in _fields(lines, 4, m, "demand")
+        _parse_positive_int(tok, 4, "demand") for tok in reader.fields(4, "demand", m)
     )
     fixed = []
     for i in range(n):
         lineno = 5 + i
-        row = _fields(lines, lineno, m, "fixed cost")
+        row = reader.fields(lineno, "fixed cost", m)
         fixed.append(tuple(_parse_cost(tok, lineno, allow_inf=False) for tok in row))
     linear = []
     for i in range(n):
         lineno = 5 + n + i
-        row = _fields(lines, lineno, m, "linear cost")
+        row = reader.fields(lineno, "linear cost", m)
         linear.append(tuple(_parse_cost(tok, lineno, allow_inf=True) for tok in row))
-    if len(lines) > 4 + 2 * n:
+    if len(reader.lines) > 4 + 2 * n:
         raise ParseError(5 + 2 * n, "trailing content after cost matrices")
     return Instance(
         supplies=supplies, demands=demands, fixed=tuple(fixed), linear=tuple(linear)
@@ -406,11 +413,7 @@ def serialize_solution(sol: FlowSolution) -> str:
 
 def parse_solution(text: str) -> FlowSolution:
     """Parse the SOL v1 format; raises ParseError with a 1-based line number."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or lines[0].strip() != "SOL v1":
-        raise ParseError(1, "expected header 'SOL v1'")
+    lines = LineReader(text, "SOL v1").lines
     relaxation = None
     start = 1
     if len(lines) > 1 and lines[1].startswith("relaxed"):

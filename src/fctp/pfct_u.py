@@ -171,18 +171,6 @@ def preprocess_matched_pairs(
     return pairs, residual
 
 
-def residual_index_maps(
-    inst: Instance, pairs: list[BalancedSet]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Map residual indices back to the original instance's indices."""
-    used_src = {e.index for p in pairs for e in p.sources}
-    used_snk = {e.index for p in pairs for e in p.sinks}
-    return (
-        tuple(i for i in range(inst.n) if i not in used_src),
-        tuple(j for j in range(inst.m) if j not in used_snk),
-    )
-
-
 def enumerate_balanced_sets(
     inst: Instance, k: int, guard: int = 10**7
 ) -> PackingInstance:
@@ -451,7 +439,6 @@ def solve_pfct_u(
     if mode not in ("exact", "ls"):
         raise FctpError(f"unknown mode {mode!r}")
     pairs, residual = preprocess_matched_pairs(inst)
-    src_map, snk_map = residual_index_maps(inst, pairs)
 
     best_parts: list[BalancedSet] | None = None
     if residual.n:
@@ -468,31 +455,21 @@ def solve_pfct_u(
                 parts.append(balanced_set(leftover))
             if best_parts is None or len(parts) > len(best_parts):
                 best_parts = parts
-    residual_parts = best_parts or []
 
-    def remap(bset: BalancedSet) -> BalancedSet:
-        return balanced_set(
-            Element(
-                e.side,
-                src_map[e.index] if e.side == SOURCE else snk_map[e.index],
-                e.weight,
-            )
-            for e in bset.elements
-        )
-
+    # Residual index k is the k-th source (sink) left unpaired.
+    paired = {e.key for pair in pairs for e in pair.elements}
+    kept = [
+        [k for k in range(size) if (side, k) not in paired]
+        for side, size in ((0, inst.n), (1, inst.m))
+    ]
     final_parts: list[BalancedSet] = list(pairs)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for part in map(remap, residual_parts):
-        for sub_part, edges in _two_pointer_fill(part):
-            final_parts.append(sub_part)
-            for i, j, amount in edges:
-                entries[(i, j)] = Fraction(amount)
-    for pair in pairs:
-        for _, edges in _two_pointer_fill(pair):
-            for i, j, amount in edges:
-                entries[(i, j)] = Fraction(amount)
+    for bset in best_parts or []:
+        part = balanced_set(
+            Element(e.side, kept[e.key[0]][e.index], e.weight) for e in bset.elements
+        )
+        final_parts.extend(sub_part for sub_part, _ in _two_pointer_fill(part))
     partition = BalancedPartition(parts=tuple(final_parts))
-    return partition, FlowSolution(entries=entries)
+    return partition, flow_within_balanced_sets(partition)
 
 
 # ---------------------------------------------------------------------------

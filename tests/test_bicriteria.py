@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,9 +11,15 @@ from fctp.bicriteria import (
     round_tree,
     solve_bicriteria,
 )
-from fctp.errors import FctpError
-from fctp.generators import random_fct
-from fctp.model import evaluate_cost, make_instance, validate_solution
+from fctp.errors import FctpError, InfeasibleError
+from fctp.generators import generate, random_fct
+from fctp.model import (
+    evaluate_cost,
+    format_rational,
+    make_instance,
+    serialize_solution,
+    validate_solution,
+)
 
 
 def group_mass(tree, edges):
@@ -113,6 +120,32 @@ def test_round_tree_small_edge_on_2x2_instance():
     check_rounding_properties(tree, out, eps, [(21, [(1, 0)])])
 
 
+def test_round_tree_on_a_forest_rounds_each_tree_alone():
+    # Two trees whose vertices interleave in index order: source 2 is a
+    # lower vertex than every sink of the first tree.
+    inst = make_instance(
+        (8, 6, 5),
+        (4, 4, 6, 2, 3),
+        [[1, 2, 3, 1, 1], [2, 1, 1, 1, 1], [1, 1, 1, 3, 1]],
+        [[0] * 5] * 3,
+    )
+    eps = Fraction(1, 4)
+    first = {
+        (0, 0): Fraction(1, 8),
+        (0, 1): Fraction(1, 16),
+        (1, 1): Fraction(1, 2),
+        (1, 2): Fraction(1, 10),
+    }
+    second = {(2, 3): Fraction(1, 8), (2, 4): Fraction(1, 6)}
+    forest = NormalizedFractional(instance=inst, y={**first, **second})
+    apart = {}
+    for tree in (first, second):
+        apart.update(round_tree(NormalizedFractional(instance=inst, y=tree), eps).y)
+    out = round_tree(forest, eps)
+    assert out.y == apart
+    assert out.y != forest.y
+
+
 def test_round_tree_rejects_cycles():
     inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
     cycle = NormalizedFractional(
@@ -179,3 +212,40 @@ def test_bicriteria_rejects_unbalanced_instance():
     inst = make_instance((2,), (2, 3), [[1, 2]], [[0, 1]])
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         solve_bicriteria(inst, Fraction(1, 4))
+
+
+def _bicriteria_pinned_cases():
+    """Seeded fct, fct-u (with forbidden edges), pfct-s and pure instances.
+    Small supplies make partial sums meet, so many LP forests have several
+    trees."""
+    families = (
+        ("fct", {}),
+        ("fct-u", {"forbid_probability": 0.3}),
+        ("pfct-s", {"max_supply": 4}),
+        ("pure", {"max_supply": 3}),
+    )
+    for family, options in families:
+        for n in (1, 2, 3, 4, 5):
+            for m in (1, 2, 3, 5, 7):
+                for seed in range(3):
+                    yield generate(family, n, m, seed, **options)
+
+
+def test_bicriteria_output_pinned():
+    # Recorded before the per-tree split of the LP forest was folded into
+    # one walk of the whole forest: any change in which edges are rounded,
+    # or in the LP value or bound, changes this digest.
+    digest = hashlib.sha256()
+    for inst in _bicriteria_pinned_cases():
+        for eps in (Fraction(1, 4), Fraction(1, 5), Fraction(1, 8)):
+            try:
+                flow, report = solve_bicriteria(inst, eps)
+            except InfeasibleError:
+                digest.update(b"infeasible\n")
+                continue
+            digest.update(serialize_solution(flow).encode())
+            digest.update(
+                f"{format_rational(report.lp_value)} "
+                f"{format_rational(report.cost_bound)}\n".encode()
+            )
+    assert digest.hexdigest() == "450e60d05602930c2ccf64ab43048fd9959705bc759e5235e14743a227469e22"

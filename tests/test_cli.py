@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -258,3 +259,133 @@ def test_solve_timing_flag(e1_file, capsys):
     assert main(["solve", "--variant", "pfct-s", "--input", e1_file, "--timing"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert "wall_time_s" in record
+
+
+def _write_instances(tmp_path):
+    from fctp.generators import generate
+
+    paths = {}
+    for name, family, n, m, seed in (
+        ("s", "pfct-s", 3, 4, 1),
+        ("u", "pfct-u", 3, 5, 4),
+        ("fu", "fct-u", 3, 4, 2),
+        ("f", "fct", 3, 4, 3),
+        ("p", "pure", 2, 3, 5),
+    ):
+        path = tmp_path / f"{name}.fct"
+        path.write_text(serialize_instance(generate(family, n, m, seed)))
+        paths[name] = str(path)
+    return paths
+
+
+SOLVE_PINNED_RUNS = (
+    ("pfct-s", "s", []),
+    ("pfct-s", "s", ["--epsilon", "1/3", "--oracle"]),
+    ("pfct-u", "u", []),
+    ("pfct-u", "u", ["--mode", "ls"]),
+    ("pfct-u", "u", ["--mode", "ls", "--swap", "3", "--epsilon", "1/2"]),
+    ("pfct-u", "u", ["--swap", "1"]),
+    ("fct-u", "fu", ["--oracle"]),
+    ("fct-bicriteria", "f", ["--epsilon", "1/4"]),
+    ("fct-bicriteria", "f", ["--epsilon", "1/8", "--oracle"]),
+    ("pfct-ptas", "p", ["--epsilon", "1/2", "--oracle"]),
+    ("fct-bicriteria", "f", []),
+    ("pfct-ptas", "p", []),
+    ("fct-bicriteria", "f", ["--epsilon", "x"]),
+    ("pfct-u", "s", []),
+    ("pfct-u", "u", ["--mode", "ls", "--swap", "0"]),
+)
+
+
+def test_solve_output_pinned(tmp_path, capsys):
+    # Recorded before `solve` and `bench` shared one options dict: exit code,
+    # stdout, stderr and the solution file of every run feed the digest.
+    paths = _write_instances(tmp_path)
+    digest = hashlib.sha256()
+    for variant, name, extra in SOLVE_PINNED_RUNS:
+        out = tmp_path / "run.sol"
+        out.write_text("")
+        argv = ["solve", "--variant", variant, "--input", paths[name], "--out", str(out)]
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        record = [variant, name, extra, code, captured.out, captured.err, out.read_text()]
+        digest.update(repr(record).replace(str(tmp_path), "<tmp>").encode() + b"\n")
+    assert digest.hexdigest() == "1e91f8d8d002444777e2cd07501f762d7b0469baea59b4ad739cd00ff678b8aa"
+
+
+def test_bench_output_pinned(tmp_path, capsys):
+    config = tmp_path / "bench.json"
+    rows = [
+        {"family": "pfct-s", "sizes": [[2, 3], [3, 3]], "seeds": 2, "oracle": True},
+        {"family": "pfct-u", "sizes": [[2, 4]], "seeds": [3, 1], "oracle": True,
+         "params": {"mode": "ls", "swap": 1, "generator": {"max_supply": 6}}},
+        {"family": "fct", "solver": "fct-bicriteria", "sizes": [[2, 3]], "seeds": 2,
+         "seed_base": 4, "oracle": True, "params": {"epsilon": "1/4", "guard": 12}},
+        {"family": "fct", "solver": "fct-bicriteria", "sizes": [[2, 2]], "seeds": 1,
+         "params": {"epsilon": 1}},
+        {"family": "pure", "solver": "pfct-ptas", "sizes": [[2, 3]], "seeds": 2,
+         "oracle": True, "params": {"epsilon": "1/2"}},
+        {"family": "pure", "solver": "pfct-ptas", "sizes": [[1, 2]], "seeds": 1},
+        {"family": "fct-u", "solver": "fct-u", "sizes": [[3, 3]], "seeds": 2,
+         "params": {"generator": {"forbid_probability": 0.5}}},
+        {"family": "fct", "solver": "pfct-u", "sizes": [[2, 2]], "seeds": 1},
+        {"family": "nope", "sizes": [[2, 2]], "seeds": 1},
+    ]
+    config.write_text(json.dumps({"rows": rows}))
+    prefix = tmp_path / "pinned"
+    assert main(["bench", "--config", str(config), "--out-prefix", str(prefix)]) == 0
+    digest = hashlib.sha256()
+    digest.update(capsys.readouterr().out.encode())
+    digest.update((tmp_path / "pinned.csv").read_bytes())
+    digest.update((tmp_path / "pinned.jsonl").read_bytes())
+    assert digest.hexdigest() == "6139ee616af37be0a945a7ee03c07fc40467b4c51d564810f9a48252964e047c"
+
+
+@pytest.mark.parametrize(
+    "kind, text, lineno",
+    [
+        ("dst", "DST v1\n4 3 9\n1\n3 4\n1 2 1\n2 3 1\n2 4 1\n", 2),
+        ("dst", "DST v1\n4 3\n\n3 4\n1 2 1\n2 3 1\n2 4 1\n", 3),
+        ("dst", "DST v1\n4 x\n1\n3 4\n", 2),
+        ("dst", "DST v1\n4 1\n1\n3 4\n1 y 1\n", 5),
+        ("setcover", "SETCOVER v1\n2\n", 2),
+        ("setcover", "SETCOVER v1\n2 2\n2 1 b\n1 2\n", 3),
+        ("3dm", "3DM v1\n2 3\n1 1 1\n2 2\n1 2 2\n", 4),
+        ("3dm", "3DM v1\n2 1\n1 1 1.5\n", 3),
+    ],
+)
+def test_generate_rejects_malformed_input(tmp_path, capsys, kind, text, lineno):
+    src = tmp_path / "bad.txt"
+    src.write_text(text)
+    assert main(["generate", "--from", kind, "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: line {lineno}:")
+
+
+_GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [],
+        {"rows": 5},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "sizes": [[2]]}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "sizes": [[0, 3]]}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"swap": "x"}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"guard": "x"}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": 5}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": {"max_supplies": 4}}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "solver": "pfct-ptas", "params": {"epsilon": 0.1}}]},
+        {"rows": [_GOOD_ROW, {"sizes": [[2, 3]], "seeds": 1}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "seeds": "x"}]},
+    ],
+)
+def test_bench_rejects_malformed_config_before_any_row(tmp_path, capsys, config):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    prefix = tmp_path / "out"
+    assert main(["bench", "--config", str(path), "--out-prefix", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("error: bench config: ")
+    assert not (tmp_path / "out.csv").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from util import is_forest
 from fctp import oracle
 from fctp.errors import CertificateError, FctpError, GuardError, VariantError
 from fctp.generators import random_pfct_u
-from fctp.model import evaluate_cost, validate_solution
+from fctp.model import evaluate_cost, serialize_solution, validate_solution
 from fctp.pfct_u import (
     BalancedPartition,
     balanced_set,
@@ -211,6 +212,33 @@ def test_solve_pfct_u_invariants():
         count, _ = oracle.exact_balanced_partition(inst)
         opt_cost = inst.n + inst.m - count
         assert 5 * part.cost <= 6 * opt_cost
+
+
+def _pfct_u_pinned_cases():
+    """Seeded PFCT-U instances up to n + m = 11, plus three whose remainder
+    part the routing splits (its sweep runs out of supply and demand at
+    once mid-way): alone, around a matched pair, and next to a packed set."""
+    rng = random.Random(2024)
+    for _ in range(60):
+        yield random_pfct_u(rng, rng.randint(2, 11), max_supply=rng.choice((3, 6, 10)))
+    yield uniform_pure_instance((5,) * 6, (3,) * 10)
+    yield uniform_pure_instance((5, 5, 7, 5, 5, 5, 5), (3, 3, 3, 7) + (3,) * 7)
+    yield uniform_pure_instance(
+        (5, 5, 100, 5, 5, 101, 5, 5), (3, 50) + (3,) * 6 + (151, 3, 3, 3)
+    )
+
+
+def test_pfct_u_output_pinned():
+    # Recorded before the solver's own routing loop was replaced by
+    # flow_within_balanced_sets: any change in the parts, their order or
+    # the routed flow changes this digest.
+    digest = hashlib.sha256()
+    for inst in _pfct_u_pinned_cases():
+        for mode, swap in (("exact", 2), ("ls", 1), ("ls", 2), ("ls", 3)):
+            part, flow = solve_pfct_u(inst, mode=mode, swap_size=swap)
+            digest.update(repr([keys(p) for p in part.parts]).encode() + b"\n")
+            digest.update(serialize_solution(flow).encode())
+    assert digest.hexdigest() == "78211d938d8ccbac3171f98b51e187ce832747501c1da5ee2fca4dd1b4e9b262"
 
 
 def test_flow_within_balanced_sets_examples():
