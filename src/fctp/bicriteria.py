@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import FctpError
 from .model import INF, FlowSolution, Instance, evaluate_cost
-from .transport import solve_transportation
+from .transport import solve_transportation, walk_support
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,11 @@ def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
 def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractional:
     """Round sub-threshold child edges to {0, eps} per vertex, group by group.
 
-    The support may be a forest.  Each tree is rooted at its lowest vertex
-    (vertices are sources 0..n-1, then sinks n..n+m-1) and walked breadth
-    first with neighbours in index order; a vertex's child edges form its
-    group.  For every vertex v with child edges E', the output satisfies,
-    exactly: y' = y where y >= eps; y' in {0, eps} elsewhere; the p-mass of
+    The support may be a forest, walked once by walk_support: each tree is
+    rooted at its lowest vertex (vertices are sources 0..n-1, then sinks
+    n..n+m-1), and a vertex's edges away from the root form its group.
+    For every vertex v with child edges E', the output satisfies, exactly:
+    y' = y where y >= eps; y' in {0, eps} elsewhere; the p-mass of
     E' drops by less than eps times v's supply/demand and never grows; the
     group cost sum (c p + f) y' never grows.  Mass moves from expensive small
     edges to cheap ones (cheapest unit rate filled first) and the final
@@ -72,26 +72,13 @@ def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractiona
     """
     inst = tree.instance
     eps = Fraction(eps)
-    neighbors: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in sorted(tree.y):
-        u, v = i, inst.n + j
-        neighbors.setdefault(u, []).append((v, (i, j)))
-        neighbors.setdefault(v, []).append((u, (i, j)))
-    children: dict[int, list[tuple[int, int]]] = {}
-    for root in sorted(neighbors):
-        if root in children:
-            continue
-        children[root] = []
-        queue = [root]
-        for v in queue:
-            for u, edge in sorted(neighbors[v]):
-                if u not in children:
-                    children[u] = []
-                    children[v].append(edge)
-                    queue.append(u)
-    # A forest is exactly a support whose every edge is some vertex's child.
-    if sum(map(len, children.values())) != len(tree.y):
+    parents, cycle = walk_support(inst.n, tree.y)
+    if cycle is not None:
         raise FctpError("non-tree support")
+    children: dict[int, list[tuple[int, int]]] = {}
+    for i, j in tree.y:
+        parent = i if parents[inst.n + j] == i else inst.n + j
+        children.setdefault(parent, []).append((i, j))
 
     new_y = dict(tree.y)
     for edges in children.values():

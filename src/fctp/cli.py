@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import sys
 import time
@@ -346,9 +345,9 @@ def _bench_rows(config) -> list[tuple]:
         _check(isinstance(generator, dict), "'generator' must be an object")
         if family in generators.FAMILIES:  # otherwise the row records the unknown family
             try:
-                inspect.signature(generators.FAMILIES[family]).bind(None, 1, 1, **generator)
-            except TypeError as exc:
-                raise FctpError(f"bench config: family {family!r}: {exc}") from None
+                generators.check_options(family, generator)
+            except FctpError as exc:
+                raise FctpError(f"bench config: {exc}") from None
         seeds, base = block.get("seeds", []), block.get("seed_base", 0)
         _check(_is_int(base), "'seed_base' must be an integer")
         if _is_int(seeds):
@@ -363,6 +362,10 @@ def _bench_rows(config) -> list[tuple]:
             and all(isinstance(size, list) and len(size) == 2 for size in sizes)
             and all(_is_int(k) and k >= 1 for size in sizes for k in size),
             "'sizes' must be a list of [n, m] pairs of positive integers",
+        )
+        _check(
+            all(generators.largest_cells(family, n, m) <= generators.MAX_CELLS for n, m in sizes),
+            f"a size in 'sizes' can exceed {generators.MAX_CELLS} cells n * m",
         )
         want_oracle = bool(block.get("oracle", False))
         rows += [

@@ -6,6 +6,7 @@ is reproducible from (name, size, seed).
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -127,6 +128,39 @@ FAMILIES = {
     "fct": random_fct,
     "fct-u": random_fct_u,
 }
+
+
+# Largest instance, in cells n * m, a checked request may build.
+MAX_CELLS = 250_000
+
+# Least value of each integer option; pfct-s draws fixed costs from 1.
+_LEAST = {"max_supply": 1, "max_fixed": 0, "max_linear": 0}
+
+
+def largest_cells(family: str, n: int, m: int) -> int:
+    """Most cells n * m an instance generate(family, n, m, ...) can have."""
+    if family == "pfct-u":  # it splits the n + m vertices its own way
+        return (n + m) ** 2 // 4
+    return n * m
+
+
+def check_options(family: str, options: dict) -> None:
+    """Raise FctpError unless FAMILIES[family] takes these keyword options."""
+    try:
+        inspect.signature(FAMILIES[family]).bind(None, 1, 1, **options)
+    except TypeError as exc:
+        raise FctpError(f"family {family!r}: {exc}") from None
+    for key, value in options.items():
+        if key == "halves":
+            ok, want = type(value) is bool, "true or false"
+        elif key == "forbid_probability":
+            ok = type(value) in (int, float) and 0 <= value <= 1
+            want = "a number in [0, 1]"
+        else:
+            least = 1 if (family, key) == ("pfct-s", "max_fixed") else _LEAST[key]
+            ok, want = type(value) is int and value >= least, f"an integer >= {least}"
+        if not ok:
+            raise FctpError(f"family {family!r}: {key!r} must be {want}, got {value!r}")
 
 
 def generate(family: str, n: int, m: int, seed: int, **kwargs) -> Instance:

@@ -72,9 +72,13 @@ def integer_scaled(*matrices):
     return scale, scaled
 
 
-def rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into a Fraction (canonical form is automatic)."""
-    return Fraction(text)
+def subset_sums(values) -> list:
+    """sums[mask] = the sum of values[k] over the set bits k of mask."""
+    sums = [0] * (1 << len(values))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
 
 
 def format_rational(value) -> str:
@@ -351,10 +355,9 @@ class LineReader:
 
 def _parse_positive_int(token: str, lineno: int, what: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
         raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
-    return value
 
 
 def _parse_cost(token: str, lineno: int, allow_inf: bool) -> Cost:
@@ -385,21 +388,25 @@ def parse_instance(text: str) -> Instance:
     demands = tuple(
         _parse_positive_int(tok, 4, "demand") for tok in reader.fields(4, "demand", m)
     )
-    fixed = []
-    for i in range(n):
-        lineno = 5 + i
-        row = reader.fields(lineno, "fixed cost", m)
-        fixed.append(tuple(_parse_cost(tok, lineno, allow_inf=False) for tok in row))
-    linear = []
-    for i in range(n):
-        lineno = 5 + n + i
-        row = reader.fields(lineno, "linear cost", m)
-        linear.append(tuple(_parse_cost(tok, lineno, allow_inf=True) for tok in row))
+    fixed = _parse_cost_matrix(reader, 5, n, m, "fixed cost", allow_inf=False)
+    linear = _parse_cost_matrix(reader, 5 + n, n, m, "linear cost", allow_inf=True)
     if len(reader.lines) > 4 + 2 * n:
         raise ParseError(5 + 2 * n, "trailing content after cost matrices")
-    return Instance(
-        supplies=supplies, demands=demands, fixed=tuple(fixed), linear=tuple(linear)
-    )
+    return Instance(supplies=supplies, demands=demands, fixed=fixed, linear=linear)
+
+
+def _parse_cost_matrix(reader, first: int, n: int, m: int, what: str, allow_inf: bool):
+    """Rows first .. first + n - 1 as costs; a token repeated in them is parsed once."""
+    values: dict[str, Cost] = {}
+    rows = []
+    for lineno in range(first, first + n):
+        row = []
+        for tok in reader.fields(lineno, what, m):
+            if tok not in values:
+                values[tok] = _parse_cost(tok, lineno, allow_inf)
+            row.append(values[tok])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def serialize_solution(sol: FlowSolution) -> str:

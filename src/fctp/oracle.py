@@ -4,7 +4,9 @@ exact_fct minimizes over all forest supports: optimal solutions live at
 extreme points of the transportation polytope (cycle rotation never raises
 the cost), every forest decomposes into trees spanning balanced blocks, and
 the flow on a tree is forced by the marginals.  The search is organized as a
-rooted-subtree DP over vertex subsets, with a partition DP on top; costs are
+rooted-subtree DP over vertex subsets, restricted to blocks inside one
+connected component of the allowed edges (found by transport.walk_support),
+with a partition DP on top that exact_balanced_partition shares; costs are
 integer-scaled internally (exact common-denominator scaling) to keep the hot
 loop off Fraction arithmetic.
 
@@ -28,15 +30,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import FctpError, GuardError, InfeasibleError
-from .model import INF, FlowSolution, Instance, check_instance, integer_scaled
+from .model import INF, FlowSolution, Instance, check_instance, integer_scaled, subset_sums
 from .pfct_u import (
     BalancedPartition,
-    BalancedSet,
     balanced_set,
     sink_element,
     source_element,
 )
 from .reductions import DigraphInstance, DstInstance, SetCoverInstance
+from .transport import walk_support
 
 
 # Largest n + m the subset DPs accept, whatever guard a caller passes:
@@ -54,14 +56,6 @@ def _check_subset_guard(name: str, total_vertices: int, guard: int) -> None:
         )
 
 
-def _net_table(values: list[int], size: int) -> list[int]:
-    net = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        net[mask] = net[mask ^ low] + values[low.bit_length() - 1]
-    return net
-
-
 def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     """Exact optimum cost and an optimal solution; guard bounds n + m."""
     check_instance(inst)
@@ -73,40 +67,29 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
 
     values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
     size = 1 << total_vertices
-    net = _net_table(values, size)
+    net = subset_sums(values)
     src_mask = (1 << n) - 1
 
     adj = [0] * total_vertices
+    allowed = []
     for i in range(n):
         for j in range(m):
             if lin[i][j] is not None:
                 adj[i] |= 1 << (n + j)
                 adj[n + j] |= 1 << i
+                allowed.append((i, j))
 
-    # Connected component of each vertex in the allowed-edge graph; a block
-    # spanning two components can never carry a tree.
-    comp = [0] * total_vertices
-    assigned = [False] * total_vertices
-    for v in range(total_vertices):
-        if assigned[v]:
-            continue
-        mask = 1 << v
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            rest = adj[u] & ~mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                mask |= bit
-                frontier.append(bit.bit_length() - 1)
-        probe = mask
-        while probe:
-            bit = probe & -probe
-            probe ^= bit
-            w = bit.bit_length() - 1
-            comp[w] = mask
-            assigned[w] = True
+    # Connected component of each vertex in the allowed-edge graph, one per
+    # root of the walk; a block spanning two components can never carry a
+    # tree.
+    parents, _ = walk_support(n, allowed)
+    roots: dict[int, int] = {}
+    comp = [1 << v for v in range(total_vertices)]
+    for v, parent in parents.items():
+        roots[v] = v if parent is None else roots[parent]
+        comp[roots[v]] |= 1 << v
+    for v, root in roots.items():
+        comp[v] = comp[root]
 
     # h[v][mask] and choice[v][mask] hold two kinds of cell, told apart by
     # whether v is in mask.  For v in mask: the cheapest tree spanning mask
@@ -214,34 +197,8 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
                     g_val[mask] = cand
                     g_root[mask] = v
 
-    dp = [None] * size
-    dp_choice = [None] * size
-    dp[0] = 0
-    for mask in range(1, size):
-        if net[mask] != 0:
-            continue
-        low = mask & -mask
-        others = mask ^ low
-        best = None
-        best_sub = None
-        part = others
-        while True:
-            sub = part | low
-            if net[sub] == 0 and g_val[sub] is not None:
-                remainder = dp[mask ^ sub]
-                if remainder is not None:
-                    total = g_val[sub] + remainder
-                    if best is None or total < best:
-                        best = total
-                        best_sub = sub
-            if not part:
-                break
-            part = (part - 1) & others
-        dp[mask] = best
-        dp_choice[mask] = best_sub
-
-    full = size - 1
-    if dp[full] is None:
+    cost, blocks = _partition_dp(net, g_val)
+    if cost is None:
         raise InfeasibleError("no feasible transportation")
 
     entries: dict[tuple[int, int], Fraction] = {}
@@ -257,13 +214,53 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
             emit(u, sub)
             mask ^= sub
 
-    mask = full
-    while mask:
-        block = dp_choice[mask]
+    for block in blocks:
         emit(g_root[block], block)
-        mask ^= block
+    return Fraction(cost, scale), FlowSolution(entries=entries)
 
-    return Fraction(dp[full], scale), FlowSolution(entries=entries)
+
+def _partition_dp(net: list[int], block_cost: list) -> tuple[int | None, list[int]]:
+    """Cheapest split of all vertices into net-zero blocks, by subset DP.
+
+    block_cost[sub] is the cost of block sub, None where it cannot be used.
+    Returns the least total cost and its blocks, in the order the DP picked
+    them, or (None, []) when no split exists.  Every net-zero mask is split
+    at its lowest vertex, and among equal totals the first block met wins.
+    """
+    size = len(net)
+    dp = [None] * size
+    pick = [None] * size
+    dp[0] = 0
+    for mask in range(1, size):
+        if net[mask] != 0:
+            continue
+        low = mask & -mask
+        others = mask ^ low
+        best = None
+        best_sub = None
+        part = others
+        while True:
+            sub = part | low
+            cost = block_cost[sub]
+            if cost is not None:
+                remainder = dp[mask ^ sub]
+                if remainder is not None:
+                    total = cost + remainder
+                    if best is None or total < best:
+                        best = total
+                        best_sub = sub
+            if not part:
+                break
+            part = (part - 1) & others
+        dp[mask] = best
+        pick[mask] = best_sub
+    full = size - 1
+    blocks = []
+    mask = full if dp[full] is not None else 0
+    while mask:
+        blocks.append(pick[mask])
+        mask ^= pick[mask]
+    return dp[full], blocks
 
 
 def exact_fct_enumerated(inst: Instance, guard: int = 9) -> Fraction:
@@ -319,54 +316,15 @@ def exact_balanced_partition(
     total_vertices = n + m
     _check_subset_guard("partition", total_vertices, guard)
     values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
-    size = 1 << total_vertices
-    net = _net_table(values, size)
-    if net[size - 1] != 0:
+    net = subset_sums(values)
+    if net[-1] != 0:
         raise FctpError("instance is not balanced")
-    dp = [None] * size
-    pick = [None] * size
-    dp[0] = 0
-    for mask in range(1, size):
-        if net[mask] != 0:
-            continue
-        low = mask & -mask
-        others = mask ^ low
-        best = None
-        best_sub = None
-        part = others
-        while True:
-            sub = part | low
-            if net[sub] == 0 and dp[mask ^ sub] is not None:
-                cand = dp[mask ^ sub] + 1
-                if best is None or cand > best:
-                    best = cand
-                    best_sub = sub
-            if not part:
-                break
-            part = (part - 1) & others
-        dp[mask] = best
-        pick[mask] = best_sub
-
-    def to_set(mask: int) -> BalancedSet:
-        elements = []
-        probe = mask
-        while probe:
-            bit = probe & -probe
-            probe ^= bit
-            v = bit.bit_length() - 1
-            if v < n:
-                elements.append(source_element(v, inst.supplies[v]))
-            else:
-                elements.append(sink_element(v - n, inst.demands[v - n]))
-        return balanced_set(elements)
-
-    parts = []
-    mask = size - 1
-    while mask:
-        sub = pick[mask]
-        parts.append(to_set(sub))
-        mask ^= sub
-    return dp[size - 1], BalancedPartition(parts=tuple(parts))
+    # Each part costs -1, so the cheapest split has the most parts.
+    cost, blocks = _partition_dp(net, [-1 if x == 0 else None for x in net])
+    ground = [source_element(i, a) for i, a in enumerate(inst.supplies)]
+    ground += [sink_element(j, b) for j, b in enumerate(inst.demands)]
+    parts = [balanced_set(e for v, e in enumerate(ground) if block >> v & 1) for block in blocks]
+    return -cost, BalancedPartition(parts=tuple(parts))
 
 
 def exact_dst(dst: DstInstance, guard: int = 7) -> Fraction:
@@ -499,7 +457,7 @@ def exact_pfct_digraph(dg: DigraphInstance, edge_guard: int = 16) -> Fraction:
     base_arcs = [(source_node, index[v], a) for v, a in sorted(dg.supplies.items(), key=lambda kv: index[kv[0]])]
     base_arcs += [(index[v], sink_node, b) for v, b in sorted(dg.demands.items(), key=lambda kv: index[kv[0]])]
     scale, [[weights]] = integer_scaled([[cost for _, _, cost in edges]])
-    costs = _net_table(weights, 1 << len(edges))
+    costs = subset_sums(weights)
     best: int | None = None
     for mask in sorted(range(1 << len(edges)), key=costs.__getitem__):
         cost = costs[mask]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import FctpError, VariantError
 from .model import FlowSolution, Instance, check_balanced, classify_variant, evaluate_cost
@@ -56,11 +57,6 @@ def sorted_view(inst: Instance) -> SortedView:
     sink_rank = [0] * inst.m
     for pos, j in enumerate(sink_order):
         sink_rank[j] = pos
-    prefix = []
-    running = 0
-    for i in source_order:
-        running += inst.supplies[i]
-        prefix.append(running)
     return SortedView(
         source_order=source_order,
         sink_order=sink_order,
@@ -68,7 +64,7 @@ def sorted_view(inst: Instance) -> SortedView:
         sink_rank=tuple(sink_rank),
         fixed_sorted=tuple(f[i] for i in source_order),
         demand_sorted=tuple(inst.demands[j] for j in sink_order),
-        supply_prefix=tuple(prefix),
+        supply_prefix=tuple(accumulate(inst.supplies[i] for i in source_order)),
     )
 
 
@@ -112,11 +108,10 @@ def lp_cost(inst: Instance, sol: FlowSolution) -> Fraction:
 def pi(inst: Instance, t) -> int:
     """Smallest j such that the j largest demands total at least t."""
     t = Fraction(t)
-    view = sorted_view(inst)
     if t <= 0 or t > sum(inst.demands):
         raise FctpError("t out of range")
     running = 0
-    for count, b in enumerate(view.demand_sorted, start=1):
+    for count, b in enumerate(sorted(inst.demands, reverse=True), start=1):
         running += b
         if running >= t:
             return count

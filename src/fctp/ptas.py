@@ -47,6 +47,7 @@ from .model import (  # noqa: F401
     classify_variant,
     evaluate_cost,
     integer_scaled,
+    subset_sums,
 )
 from .transport import solve_transportation
 
@@ -138,10 +139,7 @@ class _Guesses:
         self.inst = inst
         _, (self.fixed,) = integer_scaled(inst.fixed)
         # supply_sums[s] = a(S) for every set S of sources, s being S as a bitmask.
-        self.supply_sums = [0] * (1 << inst.n)
-        for s in range(1, len(self.supply_sums)):
-            low = s & -s
-            self.supply_sums[s] = self.supply_sums[s ^ low] + inst.supplies[low.bit_length() - 1]
+        self.supply_sums = subset_sums(inst.supplies)
         self._levels: dict = {}
 
     def level(self, threshold) -> _Level:

@@ -2,9 +2,14 @@
 
 Successive shortest paths with Dijkstra potentials on the bipartite network,
 run on the weights scaled to ints by one common denominator (exact, since it
-keeps every comparison), followed by cycle cancellation so the returned
-support is always a forest (an extreme point).  Forbidden edges (weight INF)
-are excluded from the residual graph rather than given a big-M weight.
+keeps every comparison), followed by cycle cancellation on the int flow so
+the returned support is always a forest (an extreme point).  Forbidden edges
+(weight INF) are excluded from the residual graph rather than given a big-M
+weight.
+
+walk_support is the package's one walk of a bipartite support: it finds the
+cycles cancel_cycles rotates away, the trees bicriteria rounds and the
+connected components the exact oracle splits blocks by.
 """
 
 from __future__ import annotations
@@ -13,17 +18,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InfeasibleError
-from .model import INF, FlowSolution, Instance, check_balanced, integer_scaled
-
-
-def as_weight_matrix(rows) -> tuple[tuple, ...]:
-    """Coerce a nested iterable into a weight matrix of Fractions / INF."""
-    out = []
-    for row in rows:
-        out.append(
-            tuple(x if x is INF or type(x) is Fraction else Fraction(x) for x in row)
-        )
-    return tuple(out)
+from .model import FlowSolution, Instance, check_balanced, integer_scaled
 
 
 def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fraction]:
@@ -38,10 +33,9 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     """
     check_balanced(inst)
     n, m = inst.n, inst.m
-    w = as_weight_matrix(weights)
-    if len(w) != n or any(len(row) != m for row in w):
+    if len(weights) != n or any(len(row) != m for row in weights):
         raise ValueError("weight matrix shape must match the instance")
-    scale, (iw,) = integer_scaled(w)
+    scale, (iw,) = integer_scaled(weights)
     if any(x is not None and x < 0 for row in iw for x in row):
         raise ValueError("negative weights are not supported")
 
@@ -143,8 +137,7 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
             if dv is not None and dv < dt:
                 pot[v] += dv - dt
 
-    sol = FlowSolution(entries={e: Fraction(x) for e, x in sorted(flow.items())})
-    sol = cancel_cycles(sol, w)
+    sol = cancel_cycles(FlowSolution(entries=flow), iw)
     value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
     return sol, Fraction(value, scale)
 
@@ -154,35 +147,26 @@ def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
 
     Marginals are preserved exactly and the weighted cost never increases:
     the rotation direction is the cheaper of the two, with ties broken toward
-    the direction that zeroes the lexicographically smallest edge.
+    the direction that zeroes the lexicographically smallest edge.  Weights
+    off the support are never read; solve_transportation passes its int
+    flow and int-scaled weights, with None for forbidden edges.
     """
-    w = as_weight_matrix(weights)
     flow = dict(sol.entries)
     while True:
-        cycle = _find_cycle(flow)
+        _, cycle = walk_support(len(weights), flow)
         if cycle is None:
             break
         # cycle: edge list (i, j, forward) alternating around the cycle;
         # direction A increases "forward" edges and decreases the others.
         inc = [(i, j) for i, j, fwd in cycle if fwd]
         dec = [(i, j) for i, j, fwd in cycle if not fwd]
-        delta_a = sum((w[i][j] for i, j in inc), Fraction(0)) - sum(
-            (w[i][j] for i, j in dec), Fraction(0)
-        )
-        if delta_a < 0:
-            use_inc, use_dec = inc, dec
-        elif delta_a > 0:
-            use_inc, use_dec = dec, inc
-        else:
+        delta_a = sum(weights[i][j] for i, j in inc) - sum(weights[i][j] for i, j in dec)
+        if delta_a == 0:
             # Equal cost both ways: zero the lexicographically smallest edge.
-            bot_a = min(flow[e] for e in dec)
-            bot_b = min(flow[e] for e in inc)
-            zero_a = min(e for e in dec if flow[e] == bot_a)
-            zero_b = min(e for e in inc if flow[e] == bot_b)
-            if zero_a < zero_b:
-                use_inc, use_dec = inc, dec
-            else:
-                use_inc, use_dec = dec, inc
+            use_a = min(dec, key=lambda e: (flow[e], e)) < min(inc, key=lambda e: (flow[e], e))
+        else:
+            use_a = delta_a < 0
+        use_inc, use_dec = (inc, dec) if use_a else (dec, inc)
         bottleneck = min(flow[e] for e in use_dec)
         for e in use_inc:
             flow[e] = flow.get(e, 0) + bottleneck
@@ -196,63 +180,54 @@ def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
     )
 
 
-def _find_cycle(flow):
-    """Find one cycle in the bipartite support graph, or None.
+def walk_support(n: int, edges) -> tuple[dict, list | None]:
+    """Walk a bipartite support depth first; return (parents, first cycle).
 
-    Returns the cycle as [(i, j, forward), ...] where forward means the edge
-    is traversed source -> sink.
+    Vertices are ints: source i is i and sink j is n + j.  Each tree is
+    rooted at its lowest vertex and neighbours are visited in index order,
+    so the walk, and the cycle it meets first, depend only on the edge set.
+    parents maps every vertex an edge touches to its parent in the walk,
+    None at a root, and lists parents before their children.  cycle is
+    [(i, j, forward), ...], forward meaning the edge is traversed source ->
+    sink, or None when the support is a forest.
     """
-    nodes: dict = {}
-    for (i, j) in flow:
-        nodes.setdefault(("s", i), []).append(("t", j))
-        nodes.setdefault(("t", j), []).append(("s", i))
-    seen = set()
+    nodes: dict[int, list[int]] = {}
+    for i, j in edges:
+        nodes.setdefault(i, []).append(n + j)
+        nodes.setdefault(n + j, []).append(i)
+    parents: dict[int, int | None] = {}
+    done = set()
+    cycle = None
     for root in sorted(nodes):
-        if root in seen:
+        if root in parents:
             continue
-        # Iterative DFS tracking the tree parent to avoid the trivial cycle.
-        stack = [(root, None)]
-        parents = {root: None}
+        parents[root] = None
+        stack = [root]
         while stack:
-            v, parent = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
+            v = stack.pop()
+            done.add(v)
             for u in sorted(nodes[v]):
-                if u == parent:
-                    # A parallel edge cannot occur (simple bipartite graph).
+                if u == parents[v]:
                     continue
-                if u in parents and u in seen:
-                    return _extract_cycle(parents, v, u)
                 if u not in parents:
                     parents[u] = v
-                    stack.append((u, v))
-    return None
+                    stack.append(u)
+                elif cycle is None and u in done:
+                    cycle = _extract_cycle(n, parents, v, u)
+    return parents, cycle
 
 
-def _extract_cycle(parents, v, u):
+def _extract_cycle(n: int, parents: dict, v: int, u: int) -> list:
     """Build the edge cycle closing the tree path u ~> v with edge (v, u)."""
-    path_v = []
-    x = v
-    while x is not None:
-        path_v.append(x)
-        x = parents[x]
-    index = {node: k for k, node in enumerate(path_v)}
+    path_v = [v]
+    while parents[path_v[-1]] is not None:
+        path_v.append(parents[path_v[-1]])
+    on_path = set(path_v)
     walk = [u]
-    x = u
-    while x not in index:
-        x = parents[x]
-        walk.append(x)
-    meet = index[x]
+    while walk[-1] not in on_path:
+        walk.append(parents[walk[-1]])
     # Cycle order: meet ~> v along v's parent chain, edge (v, u), then
-    # u ~> back to meet along u's parent chain.
-    cycle_nodes = path_v[: meet + 1][::-1] + walk[:-1]
-    # cycle_nodes closes back to its first node; orient each hop.
-    edges = []
-    for k, node in enumerate(cycle_nodes):
-        nxt = cycle_nodes[(k + 1) % len(cycle_nodes)]
-        if node[0] == "s":
-            edges.append((node[1], nxt[1], True))
-        else:
-            edges.append((nxt[1], node[1], False))
-    return edges
+    # u ~> back to meet along u's parent chain; the list closes on itself.
+    nodes = path_v[: path_v.index(walk[-1]) + 1][::-1] + walk[:-1]
+    hops = zip(nodes, nodes[1:] + nodes[:1])
+    return [(x, y - n, True) if x < n else (y, x - n, False) for x, y in hops]

@@ -6,7 +6,7 @@ import pytest
 
 from util import e1_instance
 
-from fctp.cli import main
+from fctp.cli import _bench_rows, main
 from fctp.model import (
     make_instance,
     parse_instance,
@@ -380,6 +380,18 @@ _GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "solver": "pfct-ptas", "params": {"epsilon": 0.1}}]},
         {"rows": [_GOOD_ROW, {"sizes": [[2, 3]], "seeds": 1}]},
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "seeds": "x"}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "sizes": [[2, 3], [500, 501]]}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "family": "pfct-u", "sizes": [[1, 1000]]}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": {"max_supply": 0}}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": {"max_fixed": 0}}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": {"max_supply": "x"}}}]},
+        {
+            "rows": [
+                _GOOD_ROW,
+                {**_GOOD_ROW, "family": "fct-u", "params": {"generator": {"forbid_probability": "x"}}},
+            ]
+        },
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "family": "fct", "params": {"generator": {"halves": 1}}}]},
     ],
 )
 def test_bench_rejects_malformed_config_before_any_row(tmp_path, capsys, config):
@@ -389,3 +401,32 @@ def test_bench_rejects_malformed_config_before_any_row(tmp_path, capsys, config)
     assert main(["bench", "--config", str(path), "--out-prefix", str(prefix)]) == 2
     assert capsys.readouterr().err.startswith("error: bench config: ")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_bench_config_accepts_sizes_and_options_at_their_limits():
+    rows = _bench_rows(
+        {
+            "rows": [
+                {"family": "pfct-s", "sizes": [[500, 500]], "seeds": 1},
+                {"family": "pfct-u", "sizes": [[1, 999]], "seeds": 1},
+                {
+                    "family": "pure",
+                    "sizes": [[2, 3]],
+                    "seeds": 1,
+                    "params": {"generator": {"max_supply": 1, "max_fixed": 0}},
+                },
+                {
+                    "family": "fct-u",
+                    "sizes": [[2, 3]],
+                    "seeds": 1,
+                    "params": {"generator": {"max_linear": 0, "forbid_probability": 1}},
+                },
+            ]
+        }
+    )
+    assert [(r[0], r[2], r[3]) for r in rows] == [
+        ("fct-u", 2, 3),
+        ("pfct-s", 500, 500),
+        ("pfct-u", 1, 999),
+        ("pure", 2, 3),
+    ]

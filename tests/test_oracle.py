@@ -235,3 +235,16 @@ def test_partition_guard():
     wide = uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)
     with pytest.raises(GuardError, match="memory ceiling"):
         oracle.exact_balanced_partition(wide, guard=64)
+
+
+def test_balanced_partition_output_pinned():
+    # Recorded before exact_fct and exact_balanced_partition shared one
+    # partition DP: any change in which maximum partition is picked among
+    # ties, or in the order of its parts, changes this digest.
+    rng = random.Random(2032)
+    digest = hashlib.sha256()
+    for k in range(120):
+        inst = random_pfct_u(rng, 2 + k % 11, max_supply=3)
+        count, partition = oracle.exact_balanced_partition(inst)
+        digest.update(f"{count} {partition.parts!r}\n".encode())
+    assert digest.hexdigest() == "e94ee45f0e95ac1d423444db2caf6deed856cc399c5944032ca523134756d2e5"

@@ -10,7 +10,7 @@ from util import brute_force_min_linear, is_forest
 from fctp.errors import FctpError, InfeasibleError
 from fctp.generators import generate, random_fct
 from fctp.model import INF, make_flow, make_instance, serialize_solution, validate_solution
-from fctp.transport import cancel_cycles, solve_transportation
+from fctp.transport import cancel_cycles, solve_transportation, walk_support
 
 
 def weighted_cost(weights, entries):
@@ -163,6 +163,21 @@ def test_optimal_on_all_small_instances():
         assert is_forest(sol.entries)
 
 
+def test_walk_support_roots_each_tree_at_its_lowest_vertex():
+    # Sources 0..2, sinks 3..5: trees {0, 2, 3, 5} and {1, 4}.
+    parents, cycle = walk_support(3, [(2, 0), (1, 1), (2, 2), (0, 2)])
+    assert cycle is None
+    assert parents == {0: None, 5: 0, 2: 5, 3: 2, 1: None, 4: 1}
+    assert list(parents) == [0, 5, 2, 3, 1, 4]
+
+
+def test_walk_support_first_cycle_of_full_2x2_support():
+    for edges in ([(0, 0), (0, 1), (1, 0), (1, 1)], [(1, 1), (1, 0), (0, 1), (0, 0)]):
+        parents, cycle = walk_support(2, edges)
+        assert cycle == [(0, 0, True), (1, 0, False), (1, 1, True), (0, 1, False)]
+        assert parents == {0: None, 2: 0, 3: 0, 1: 3}
+
+
 def test_cancel_cycles_keeps_forest_unchanged():
     flow = make_flow({(0, 0): 2, (0, 1): 1, (1, 1): 3})
     out = cancel_cycles(flow, [[0, 0], [0, 0]])
@@ -209,3 +224,37 @@ def test_cancel_cycles_properties_on_random_fractional_flows():
         assert weighted_cost(weights, out.entries) <= weighted_cost(
             weights, flow.entries
         )
+
+
+def _averaged_flows():
+    """Seeded (flow, weights) pairs: the average of two SSP solutions under
+    weights in {0, 1}, so flows are fractional, supports have cycles and
+    many cycles cost the same in both directions."""
+    rng = random.Random(2031)
+    for _ in range(150):
+        n, m = rng.randint(2, 5), rng.randint(2, 6)
+        inst = random_fct(rng, n, m, max_supply=6)
+        weights = [[Fraction(rng.randint(0, 1)) for _ in range(m)] for _ in range(n)]
+        one, _ = solve_transportation(inst, weights)
+        other, _ = solve_transportation(
+            inst, [[w + rng.randint(0, 3) for w in row] for row in weights]
+        )
+        mixed = {}
+        for entries in (one.entries, other.entries):
+            for edge, x in entries.items():
+                mixed[edge] = mixed.get(edge, Fraction(0)) + x / 2
+        yield make_flow(mixed), weights
+
+
+def test_cancel_cycles_output_pinned():
+    # Recorded before cycle cancelling moved onto walk_support: any change
+    # in which cycle is found first, in the tie rule or in the entry order
+    # changes this digest.
+    digest = hashlib.sha256()
+    cyclic = 0
+    for flow, weights in _averaged_flows():
+        out = cancel_cycles(flow, weights)
+        cyclic += out.entries != flow.entries
+        digest.update(repr(list(out.entries.items())).encode() + b"\n")
+    assert cyclic >= 100
+    assert digest.hexdigest() == "12fe7c8c48f3f9f336cae7695f32eca70133e94d4ff967e5b68630ad09ddff8f"
