@@ -166,4 +166,5 @@ def check_options(family: str, options: dict) -> None:
 def generate(family: str, n: int, m: int, seed: int, **kwargs) -> Instance:
     if family not in FAMILIES:
         raise FctpError(f"unknown family {family!r}")
+    check_options(family, kwargs)
     return FAMILIES[family](random.Random(seed), n, m, **kwargs)

@@ -9,6 +9,7 @@ this package is a pure function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -60,15 +61,20 @@ def integer_scaled(*matrices):
     """Scale matrices to ints by the lcm of their finite entries' denominators.
 
     Returns (scale, scaled): each matrix as rows of scale * x, None for INF.
+    Raises FctpError for an entry that is not an int, a Fraction or INF; the
+    check costs valid input nothing per entry.
     """
-    scale = lcm(
-        *{x.denominator for rows in matrices for row in rows for x in row if x is not INF}
-    )
-    scaled = [
-        [[None if x is INF else x.numerator * (scale // x.denominator) for x in row]
-         for row in rows]
-        for rows in matrices
-    ]
+    try:
+        scale = lcm(
+            *{x.denominator for rows in matrices for row in rows for x in row if x is not INF}
+        )
+        scaled = [
+            [[None if x is INF else x.numerator * (scale // x.denominator) for x in row]
+             for row in rows]
+            for rows in matrices
+        ]
+    except (AttributeError, TypeError):
+        raise FctpError("cost entries must be ints, Fractions or inf") from None
     return scale, scaled
 
 
@@ -172,7 +178,7 @@ def validate_instance(inst: Instance) -> str | None:
         for j, f in enumerate(row):
             if f is INF or not isinstance(f, Fraction):
                 return f"f_{i + 1},{j + 1} must be a finite rational"
-            if f < 0:
+            if f.numerator < 0:
                 return f"f_{i + 1},{j + 1} negative"
     for i, row in enumerate(inst.linear):
         for j, c in enumerate(row):
@@ -180,7 +186,7 @@ def validate_instance(inst: Instance) -> str | None:
                 continue
             if not isinstance(c, Fraction):
                 return f"c_{i + 1},{j + 1} must be a rational or inf"
-            if c < 0:
+            if c.numerator < 0:
                 return f"c_{i + 1},{j + 1} negative"
     if sum(inst.supplies) != sum(inst.demands):
         return "sum(a) != sum(b)"
@@ -216,13 +222,29 @@ class VariantTag:
 
 
 def classify_variant(inst: Instance) -> VariantTag:
-    """Compute variant tags exactly from the cost matrices."""
-    pure = all(c == 0 for row in inst.linear for c in row)
-    pure_mod = all(c is INF or c == 0 for row in inst.linear for c in row)
-    sink_independent = all(
-        all(f == row[0] for f in row) for row in inst.fixed
-    )
-    uniform = all(f == 1 for row in inst.fixed for f in row)
+    """Compute variant tags exactly from the cost matrices, in one pass.
+
+    Entries compare by their int numerator and denominator, exact for ints
+    and Fractions alike, and an entry that is its row's first object needs
+    no comparison.  A row that settles a tag ends the scan for that tag.
+    """
+    pure = pure_mod = sink_independent = uniform = True
+    for frow, crow in zip(inst.fixed, inst.linear):
+        if sink_independent and frow:
+            first = frow[0]
+            num, den = first.numerator, first.denominator
+            uniform = uniform and num == 1 and den == 1
+            for f in frow:
+                if f is not first and (f.numerator != num or f.denominator != den):
+                    sink_independent = uniform = False
+                    break
+        if pure_mod:
+            for c in crow:
+                if c is INF:
+                    pure = False
+                elif c.numerator:
+                    pure = pure_mod = False
+                    break
     return VariantTag(
         pure=pure,
         sink_independent=sink_independent,
@@ -360,15 +382,28 @@ def _parse_positive_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
 
 
+# Digits allowed in p and in q of a cost token p or p/q.
+MAX_COST_DIGITS = 100
+# The grammar of a cost token; a leading minus is matched only so that a
+# negative cost gets its own message.
+_COST_TOKEN = re.compile(rf"-?[0-9]{{1,{MAX_COST_DIGITS}}}(/[0-9]{{1,{MAX_COST_DIGITS}}})?")
+
+
 def _parse_cost(token: str, lineno: int, allow_inf: bool) -> Cost:
     if token == "inf":
         if not allow_inf:
             raise ParseError(lineno, "Infinity not allowed in f")
         return INF
+    if _COST_TOKEN.fullmatch(token) is None:
+        raise ParseError(
+            lineno,
+            f"malformed rational {token!r}: expected p or p/q, "
+            f"at most {MAX_COST_DIGITS} digits each",
+        )
     try:
         value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"malformed rational {token!r}") from None
+    except ZeroDivisionError:
+        raise ParseError(lineno, f"zero denominator in {token!r}") from None
     if value < 0:
         raise ParseError(lineno, f"negative cost {token!r}")
     return value

@@ -15,7 +15,14 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import FctpError, VariantError
-from .model import FlowSolution, Instance, check_balanced, classify_variant, evaluate_cost
+from .model import (
+    FlowSolution,
+    Instance,
+    check_balanced,
+    classify_variant,
+    evaluate_cost,
+    integer_scaled,
+)
 
 
 @dataclass(frozen=True)
@@ -68,17 +75,18 @@ def sorted_view(inst: Instance) -> SortedView:
     )
 
 
-def _require_pfct_s(inst: Instance) -> None:
+def _require_pfct_s(inst: Instance) -> SortedView:
+    """Balance and variant checks, then the sorted view: once per public call."""
+    check_balanced(inst)
     tag = classify_variant(inst)
     if not (tag.pure and tag.sink_independent):
         raise VariantError("requires PFCT-S")
+    return sorted_view(inst)
 
 
 def greedy_solve(inst: Instance) -> FlowSolution:
     """Two-pointer sweep over the sorted view; crossing-free forest flow."""
-    check_balanced(inst)
-    _require_pfct_s(inst)
-    view = sorted_view(inst)
+    view = _require_pfct_s(inst)
     entries: dict[tuple[int, int], Fraction] = {}
     pos_i, pos_j = 0, 0
     rem_a = [inst.supplies[i] for i in view.source_order]
@@ -105,35 +113,52 @@ def lp_cost(inst: Instance, sol: FlowSolution) -> Fraction:
     return total
 
 
+def _cover_counts(demand_sorted, targets) -> list[int]:
+    """pi(t) for each t of a nondecreasing sequence, by one merge walk.
+
+    demand_sorted is nonincreasing, so its first k entries are the most
+    demand any k sinks hold.  Raises FctpError when a t exceeds the total.
+    """
+    counts, count, reached = [], 0, 0
+    for t in targets:
+        while reached < t:
+            if count == len(demand_sorted):
+                raise FctpError("t out of range")
+            reached += demand_sorted[count]
+            count += 1
+        counts.append(count)
+    return counts
+
+
 def pi(inst: Instance, t) -> int:
     """Smallest j such that the j largest demands total at least t."""
     t = Fraction(t)
-    if t <= 0 or t > sum(inst.demands):
+    if t <= 0:
         raise FctpError("t out of range")
-    running = 0
-    for count, b in enumerate(sorted(inst.demands, reverse=True), start=1):
-        running += b
-        if running >= t:
-            return count
-    raise FctpError("t out of range")  # unreachable: t <= sum(b)
+    return _cover_counts(sorted(inst.demands, reverse=True), [t])[0]
+
+
+def _lower_bound(view: SortedView) -> Fraction:
+    """sum_p (f_p - f_{p+1}) pi(a([p])) with f_{n+1} = 0, exactly.
+
+    Summed by parts, as sum_p f_p (pi(a([p])) - pi(a([p-1]))) with
+    pi(a([0])) = 0, over the fixed costs scaled to ints.
+    """
+    scale, [[f]] = integer_scaled([view.fixed_sorted])
+    counts = _cover_counts(view.demand_sorted, view.supply_prefix)
+    total = sum(fp * (k - prev) for fp, k, prev in zip(f, counts, [0] + counts))
+    return Fraction(total, scale)
 
 
 def opt_lower_bound(inst: Instance) -> Fraction:
     """Every solution costs at least sum_i (f_i - f_{i+1}) * pi(a([i]))."""
-    _require_pfct_s(inst)
-    view = sorted_view(inst)
-    f = list(view.fixed_sorted) + [Fraction(0)]
-    total = Fraction(0)
-    for pos in range(inst.n):
-        total += (f[pos] - f[pos + 1]) * pi(inst, view.supply_prefix[pos])
-    return total
+    return _lower_bound(_require_pfct_s(inst))
 
 
 def greedy_upper_bound(inst: Instance) -> Fraction:
     """The greedy solution costs at most the lower bound plus sum_{i>=2} f_i."""
-    _require_pfct_s(inst)
-    view = sorted_view(inst)
-    return opt_lower_bound(inst) + sum(view.fixed_sorted[1:], Fraction(0))
+    view = _require_pfct_s(inst)
+    return _lower_bound(view) + sum(view.fixed_sorted[1:], Fraction(0))
 
 
 def no_crossing_check(inst: Instance, sol: FlowSolution) -> bool:
@@ -169,16 +194,16 @@ def compare_residual_bound(inst1: Instance, inst2: Instance, delta: int) -> bool
 
     if delta < 0:
         raise FctpError("delta must be nonnegative")
-    _require_pfct_s(inst1)
-    _require_pfct_s(inst2)
+    view = _require_pfct_s(inst1)
+    view2 = _require_pfct_s(inst2)
     if inst1.supplies != inst2.supplies:
         raise FctpError("instances must share supplies")
     if _source_costs(inst1) != _source_costs(inst2):
         raise FctpError("instances must share fixed costs")
-    view = sorted_view(inst1)
-    for t in view.supply_prefix:
-        if pi(inst2, t) > pi(inst1, t) + delta:
-            raise FctpError("pi shift exceeds delta")
+    counts1 = _cover_counts(view.demand_sorted, view.supply_prefix)
+    counts2 = _cover_counts(view2.demand_sorted, view.supply_prefix)
+    if any(k2 > k1 + delta for k1, k2 in zip(counts1, counts2)):
+        raise FctpError("pi shift exceeds delta")
     greedy_cost = evaluate_cost(inst2, greedy_solve(inst2))
     opt1, _ = oracle.exact_fct(inst1)
     f = view.fixed_sorted

@@ -3,9 +3,12 @@
 Successive shortest paths with Dijkstra potentials on the bipartite network,
 run on the weights scaled to ints by one common denominator (exact, since it
 keeps every comparison), followed by cycle cancellation on the int flow so
-the returned support is always a forest (an extreme point).  Forbidden edges
-(weight INF) are excluded from the residual graph rather than given a big-M
-weight.
+the returned support is always a forest (an extreme point).  Each Dijkstra
+round stops once it has settled every node up to the nearest sink with unmet
+demand, the classical early stop of successive shortest paths; the rest of
+the network cannot change that round's path or potential update.  Forbidden
+edges (weight INF) are excluded from the residual graph rather than given a
+big-M weight.
 
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away, the trees bicriteria rounds and the
@@ -27,9 +30,10 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     Returns (solution, objective).  The solution is an optimal extreme point:
     integral flows (integrality of the transportation polytope) with acyclic
     support of at most n + m - 1 edges.  Raises FctpError on an unbalanced
-    instance, InfeasibleError when the finite-weight edges cannot carry any
-    feasible flow, and ValueError on negative weights (the Dijkstra
-    potentials require w >= 0).
+    instance or on a weight that is not an int, a Fraction or INF,
+    InfeasibleError when the finite-weight edges cannot carry any feasible
+    flow, and ValueError on negative weights (the Dijkstra potentials
+    require w >= 0).
     """
     check_balanced(inst)
     n, m = inst.n, inst.m
@@ -58,13 +62,18 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
 
     while total_left > 0:
         # Multi-source Dijkstra from every source with remaining supply,
-        # over reduced costs (nonnegative by the potential invariant).
-        # All reachable nodes are settled so the potential update below
-        # only ever sees final distances.
+        # over reduced costs (nonnegative by the potential invariant).  The
+        # round ends at the first sink popped beyond the distance of the
+        # first popped sink with unmet demand.  Every node at or below that
+        # distance is settled by then and parents change only on a strict
+        # <, so the target, its path and the potential update below, which
+        # reads only distances under the target's, are those of a run that
+        # settles every reachable node.
         dist: list[int | None] = [None] * (n + m)
         parent: list[tuple[int, int] | None] = [None] * (n + m)
         heap = []
         counter = 0
+        reach = None  # distance of the first popped sink with unmet demand
         for i in range(n):
             if rem_a[i] > 0:
                 dist[i] = 0
@@ -86,6 +95,11 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                         counter += 1
             else:
                 j = v - n
+                if reach is None:
+                    if rem_b[j] > 0:
+                        reach = d
+                elif d > reach:
+                    break
                 base = d + pot[v]
                 for i, x in radj[j]:
                     if (i, j) in flow:

@@ -140,6 +140,18 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["1e9999999", "1.5", "1_0"])
+def test_solve_rejects_cost_outside_grammar(tmp_path, capsys, token):
+    # Fraction(str) reads all three; 1e9999999 used to build a ten-million
+    # digit int and then fail to print it.
+    path = tmp_path / "token.fct"
+    path.write_text(f"FCT v1\n1 2\n2\n1 1\n{token} {token}\n0 0\n")
+    assert main(["solve", "--variant", "pfct-s", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: line 5: malformed rational '{token}'")
+
+
 def test_generate_dst(tmp_path, capsys):
     src = tmp_path / "d.dst"
     src.write_text("DST v1\n4 3\n1\n3 4\n1 2 1\n2 3 1\n2 4 1\n")

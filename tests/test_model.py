@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,11 @@ from fctp.errors import FctpError, ParseError
 from fctp.model import (
     INF,
     FlowSolution,
+    Instance,
+    VariantTag,
     classify_variant,
     evaluate_cost,
+    integer_scaled,
     make_flow,
     make_instance,
     parse_instance,
@@ -91,6 +95,83 @@ def test_classify_pure_modulo_forbidden():
     tag = classify_variant(inst)
     assert not tag.pure
     assert tag.pure_modulo_forbidden
+
+
+def reference_classify(inst):
+    """The four-pass definition classify_variant must agree with."""
+    return VariantTag(
+        pure=all(c == 0 for row in inst.linear for c in row),
+        sink_independent=all(all(f == row[0] for f in row) for row in inst.fixed),
+        uniform=all(f == 1 for row in inst.fixed for f in row),
+        pure_modulo_forbidden=all(c is INF or c == 0 for row in inst.linear for c in row),
+    )
+
+
+def _random_cost_matrix(rng, n, m, values):
+    """Rows that are constant, constant but for the last cell, or mixed."""
+    rows = []
+    for _ in range(n):
+        shape = rng.randrange(3)
+        first = rng.choice(values)
+        if shape == 0:
+            row = [first] * m
+        elif shape == 1:
+            row = [first] * (m - 1) + [rng.choice(values)]
+        else:
+            row = [rng.choice(values) for _ in range(m)]
+        rows.append(row)
+    return rows
+
+
+def test_classify_matches_four_pass_definition():
+    # make_instance builds a fresh Fraction per cell, so equal entries are
+    # equal but not identical; entries drawn as ints stay ints in Instance.
+    rng = random.Random(31)
+    fixed_values = [0, 1, 1, 2, Fraction(1, 2), Fraction(2, 2), Fraction(3, 2)]
+    linear_values = [0, 0, 0, INF, 1, Fraction(1, 3)]
+    seen = set()
+    for k in range(600):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        fixed = _random_cost_matrix(rng, n, m, fixed_values)
+        linear = _random_cost_matrix(rng, n, m, linear_values)
+        if k % 2:
+            inst = make_instance([1] * n, [1] * m, fixed, linear)
+        else:
+            ints = [[x if x is INF else int(x) for x in row] for row in linear]
+            inst = Instance(
+                supplies=(1,) * n,
+                demands=(1,) * m,
+                fixed=tuple(tuple(int(x) for x in row) for row in fixed),
+                linear=tuple(tuple(row) for row in ints),
+            )
+        tag = classify_variant(inst)
+        assert tag == reference_classify(inst), inst
+        seen.add(tag)
+    assert len(seen) >= 6  # every tag both ways, in several combinations
+
+
+def test_integer_scaled_rejects_non_rational_entries():
+    for bad in (0.5, "1", None):
+        with pytest.raises(FctpError, match="ints, Fractions or inf"):
+            integer_scaled([[Fraction(1, 2), bad]])
+    assert integer_scaled([[Fraction(1, 2), 3, INF]]) == (2, [[[1, 6, None]]])
+
+
+def test_parse_cost_accepts_only_p_and_p_over_q():
+    def parse(token):
+        return parse_instance(f"FCT v1\n1 1\n1\n1\n0\n{token}\n").linear[0][0]
+
+    assert parse("7") == 7
+    assert parse("6/4") == Fraction(3, 2)
+    assert parse("inf") is INF
+    assert parse("9" * 100 + "/" + "7" * 100) == Fraction(int("9" * 100), int("7" * 100))
+    for token in ("1e9999999", "1.5", "1_0", "+3", "0x10", "1/", "/2", "nan", "9" * 101):
+        with pytest.raises(ParseError, match="line 6: malformed rational"):
+            parse(token)
+    with pytest.raises(ParseError, match="line 6: zero denominator"):
+        parse("1/0")
+    with pytest.raises(ParseError, match="line 6: negative cost"):
+        parse("-1/2")
 
 
 def test_serialize_minimal_instance_is_six_lines():

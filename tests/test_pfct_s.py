@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -92,6 +93,58 @@ def test_pi_definition():
         pi(inst, 0)
     with pytest.raises(FctpError, match="out of range"):
         pi(inst, 9)
+
+
+def reference_pi(inst, t):
+    """pi by its definition: the fewest largest demands that reach t."""
+    running = 0
+    for count, b in enumerate(sorted(inst.demands, reverse=True), start=1):
+        running += b
+        if running >= t:
+            return count
+    raise AssertionError("t above the total demand")
+
+
+def reference_lower_bound(inst):
+    view = sorted_view(inst)
+    f = list(view.fixed_sorted) + [Fraction(0)]
+    return sum(
+        ((f[p] - f[p + 1]) * reference_pi(inst, view.supply_prefix[p]) for p in range(inst.n)),
+        Fraction(0),
+    )
+
+
+def test_bounds_match_pi_formula():
+    # Small demands make many supply prefixes land exactly on a prefix sum
+    # of the sorted demands, where pi must not count one sink too many.
+    rng = random.Random(23)
+    exact_hits = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        supplies = [rng.randint(1, 4) for _ in range(n)]
+        supplies[-1] += max(0, m - sum(supplies))
+        demands = [1] * m
+        for _ in range(sum(supplies) - m):
+            demands[rng.randrange(m)] += 1
+        fixed = [[Fraction(rng.randint(0, 9), rng.choice((1, 2, 3)))] * m for _ in range(n)]
+        inst = pure_instance(supplies, demands, fixed)
+        view = sorted_view(inst)
+        reach = set(accumulate(view.demand_sorted))
+        exact_hits += sum(t in reach for t in view.supply_prefix[:-1])
+        lower = reference_lower_bound(inst)
+        assert opt_lower_bound(inst) == lower
+        assert greedy_upper_bound(inst) == lower + sum(view.fixed_sorted[1:], Fraction(0))
+        for t in view.supply_prefix:
+            assert pi(inst, t) == reference_pi(inst, t)
+    assert exact_hits >= 100
+
+
+@pytest.mark.parametrize("supplies, demands", [((3,), (1, 1)), ((1,), (2, 1))])
+def test_bounds_reject_unbalanced_instance(supplies, demands):
+    inst = pure_instance(supplies, demands, [[5] * len(demands)])
+    for bound in (opt_lower_bound, greedy_upper_bound):
+        with pytest.raises(FctpError, match=r"invalid instance: sum\(a\) != sum\(b\)"):
+            bound(inst)
 
 
 def test_opt_lower_bound_e1(e1):

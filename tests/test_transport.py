@@ -48,6 +48,13 @@ def test_negative_weights_rejected():
         solve_transportation(inst, [[-1]])
 
 
+def test_non_rational_weights_rejected():
+    inst = make_instance((1,), (1,), [[0]], [[0]])
+    for bad in (0.5, "0", None):
+        with pytest.raises(FctpError, match="ints, Fractions or inf"):
+            solve_transportation(inst, [[bad]])
+
+
 def test_unbalanced_instance_rejected():
     inst = make_instance((2,), (2, 3), [[0, 0]], [[0, 0]])
     with pytest.raises(FctpError, match=r"invalid instance: sum\(a\) != sum\(b\)"):
@@ -127,6 +134,41 @@ def test_solution_bytes_pinned_on_18x36_instance():
         sol, value = solve_transportation(inst, weights)
         assert hashlib.sha256(serialize_solution(sol).encode()).hexdigest() == digest
         assert value == objective
+
+
+def _tie_heavy_instance(rng, n, m):
+    """{0, 1} weights with forbidden cells off row and column 0; many sinks tie."""
+    supplies = [rng.randint(1, 6) for _ in range(n)]
+    supplies[-1] += max(0, m - sum(supplies))
+    demands = [1] * m
+    for _ in range(sum(supplies) - m):
+        demands[rng.randrange(m)] += 1
+    linear = [
+        [INF if i and j and rng.random() < 0.25 else rng.randint(0, 1) for j in range(m)]
+        for i in range(n)
+    ]
+    return make_instance(supplies, demands, [[0] * m] * n, linear)
+
+
+def test_solution_bytes_pinned_on_tie_heavy_instances():
+    # Recorded before Dijkstra rounds stopped at the first sink with unmet
+    # demand: several such sinks sit at equal distance in most rounds, so a
+    # changed target, path or potential update changes this digest.
+    rng = random.Random(77)
+    digest = hashlib.sha256()
+    infeasible = 0
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        inst = _tie_heavy_instance(rng, n, rng.randint(n, 2 * n + 3))
+        try:
+            sol, value = solve_transportation(inst, inst.linear)
+        except InfeasibleError:
+            digest.update(b"infeasible\n")
+            infeasible += 1
+            continue
+        digest.update(serialize_solution(sol).encode() + f"{value}\n".encode())
+    assert infeasible == 2
+    assert digest.hexdigest() == "d07be73c591398b98731823bf7523d8451823b89031c1cfc9ff6325b854e044a"
 
 
 def test_optimal_on_all_small_instances():
