@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .bicriteria import solve_bicriteria
 from .errors import CertificateError, FctpError, GuardError, ParseError
 from .fct_u import solve_fct_u
 from .model import (
+    MAX_COST_DIGITS,
     LineReader,
     evaluate_cost,
     format_rational,
@@ -90,10 +92,18 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
+# A rational flag or DST edge cost: p, p/q or the decimal p.q, at most
+# MAX_COST_DIGITS digits in each part.
+_RATIONAL = re.compile(rf"-?[0-9]{{1,{MAX_COST_DIGITS}}}([/.][0-9]{{1,{MAX_COST_DIGITS}}})?")
+
+
+def _parse_fraction(text: str | int) -> Fraction:
+    text = str(text)  # a bench config may give an integer
+    if _RATIONAL.fullmatch(text) is None:
+        raise FctpError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise FctpError(f"not a rational: {text!r}") from None
 
 
@@ -153,9 +163,12 @@ def cmd_solve(args) -> int:
             run.ratio = cost / opt
     if args.timing:
         run.wall_time_s = elapsed
+    # Rendered before the solution is written, so a cost too long to print
+    # leaves no solution file.
+    line = run.to_json()
     if args.out:
         _write(args.out, serialize_solution(flow))
-    print(run.to_json())
+    print(line)
     return 0
 
 

@@ -92,9 +92,12 @@ def format_rational(value) -> str:
     if value is INF:
         return "inf"
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # more digits than Python converts to a string
+        raise FctpError("rational too long to print") from None
 
 
 @dataclass(frozen=True)
@@ -375,15 +378,20 @@ class LineReader:
         return parts
 
 
-def _parse_positive_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"{what} must be an integer, got {token!r}") from None
-
-
-# Digits allowed in p and in q of a cost token p or p/q.
+# Digits allowed in an integer token, and in p and in q of a cost token p or p/q.
 MAX_COST_DIGITS = 100
+_INT_TOKEN = re.compile(rf"[0-9]{{1,{MAX_COST_DIGITS}}}")
+
+
+def _parse_positive_int(token: str, lineno: int, what: str) -> int:
+    if _INT_TOKEN.fullmatch(token) is None:
+        raise ParseError(
+            lineno,
+            f"{what} must be an integer of 1 to {MAX_COST_DIGITS} digits 0-9, got {token!r}",
+        )
+    return int(token)
+
+
 # The grammar of a cost token; a leading minus is matched only so that a
 # negative cost gets its own message.
 _COST_TOKEN = re.compile(rf"-?[0-9]{{1,{MAX_COST_DIGITS}}}(/[0-9]{{1,{MAX_COST_DIGITS}}})?")

@@ -19,6 +19,14 @@ and in exact_balanced_partition, visits only the sub-blocks holding the
 block's lowest remaining vertex, so each unordered split is seen once.  Both
 subset DPs refuse n + m above MAX_SUBSET_VERTICES whatever their guard.
 
+A tree on mask rooted at v is computed only when net[mask] lies in v's
+window, [0, a_v] at a source and [-b_v, 0] at a sink.  Above a source's
+window no tree exists: its root hangs only deficit-or-zero subtrees.  Below
+it a tree is never used: it cannot be hung from a parent (a deficit block
+hangs from its sinks) or close a block (its net is not zero), and a tree
+that extends it stays below the window.  Sinks are the mirror image, so the
+window changes no cost and no choice.
+
 A second, independent strategy (exact_fct_enumerated) recursively assigns
 every integral distribution of each supply; the suite checks the two agree.
 Guards are hard errors, never silent truncation.
@@ -69,6 +77,10 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     size = 1 << total_vertices
     net = subset_sums(values)
     src_mask = (1 << n) - 1
+    # The window of nets a tree rooted at v can use: [0, a_v] at a source,
+    # [-b_v, 0] at a sink.
+    low_net = [0 if v < n else values[v] for v in range(total_vertices)]
+    high_net = [values[v] if v < n else 0 for v in range(total_vertices)]
 
     adj = [0] * total_vertices
     allowed = []
@@ -103,6 +115,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     g_root = [None] * size
 
     for mask in range(1, size):
+        nets = net[mask]
         rooted = 0
         probe = mask
         while probe:
@@ -113,7 +126,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
                 h[v][mask] = 0
                 rooted |= v_bit
                 continue
-            if mask & ~comp[v]:
+            if mask & ~comp[v] or not low_net[v] <= nets <= high_net[v]:
                 continue
             rest = mask ^ v_bit
             if not adj[v] & rest:
@@ -147,7 +160,6 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
         # Attaching costs of the finished block: edge (v, u) carries
         # |net[mask]| out of a surplus block, so u must then be a source,
         # and into a deficit block, so u must then be a sink.
-        nets = net[mask]
         if nets > 0:
             roots = rooted & src_mask
             amount = nets

@@ -6,7 +6,8 @@ import pytest
 
 from util import e1_instance
 
-from fctp.cli import _bench_rows, main
+from fctp.cli import _bench_rows, _parse_fraction, main
+from fctp.errors import FctpError
 from fctp.model import (
     make_instance,
     parse_instance,
@@ -150,6 +151,53 @@ def test_solve_rejects_cost_outside_grammar(tmp_path, capsys, token):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"parse error: line 5: malformed rational '{token}'")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0662"])
+def test_solve_rejects_supply_outside_grammar(tmp_path, capsys, token):
+    # int() reads all three as a supply.
+    path = tmp_path / "token.fct"
+    path.write_text(f"FCT v1\n1 1\n{token}\n2\n0\n0\n", encoding="utf-8")
+    assert main(["solve", "--variant", "pfct-s", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 3: supply must be an integer")
+
+
+def test_parse_fraction_accepts_p_p_over_q_and_p_dot_q():
+    assert _parse_fraction("1/4") == _parse_fraction("0.25") == Fraction(1, 4)
+    assert _parse_fraction("-3/2") == Fraction(-3, 2)
+    assert _parse_fraction("2") == _parse_fraction(2) == 2
+    assert _parse_fraction("9" * 100 + "." + "9" * 100) == Fraction("9" * 100 + "." + "9" * 100)
+    # Fraction(str) reads the first eight.
+    for text in ("1e-2", "1_0", "+1", " 1", ".5", "5.", "\u0661", "9" * 101, "1/", "1/0", "x"):
+        with pytest.raises(FctpError, match="not a rational"):
+            _parse_fraction(text)
+
+
+def test_solve_rejects_epsilon_with_exponent(e1_file, capsys):
+    # Fraction("1e-2000000") takes seconds and builds an int too long to print.
+    argv = ["solve", "--variant", "fct-bicriteria", "--epsilon", "1e-2000000", "--input", e1_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a rational: '1e-2000000'\n"
+
+
+def test_solve_refuses_cost_too_long_to_print(tmp_path, capsys):
+    # The cost's denominator is the lcm of 60 distinct 100-digit odd
+    # denominators, past the digits Python converts to a string.
+    m = 60
+    linear = " ".join(f"1/{10**99 + 1 + 2 * k}" for k in range(m))
+    path = tmp_path / "wide.fct"
+    path.write_text(f"FCT v1\n1 {m}\n{m}\n{' 1' * m}\n{' 1' * m}\n{linear}\n")
+    out = tmp_path / "wide.sol"
+    argv = ["solve", "--variant", "fct-u", "--input", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational too long to print\n"
+    assert not out.exists()
 
 
 def test_generate_dst(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fctp.model import (
     VariantTag,
     classify_variant,
     evaluate_cost,
+    format_rational,
     integer_scaled,
     make_flow,
     make_instance,
@@ -172,6 +173,33 @@ def test_parse_cost_accepts_only_p_and_p_over_q():
         parse("1/0")
     with pytest.raises(ParseError, match="line 6: negative cost"):
         parse("-1/2")
+
+
+def test_parse_integer_tokens_accept_only_ascii_digits():
+    def supply(token):
+        return parse_instance(f"FCT v1\n1 1\n{token}\n1\n0\n0\n").supplies[0]
+
+    assert supply("1") == 1
+    assert supply("007") == 7
+    assert supply("9" * 100) == int("9" * 100)
+    # int() reads every one of these.
+    for token in ("1_0", "+10", "-1", "\u0661\u0660", "\uff11", "9" * 101):
+        with pytest.raises(ParseError, match="line 3: supply must be an integer of 1 to 100 digits"):
+            supply(token)
+    with pytest.raises(ParseError, match="line 4: demand must be"):
+        parse_instance("FCT v1\n1 1\n1\n+1\n0\n0\n")
+    with pytest.raises(ParseError, match="line 2: m must be"):
+        parse_instance("FCT v1\n1 1_0\n1\n1\n0\n0\n")
+    with pytest.raises(ParseError, match="line 2: source index must be"):
+        parse_solution("SOL v1\n+1 1 2\n")
+
+
+def test_format_rational_refuses_unprintable_value():
+    assert format_rational(Fraction(10**4000 + 1, 3)) == f"{10**4000 + 1}/3"
+    with pytest.raises(FctpError, match="too long to print"):
+        format_rational(Fraction(1, 10**5000 + 1))
+    with pytest.raises(FctpError, match="too long to print"):
+        format_rational(10**5000)
 
 
 def test_serialize_minimal_instance_is_six_lines():

@@ -8,7 +8,14 @@ from util import brute_force_opt, is_forest
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError
-from fctp.generators import random_fct, random_fct_u, random_pfct_s, random_pfct_u, random_pure
+from fctp.generators import (
+    random_fct,
+    random_fct_u,
+    random_pfct_s,
+    random_pfct_u,
+    random_pure,
+    split_total,
+)
 from fctp.model import (
     INF,
     evaluate_cost,
@@ -118,6 +125,61 @@ def test_exact_fct_output_pinned():
         digest.update(serialize_solution(flow).encode())
         digest.update(repr(list(flow.entries)).encode() + b"\n")
     assert digest.hexdigest() == "dca9a78dbd7233cd95dc090d5d3987687068f3511f2e7703e01d24facc2ab4f1"
+
+
+def _window_instances():
+    """200 seeded instances, n + m from 2 to 12: 1 x m and n x 1 shapes, one
+    source holding most of the supply in every other instance, zero fixed or
+    zero linear costs, and forbidden edges."""
+    rng = random.Random(2044)
+    for k in range(200):
+        total = 2 + k % 11
+        shape = k % 3
+        n = 1 if shape == 0 else total - 1 if shape == 1 else rng.randint(1, total - 1)
+        m = total - n
+        if k % 2:
+            supplies = [1] * n
+            supplies[rng.randrange(n)] = m + rng.randint(2, 8)
+        else:
+            supplies = [rng.randint(1, 4) for _ in range(n)]
+            supplies[-1] += max(0, m - sum(supplies))
+        demands = split_total(rng, sum(supplies), m)
+        zero = k // 2 % 4  # 1: every fixed cost 0, 2: every linear cost 0
+        fixed = [[0 if zero == 1 else rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        linear = [
+            [
+                INF
+                if n > 1 and m > 1 and rng.random() < 0.2
+                else 0
+                if zero == 2
+                else Fraction(rng.randint(0, 4), 3)
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+        yield make_instance(supplies, demands, fixed, linear)
+
+
+def test_exact_fct_window_output_pinned():
+    # Recorded before exact_fct skipped the rooted cells whose net lies
+    # outside the root's window: any change in cost, in which optimal forest
+    # is picked among ties, or in the order of its edges changes this digest.
+    digest = hashlib.sha256()
+    for inst in _window_instances():
+        try:
+            cost, flow = oracle.exact_fct(inst)
+        except InfeasibleError:
+            if inst.n * inst.m <= 9:
+                with pytest.raises(InfeasibleError):
+                    oracle.exact_fct_enumerated(inst)
+            digest.update(b"infeasible\n")
+            continue
+        if inst.n * inst.m <= 9:
+            assert cost == oracle.exact_fct_enumerated(inst)
+        digest.update(format_rational(cost).encode() + b"\n")
+        digest.update(serialize_solution(flow).encode())
+        digest.update(repr(list(flow.entries)).encode() + b"\n")
+    assert digest.hexdigest() == "54d6052d2977ccbb09683f6dbdeda33c702f88cca195d10eb9afdfb8450a540c"
 
 
 def test_balanced_partition_examples():
