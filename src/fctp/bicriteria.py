@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import INF, FlowSolution, Instance, evaluate_cost
+from .model import INF, FlowSolution, Instance, check_balanced, evaluate_cost
 from .transport import solve_transportation, walk_support
 
 
@@ -111,6 +111,7 @@ def solve_bicriteria(
     eps must be a rational in (0, 1/4].  The report carries the LP value and
     the proven bound K(eps/4) * LP >= actual cost.
     """
+    check_balanced(inst)
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")

@@ -28,6 +28,7 @@ from .model import (
     evaluate_cost,
     format_rational,
     parse_instance,
+    parse_int_token,
     parse_solution,
     serialize_instance,
     serialize_solution,
@@ -202,9 +203,6 @@ def _parse_overrides(pairs):
 
 
 def cmd_certify(args) -> int:
-    if args.what != "lp65":
-        print(f"unknown certificate {args.what!r}", file=sys.stderr)
-        return 2
     try:
         cert = verify_factor_revealing_certificate(
             primal=_parse_overrides(args.perturb_primal),
@@ -243,35 +241,47 @@ def cmd_oracle(args) -> int:
 
 
 def _ints(tokens, lineno, what):
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ParseError(lineno, f"{what} must be integers") from None
+    return [parse_int_token(tok, lineno, what) for tok in tokens]
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse header sizes (line 2) whose generated instance can be too large."""
+    if cells > generators.MAX_CELLS:
+        raise ParseError(2, f"{what} can build more than {generators.MAX_CELLS} cells n * m")
 
 
 def parse_dst_file(text: str):
     reader = LineReader(text, "DST v1")
-    nv, ne = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
+    nv, ne = _ints(reader.fields(2, "dimensions", 2), 2, "dimension")
+    # Splitting makes at most V + 1 rows, a pendant for a root with incoming
+    # edges, and 2V - 1 columns, V - 1 terminals each with a pendant copy.
+    _check_cells((nv + 1) * (2 * nv - 1), f"V = {nv}")
+    if ne > nv * (nv - 1):
+        raise ParseError(2, f"E = {ne} exceeds V(V - 1), the most edges V vertices have")
     (root,) = _ints(reader.fields(3, "root", 1), 3, "root")
-    terminals = _ints(reader.fields(4, "terminals"), 4, "terminals")
+    terminals = _ints(reader.fields(4, "terminal"), 4, "terminal")
     edges = []
     for k in range(ne):
         lineno = 5 + k
         parts = reader.fields(lineno, "edge")
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'u v cost'")
-        u, v = _ints(parts[:2], lineno, "edge endpoints")
-        edges.append((u, v, _parse_fraction(parts[2])))
+        u, v = _ints(parts[:2], lineno, "edge endpoint")
+        try:
+            edges.append((u, v, _parse_fraction(parts[2])))
+        except FctpError as exc:
+            raise ParseError(lineno, str(exc)) from None
     return make_dst(range(1, nv + 1), edges, root, terminals)
 
 
 def parse_setcover_file(text: str):
     reader = LineReader(text, "SETCOVER v1")
-    m, n = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
+    m, n = _ints(reader.fields(2, "dimensions", 2), 2, "dimension")
+    _check_cells((1 + m) * (m + n), f"m = {m}, n = {n}")
     sets = []
     for k in range(m):
         lineno = 3 + k
-        row = _ints(reader.fields(lineno, "set"), lineno, "set")
+        row = _ints(reader.fields(lineno, "set"), lineno, "set entry")
         if not row or row[0] != len(row) - 1:
             raise ParseError(lineno, "expected 'k e1 ... ek'")
         sets.append(tuple(e - 1 for e in row[1:]))
@@ -280,11 +290,12 @@ def parse_setcover_file(text: str):
 
 def parse_threedm_file(text: str):
     reader = LineReader(text, "3DM v1")
-    n, m = _ints(reader.fields(2, "dimensions", 2), 2, "dimensions")
+    n, m = _ints(reader.fields(2, "dimensions", 2), 2, "dimension")
+    _check_cells(m * (3 * n + 1), f"n = {n}, m = {m}")
     triples = []
     for k in range(m):
         lineno = 3 + k
-        x, y, z = _ints(reader.fields(lineno, "triple", 3), lineno, "triple")
+        x, y, z = _ints(reader.fields(lineno, "triple", 3), lineno, "triple entry")
         triples.append((x - 1, y - 1, z - 1))
     return make_threedm(n, triples)
 

@@ -87,6 +87,24 @@ def subset_sums(values) -> list:
     return sums
 
 
+def two_pointer_steps(supplies, demands) -> list:
+    """The two-pointer sweep, in the given orders: [(p, q, amount)], each step
+    shipping min(rest of supply p, rest of demand q) and moving past every side it empties."""
+    rem_a, rem_b = list(supplies), list(demands)
+    steps = []
+    p = q = 0
+    while p < len(rem_a) and q < len(rem_b):
+        amount = min(rem_a[p], rem_b[q])
+        steps.append((p, q, amount))
+        rem_a[p] -= amount
+        rem_b[q] -= amount
+        if rem_a[p] == 0:
+            p += 1
+        if rem_b[q] == 0:
+            q += 1
+    return steps
+
+
 def format_rational(value) -> str:
     """Render a cost as ``p``, ``p/q``, or ``inf``; inverse of parsing."""
     if value is INF:
@@ -156,17 +174,12 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
 
 def pure_instance(supplies, demands, fixed) -> Instance:
     """Instance with all linear costs zero (the PFCT family)."""
-    supplies = tuple(supplies)
-    demands = tuple(demands)
-    zero = tuple(tuple(Fraction(0) for _ in demands) for _ in supplies)
-    return make_instance(supplies, demands, fixed, zero)
+    supplies, demands = tuple(supplies), tuple(demands)
+    return make_instance(supplies, demands, fixed, [[0] * len(demands)] * len(supplies))
 
 
-def validate_instance(inst: Instance) -> str | None:
-    """Return None if all instance invariants hold, else the first violation.
-
-    Indices in messages are 1-based to match the file format.
-    """
+def _sides_report(inst: Instance) -> str | None:
+    """The first violation among n, m >= 1 and positive int supplies and demands."""
     if inst.n < 1:
         return "n must be >= 1"
     if inst.m < 1:
@@ -177,6 +190,17 @@ def validate_instance(inst: Instance) -> str | None:
     for j, b in enumerate(inst.demands):
         if not isinstance(b, int) or b <= 0:
             return f"b_{j + 1} not positive"
+    return None
+
+
+def validate_instance(inst: Instance) -> str | None:
+    """Return None if all instance invariants hold, else the first violation.
+
+    Indices in messages are 1-based to match the file format.
+    """
+    report = _sides_report(inst)
+    if report is not None:
+        return report
     for i, row in enumerate(inst.fixed):
         for j, f in enumerate(row):
             if f is INF or not isinstance(f, Fraction):
@@ -204,9 +228,13 @@ def check_instance(inst: Instance) -> None:
 
 
 def check_balanced(inst: Instance) -> None:
-    """The O(n + m) balance check, for solvers too hot for validate_instance."""
-    if sum(inst.supplies) != sum(inst.demands):
-        raise FctpError("invalid instance: sum(a) != sum(b)")
+    """The O(n + m) part of validate_instance, with its messages, for solvers
+    too hot for the full check: sizes, positive int supplies and demands, balance."""
+    report = _sides_report(inst)
+    if report is None and sum(inst.supplies) != sum(inst.demands):
+        report = "sum(a) != sum(b)"
+    if report is not None:
+        raise FctpError(f"invalid instance: {report}")
 
 
 @dataclass(frozen=True)
@@ -383,7 +411,8 @@ MAX_COST_DIGITS = 100
 _INT_TOKEN = re.compile(rf"[0-9]{{1,{MAX_COST_DIGITS}}}")
 
 
-def _parse_positive_int(token: str, lineno: int, what: str) -> int:
+def parse_int_token(token: str, lineno: int, what: str) -> int:
+    """An integer token of every line-oriented format: 1 to MAX_COST_DIGITS digits 0-9."""
     if _INT_TOKEN.fullmatch(token) is None:
         raise ParseError(
             lineno,
@@ -421,15 +450,15 @@ def parse_instance(text: str) -> Instance:
     """Parse the FCT v1 format; raises ParseError with a 1-based line number."""
     reader = LineReader(text, "FCT v1")
     n_m = reader.fields(2, "dimension", 2)
-    n = _parse_positive_int(n_m[0], 2, "n")
-    m = _parse_positive_int(n_m[1], 2, "m")
+    n = parse_int_token(n_m[0], 2, "n")
+    m = parse_int_token(n_m[1], 2, "m")
     if n < 1 or m < 1:
         raise ParseError(2, "n and m must be >= 1")
     supplies = tuple(
-        _parse_positive_int(tok, 3, "supply") for tok in reader.fields(3, "supply", n)
+        parse_int_token(tok, 3, "supply") for tok in reader.fields(3, "supply", n)
     )
     demands = tuple(
-        _parse_positive_int(tok, 4, "demand") for tok in reader.fields(4, "demand", m)
+        parse_int_token(tok, 4, "demand") for tok in reader.fields(4, "demand", m)
     )
     fixed = _parse_cost_matrix(reader, 5, n, m, "fixed cost", allow_inf=False)
     linear = _parse_cost_matrix(reader, 5 + n, n, m, "linear cost", allow_inf=True)
@@ -480,8 +509,8 @@ def parse_solution(text: str) -> FlowSolution:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'i j flow', got {line!r}")
-        i = _parse_positive_int(parts[0], lineno, "source index")
-        j = _parse_positive_int(parts[1], lineno, "sink index")
+        i = parse_int_token(parts[0], lineno, "source index")
+        j = parse_int_token(parts[1], lineno, "sink index")
         if i < 1 or j < 1:
             raise ParseError(lineno, "indices are 1-based")
         x = _parse_cost(parts[2], lineno, allow_inf=False)

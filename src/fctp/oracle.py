@@ -38,7 +38,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import FctpError, GuardError, InfeasibleError
-from .model import INF, FlowSolution, Instance, check_instance, integer_scaled, subset_sums
+from .model import (
+    INF, FlowSolution, Instance, check_balanced, check_instance, integer_scaled, subset_sums
+)
 from .pfct_u import (
     BalancedPartition,
     balanced_set,
@@ -324,13 +326,12 @@ def exact_balanced_partition(
     inst: Instance, guard: int = 16
 ) -> tuple[int, BalancedPartition]:
     """Maximum number of balanced parts covering S and T (subset DP)."""
+    check_balanced(inst)
     n, m = inst.n, inst.m
     total_vertices = n + m
     _check_subset_guard("partition", total_vertices, guard)
     values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
     net = subset_sums(values)
-    if net[-1] != 0:
-        raise FctpError("instance is not balanced")
     # Each part costs -1, so the cheapest split has the most parts.
     cost, blocks = _partition_dp(net, [-1 if x == 0 else None for x in net])
     ground = [source_element(i, a) for i, a in enumerate(inst.supplies)]

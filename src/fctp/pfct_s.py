@@ -22,6 +22,7 @@ from .model import (
     classify_variant,
     evaluate_cost,
     integer_scaled,
+    two_pointer_steps,
 )
 
 
@@ -87,21 +88,13 @@ def _require_pfct_s(inst: Instance) -> SortedView:
 def greedy_solve(inst: Instance) -> FlowSolution:
     """Two-pointer sweep over the sorted view; crossing-free forest flow."""
     view = _require_pfct_s(inst)
-    entries: dict[tuple[int, int], Fraction] = {}
-    pos_i, pos_j = 0, 0
-    rem_a = [inst.supplies[i] for i in view.source_order]
-    rem_b = list(view.demand_sorted)
-    while pos_i < inst.n and pos_j < inst.m:
-        amount = min(rem_a[pos_i], rem_b[pos_j])
-        edge = (view.source_order[pos_i], view.sink_order[pos_j])
-        entries[edge] = Fraction(amount)
-        rem_a[pos_i] -= amount
-        rem_b[pos_j] -= amount
-        if rem_a[pos_i] == 0:
-            pos_i += 1
-        if rem_b[pos_j] == 0:
-            pos_j += 1
-    return FlowSolution(entries=entries)
+    steps = two_pointer_steps([inst.supplies[i] for i in view.source_order], view.demand_sorted)
+    return FlowSolution(
+        entries={
+            (view.source_order[p], view.sink_order[q]): Fraction(amount)
+            for p, q, amount in steps
+        }
+    )
 
 
 def lp_cost(inst: Instance, sol: FlowSolution) -> Fraction:

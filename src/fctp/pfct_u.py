@@ -4,8 +4,9 @@ With unit fixed costs and no linear costs, the problem is equivalent to
 partitioning sources and sinks into as many balanced sets as possible (a set
 is balanced when its supply equals its demand inside the set); a partition
 with q parts costs m + n - q.  The solver extracts matched supply/demand
-pairs, enumerates balanced sets of size at most k for k in {3, 4, 5}, packs
-them (exactly, or by bounded-swap local search), and keeps the best k.
+pairs, enumerates the balanced sets of size at most 5 once, packs the
+size <= k ones for k in {3, 4, 5} (exactly, or by bounded-swap local
+search), and keeps the best k.
 
 The worst-case ratio of this scheme is certified by a small factor-revealing
 LP whose exact optimum is 6/5; :func:`verify_factor_revealing_certificate`
@@ -20,7 +21,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CertificateError, FctpError, GuardError, VariantError
-from .model import FlowSolution, Instance, check_balanced, classify_variant, pure_instance
+from .model import (
+    FlowSolution, Instance, check_balanced, classify_variant, pure_instance, two_pointer_steps
+)
 
 SOURCE = "source"
 SINK = "sink"
@@ -122,12 +125,6 @@ class LpCertificate:
     value: Fraction
 
 
-def _require_pfct_u(inst: Instance) -> None:
-    tag = classify_variant(inst)
-    if not (tag.pure and tag.uniform):
-        raise VariantError("requires PFCT-U")
-
-
 def preprocess_matched_pairs(
     inst: Instance,
 ) -> tuple[list[BalancedSet], Instance]:
@@ -138,7 +135,9 @@ def preprocess_matched_pairs(
     instance is equivalent and has no i, j with a_i == b_j.  Pair elements
     keep the original instance's indices.
     """
-    _require_pfct_u(inst)
+    tag = classify_variant(inst)
+    if not (tag.pure and tag.uniform):
+        raise VariantError("requires PFCT-U")
     used_src: set[int] = set()
     used_snk: set[int] = set()
     candidates = sorted(
@@ -158,15 +157,9 @@ def preprocess_matched_pairs(
         )
     keep_src = [i for i in range(inst.n) if i not in used_src]
     keep_snk = [j for j in range(inst.m) if j not in used_snk]
-    residual = Instance(
-        supplies=tuple(inst.supplies[i] for i in keep_src),
-        demands=tuple(inst.demands[j] for j in keep_snk),
-        fixed=tuple(
-            tuple(inst.fixed[i][j] for j in keep_snk) for i in keep_src
-        ),
-        linear=tuple(
-            tuple(inst.linear[i][j] for j in keep_snk) for i in keep_src
-        ),
+    # PFCT-U: the residual has f == 1 and c == 0 too.
+    residual = uniform_pure_instance(
+        [inst.supplies[i] for i in keep_src], [inst.demands[j] for j in keep_snk]
     )
     return pairs, residual
 
@@ -199,12 +192,8 @@ def enumerate_balanced_sets(
     return PackingInstance(ground=ground, family=tuple(family), k=k)
 
 
-def _element_bit(ground: tuple[Element, ...]) -> dict[tuple[int, int], int]:
-    return {e.key: 1 << pos for pos, e in enumerate(ground)}
-
-
 def _family_masks(pk: PackingInstance) -> list[int]:
-    bit = _element_bit(pk.ground)
+    bit = {e.key: 1 << pos for pos, e in enumerate(pk.ground)}
     masks = []
     for bset in pk.family:
         mask = 0
@@ -370,48 +359,26 @@ def _packing_bnb(masks: list[int]) -> list[int]:
 
 
 def _two_pointer_fill(part: BalancedSet):
-    """Route supplies to demands inside one part by a two-pointer sweep.
+    """Route supplies to demands inside one part by the two-pointer sweep.
 
-    Returns [(sub_part, edges)] components: when supply and demand run out
-    simultaneously mid-sweep the part splits, which only ever adds parts (and
-    so lowers the cost).  Packed sets of size <= 5 from a pair-free residual
-    never split; only the remainder part can.
+    Returns [(sub_part, edges)] components: where a step empties a supply
+    and a demand together, the next step advances both pointers and the
+    part splits there, which only ever adds parts (and so lowers the cost).
+    Packed sets of size <= 5 from a pair-free residual never split; only
+    the remainder part can.
     """
     sources = sorted(part.sources, key=lambda e: e.index)
     sinks = sorted(part.sinks, key=lambda e: e.index)
+    steps = two_pointer_steps([e.weight for e in sources], [e.weight for e in sinks])
+    cuts = [
+        k for k in range(1, len(steps))
+        if steps[k - 1][0] < steps[k][0] and steps[k - 1][1] < steps[k][1]
+    ]
     components = []
-    comp_srcs: list[Element] = []
-    comp_snks: list[Element] = []
-    edges: list[tuple[int, int, int]] = []
-    si, ti = 0, 0
-    rem_a, rem_b = sources[0].weight, sinks[0].weight
-    comp_srcs.append(sources[0])
-    comp_snks.append(sinks[0])
-    while True:
-        amount = min(rem_a, rem_b)
-        edges.append((sources[si].index, sinks[ti].index, amount))
-        rem_a -= amount
-        rem_b -= amount
-        done_src = rem_a == 0
-        done_snk = rem_b == 0
-        if done_src and done_snk:
-            components.append((balanced_set(comp_srcs + comp_snks), edges))
-            comp_srcs, comp_snks, edges = [], [], []
-            si += 1
-            ti += 1
-            if si == len(sources):
-                break
-            rem_a, rem_b = sources[si].weight, sinks[ti].weight
-            comp_srcs.append(sources[si])
-            comp_snks.append(sinks[ti])
-        elif done_src:
-            si += 1
-            rem_a = sources[si].weight
-            comp_srcs.append(sources[si])
-        else:
-            ti += 1
-            rem_b = sinks[ti].weight
-            comp_snks.append(sinks[ti])
+    for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
+        (p0, q0, _), (p1, q1, _) = steps[lo], steps[hi - 1]
+        edges = [(sources[p].index, sinks[q].index, amount) for p, q, amount in steps[lo:hi]]
+        components.append((balanced_set(sources[p0 : p1 + 1] + sinks[q0 : q1 + 1]), edges))
     return components
 
 
@@ -426,13 +393,15 @@ def flow_within_balanced_sets(partition: BalancedPartition) -> FlowSolution:
 
 
 def solve_pfct_u(
-    inst: Instance, mode: str = "exact", swap_size: int = 2, max_k: int = 5
+    inst: Instance, mode: str = "exact", swap_size: int = 2
 ) -> tuple[BalancedPartition, FlowSolution]:
-    """Best balanced partition over k in {3..max_k}, plus its routed flow.
+    """Best balanced partition over k in {3, 4, 5}, plus its routed flow.
 
     mode "exact" packs by brute force (keeps the full 6/5 guarantee at desk
     scale); mode "ls" uses bounded-swap local search with the given swap
-    size.  The remainder of the residual after packing forms one extra part
+    size.  The balanced sets are enumerated once, for k = 5: the family is
+    in (size, lex) order, so the family for a smaller k is a prefix of it.
+    The remainder of the residual after packing forms one extra part
     (split further if the routing disconnects it; both only lower the cost).
     """
     check_balanced(inst)
@@ -442,8 +411,10 @@ def solve_pfct_u(
 
     best_parts: list[BalancedSet] | None = None
     if residual.n:
-        for k in range(3, max_k + 1):
-            pk = enumerate_balanced_sets(residual, k)
+        full = enumerate_balanced_sets(residual, 5)
+        for k in (3, 4, 5):
+            size = sum(1 for bset in full.family if bset.size <= k)
+            pk = PackingInstance(ground=full.ground, family=full.family[:size], k=k)
             if mode == "exact":
                 chosen = exact_packing(pk)
             else:
@@ -568,7 +539,5 @@ def verify_factor_revealing_certificate(
 
 def uniform_pure_instance(supplies, demands) -> Instance:
     """PFCT-U instance scaffold: f == 1, c == 0."""
-    supplies = tuple(supplies)
-    demands = tuple(demands)
-    ones = tuple(tuple(Fraction(1) for _ in demands) for _ in supplies)
-    return pure_instance(supplies, demands, ones)
+    supplies, demands = tuple(supplies), tuple(demands)
+    return pure_instance(supplies, demands, [[1] * len(demands)] * len(supplies))

@@ -5,8 +5,9 @@ fixed cost in P, a guess allows A(P) = P plus every edge with f <= t; the
 linear relaxation sum(x_ij / b_j * f_ij) is solved over A(P) (P's fixed
 costs are sunk, so P's edges weigh 0) and the candidate's actual cost is
 evaluated; the cheapest candidate wins, the first enumerated among equals.
-Candidates run over all edge sets of size up to min(2n/eps, nm, n + m - 1),
-by size and then lexicographically: a guess of size exactly 2n/eps covers
+Candidates run over the sets of allowed (finite linear cost) edges of size
+up to min(2n/eps, number of allowed edges, n + m - 1), by size and then
+lexicographically: a guess of size exactly 2n/eps covers
 optima with at least that many support edges, and the exact optimal support
 (at most n + m - 1 edges, forests) covers the rest.
 
@@ -26,8 +27,11 @@ transport core.  Two kinds are skipped, each without changing the result:
   comparison.
 
 Costs are compared as ints, the fixed costs scaled by one common
-denominator.  The per-threshold tables are O(nm) each, so no state grows
-with the number of guesses.
+denominator, and transport gets the relaxation weights f_ij / b_j as ints,
+scaled once more by lcm(b): one positive factor for every weight, so every
+comparison transport makes, and so its flow, is that of the rational
+weights.  The per-threshold tables are O(nm) each, so no state grows with
+the number of guesses.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import FctpError, GuardError, InfeasibleError, VariantError
 # evaluate_cost is unused here; perfbench/tracing.py wraps fctp.ptas.evaluate_cost by name.
@@ -50,8 +54,6 @@ from .model import (  # noqa: F401
     subset_sums,
 )
 from .transport import solve_transportation
-
-ZERO = Fraction(0)
 
 
 def candidate_sizes(inst: Instance, eps: Fraction) -> range:
@@ -105,13 +107,16 @@ def restricted_lp_value(inst: Instance, edges) -> Fraction:
 
     Test hook for the bound "correctly guessed P has LP value <= opt".
     """
+    check_balanced(inst)
     edges = tuple(edges)
+    if any(inst.linear[i][j] is INF for i, j in edges):
+        raise FctpError("a guessed edge is forbidden")
     guesses = _Guesses(inst)
     threshold = min((guesses.fixed[i][j] for i, j in edges), default=None)
     level = guesses.level(threshold)
     _, value = solve_transportation(inst, guesses.weights(level, edges))
     sunk = sum((inst.fixed[i][j] for i, j in edges), Fraction(0))
-    return sunk + value
+    return sunk + value / guesses.scale
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,8 @@ class _Level:
     ``masks`` hold each source's sinks as a bitmask, ``feasible`` says
     whether these edges alone can carry the flow, ``sink_min`` and
     ``source_min`` hold each node's cheapest scaled fixed cost among them
-    (0 for a node with nothing to ship, None for one they leave unreached),
-    and ``weights`` is the relaxation with no edge guessed.
+    (None for one they leave unreached), and ``weights`` is the relaxation
+    with no edge guessed, in ints scaled by :attr:`_Guesses.scale`.
     """
 
     masks: tuple[int, ...]
@@ -137,7 +142,11 @@ class _Guesses:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        _, (self.fixed,) = integer_scaled(inst.fixed)
+        fixed_scale, (self.fixed,) = integer_scaled(inst.fixed)
+        # Weight f_ij / b_j is fixed[i][j] * per_unit[j] / scale; demands are positive.
+        demand_lcm = lcm(*inst.demands)
+        self.per_unit = [demand_lcm // b for b in inst.demands]
+        self.scale = fixed_scale * demand_lcm
         # supply_sums[s] = a(S) for every set S of sources, s being S as a bitmask.
         self.supply_sums = subset_sums(inst.supplies)
         self._levels: dict = {}
@@ -149,10 +158,10 @@ class _Guesses:
         return level
 
     def _build_level(self, threshold) -> _Level:
-        inst, fixed = self.inst, self.fixed
+        inst, fixed, per_unit = self.inst, self.fixed, self.per_unit
         masks = [0] * inst.n
-        sink_min = [None if b else 0 for b in inst.demands]
-        source_min = [None if a else 0 for a in inst.supplies]
+        sink_min = [None] * inst.m
+        source_min = [None] * inst.n
         weights = [[INF] * inst.m for _ in range(inst.n)]
         for i, j in inst.edges():
             c = fixed[i][j]
@@ -163,7 +172,7 @@ class _Guesses:
                 sink_min[j] = c
             if source_min[i] is None or c < source_min[i]:
                 source_min[i] = c
-            weights[i][j] = inst.fixed[i][j] / inst.demands[j]
+            weights[i][j] = c * per_unit[j]
         return _Level(
             masks=tuple(masks),
             feasible=self._hall(masks),
@@ -214,10 +223,8 @@ class _Guesses:
     def weights(self, level: _Level, combo) -> tuple[tuple, ...]:
         """Relaxation weights under a guess: guessed edges are free (their
         fixed costs are sunk), the level's other edges pay f/b fractionally,
-        the rest are forbidden."""
+        the rest are forbidden; ints scaled by :attr:`scale`."""
         rows = [list(row) for row in level.weights]
-        linear = self.inst.linear
         for i, j in combo:
-            if linear[i][j] is not INF:
-                rows[i][j] = ZERO
+            rows[i][j] = 0
         return tuple(map(tuple, rows))

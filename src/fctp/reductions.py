@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError, GuardError
-from .model import INF, Instance
+from .model import INF, Instance, make_instance
+from .pfct_u import uniform_pure_instance
 
 Vertex = object  # hashable vertex id; strings and ints in practice
 
@@ -147,12 +148,7 @@ def split_digraph_to_bipartite(dg: DigraphInstance) -> Instance:
     demands = [
         dg.demands[v] if kind == "sink" else total for kind, v in col_ids
     ]
-    return Instance(
-        supplies=tuple(supplies),
-        demands=tuple(demands),
-        fixed=tuple(tuple(row) for row in fixed),
-        linear=tuple(tuple(row) for row in linear),
-    )
+    return make_instance(supplies, demands, fixed, linear)
 
 
 @dataclass(frozen=True)
@@ -301,12 +297,7 @@ def setcover_to_fct_s(sc: SetCoverInstance) -> Instance:
         linear[1 + v][v] = Fraction(0)  # v_out -> v_in
         for u in sc.sets[v]:
             linear[1 + v][m + u] = Fraction(0)  # v_out -> element
-    return Instance(
-        supplies=tuple(supplies),
-        demands=tuple(demands),
-        fixed=tuple(tuple(row) for row in fixed),
-        linear=tuple(tuple(row) for row in linear),
-    )
+    return make_instance(supplies, demands, fixed, linear)
 
 
 @dataclass(frozen=True)
@@ -375,12 +366,15 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+# Demand draws threedm_to_pfct_u makes before it gives up.
+MAX_DRAWS = 64
+
+
 def threedm_to_pfct_u(
     tdm: ThreeDmInstance,
     delta: int | None = None,
     seed: int = 0,
     b_prime: int = 6,
-    max_draws: int = 64,
 ) -> tuple[Instance, dict]:
     """Pure uniform instance whose balanced partition mirrors the matching.
 
@@ -389,7 +383,8 @@ def threedm_to_pfct_u(
     dummy sink absorbs the surplus.  Demands are redrawn until they pass
     :func:`verify_h_independence` at b_prime (each draw succeeds with
     probability at least 1/2 for the default delta), so small balanced sets
-    are forced to be unions of canonical {i, j, k, ijk} sets.
+    are forced to be unions of canonical {i, j, k, ijk} sets; after
+    MAX_DRAWS failed draws it gives up with FctpError.
 
     Returns the instance and a replayable demand record.  Element sinks come
     in X, Y, Z order followed by the dummy sink, sources in triple order.
@@ -407,7 +402,7 @@ def threedm_to_pfct_u(
     draws = 0
     while True:
         draws += 1
-        if draws > max_draws:
+        if draws > MAX_DRAWS:
             raise FctpError("could not draw independent demands")
         b = [rng.randint(delta + 1, 2 * delta) for _ in range(3 * n)]
         if verify_h_independence(b, b_prime):
@@ -416,19 +411,7 @@ def threedm_to_pfct_u(
     dummy = sum(supplies) - sum(b)
     if dummy <= 0:
         raise FctpError("need more triples or larger instance")
-    demands = b + [dummy]
-    ones = tuple(
-        tuple(Fraction(1) for _ in demands) for _ in supplies
-    )
-    zeros = tuple(
-        tuple(Fraction(0) for _ in demands) for _ in supplies
-    )
-    instance = Instance(
-        supplies=tuple(supplies),
-        demands=tuple(demands),
-        fixed=ones,
-        linear=zeros,
-    )
+    instance = uniform_pure_instance(supplies, b + [dummy])
     record = {
         "seed": seed,
         "delta": delta,

@@ -212,6 +212,9 @@ def test_bicriteria_rejects_unbalanced_instance():
     inst = make_instance((2,), (2, 3), [[1, 2]], [[0, 1]])
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         solve_bicriteria(inst, Fraction(1, 4))
+    inst = make_instance((0, 2), (2,), [[1], [2]], [[0], [1]])
+    with pytest.raises(FctpError, match="invalid instance: a_1 not positive"):
+        solve_bicriteria(inst, Fraction(1, 4))
 
 
 def _bicriteria_pinned_cases():

@@ -412,6 +412,17 @@ def test_bench_output_pinned(tmp_path, capsys):
         ("setcover", "SETCOVER v1\n2 2\n2 1 b\n1 2\n", 3),
         ("3dm", "3DM v1\n2 3\n1 1 1\n2 2\n1 2 2\n", 4),
         ("3dm", "3DM v1\n2 1\n1 1 1.5\n", 3),
+        # Integer tokens are 1 to 100 digits 0-9, as in FCT v1.
+        ("dst", "DST v1\n4 1\n+3\n2\n1 2 1\n", 3),
+        ("3dm", "3DM v1\n2 2\n1 1 -1\n2 2 2\n", 3),
+        # A DST edge cost keeps its p.q grammar, and its line.
+        ("dst", "DST v1\n4 1\n1\n2\n1 2 1e3\n", 5),
+        # Header sizes whose instance can exceed generators.MAX_CELLS cells.
+        ("dst", "DST v1\n1000000000 3\n1\n3 4\n", 2),
+        ("dst", "DST v1\n354 1\n1\n2\n1 2 1\n", 2),
+        ("dst", "DST v1\n4 13\n1\n2\n", 2),
+        ("setcover", "SETCOVER v1\n100000000 1\n", 2),
+        ("3dm", "3DM v1\n100000000 2\n1 1 1\n2 2 2\n", 2),
     ],
 )
 def test_generate_rejects_malformed_input(tmp_path, capsys, kind, text, lineno):

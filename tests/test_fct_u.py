@@ -91,6 +91,8 @@ def test_fct_u_rejects_unbalanced_instance():
     inst = make_instance((2,), (2, 3), [[1, 1]], [[0, 0]])
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         solve_fct_u(inst)
+    with pytest.raises(FctpError, match="invalid instance: n must be >= 1"):
+        solve_fct_u(make_instance((), (), [], []))
 
 
 def test_fct_u_output_pinned_on_seeded_instance():

@@ -10,11 +10,13 @@ from fctp.model import (
     FlowSolution,
     Instance,
     VariantTag,
+    check_balanced,
     classify_variant,
     evaluate_cost,
     format_rational,
     integer_scaled,
     make_flow,
+    two_pointer_steps,
     make_instance,
     parse_instance,
     parse_solution,
@@ -39,6 +41,26 @@ def test_validate_imbalance():
 def test_validate_zero_supply():
     inst = make_instance((0, 2), (2,), [[0], [0]], [[0], [0]])
     assert validate_instance(inst) == "a_1 not positive"
+
+
+@pytest.mark.parametrize(
+    "supplies, demands",
+    [((), ()), ((1,), ()), ((-1, 3), (2,)), ((0, 2), (2,)), ((2,), (0, 2)), ((2,), (1,))],
+)
+def test_check_balanced_reports_what_validate_instance_reports_first(supplies, demands):
+    n, m = len(supplies), len(demands)
+    inst = make_instance(supplies, demands, [[1] * m] * n, [[0] * m] * n)
+    with pytest.raises(FctpError) as info:
+        check_balanced(inst)
+    assert str(info.value) == f"invalid instance: {validate_instance(inst)}"
+    # Cost entries are validate_instance's alone.
+    check_balanced(make_instance((3, 1), (2, 2), [[-1] * 2] * 2, [[0] * 2] * 2))
+
+
+def test_two_pointer_steps_ships_min_and_advances_the_emptied_side():
+    assert two_pointer_steps((3, 1), (2, 2)) == [(0, 0, 2), (0, 1, 1), (1, 1, 1)]
+    assert two_pointer_steps((2, 2), (2, 2)) == [(0, 0, 2), (1, 1, 2)]
+    assert two_pointer_steps((4,), (1, 1, 2)) == [(0, 0, 1), (0, 1, 1), (0, 2, 2)]
 
 
 def test_validate_negative_cost_and_shape():

@@ -194,6 +194,8 @@ def test_balanced_partition_examples():
     )
     assert count == 1
     assert validate_partition(uniform_pure_instance((7,), (1, 2, 4)), part) is None
+    with pytest.raises(FctpError, match="invalid instance: a_1 not positive"):
+        oracle.exact_balanced_partition(uniform_pure_instance((0, 2), (2,)))
 
 
 def test_balanced_partition_matches_exact_fct_on_pure_uniform():

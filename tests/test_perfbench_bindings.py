@@ -24,3 +24,31 @@ def test_every_traced_binding_resolves():
         if not hasattr(importlib.import_module(f"fctp.{module}"), attr)
     ]
     assert missing == []
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_every_import_is_used_or_traced():
+    # A name kept only so a traced binding resolves is exempt; any other
+    # unused import is dead code.
+    traced = {(module, attr) for module, attr, _ in _bindings()}
+    package = TRACING.parent.parent / "src" / "fctp"
+    unused = [
+        f"fctp.{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, name) not in traced
+    ]
+    assert unused == []

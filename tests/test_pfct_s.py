@@ -263,3 +263,7 @@ def test_greedy_rejects_unbalanced_instance():
     inst = pure_instance((2,), (2, 3), [[5, 5]])
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         greedy_solve(inst)
+    # Balanced, but the sweep would ship -1 from source 1.
+    inst = pure_instance((-1, 3), (2,), [[5], [5]])
+    with pytest.raises(FctpError, match="invalid instance: a_1 not positive"):
+        greedy_solve(inst)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -158,6 +159,41 @@ def test_exact_packing_examples():
     assert len(exact_packing(single)) == 1
 
 
+def _wide_packing(rng, sets):
+    """21 ground elements, past the subset DP, and `sets` random balanced triples."""
+    sources = [source_element(i, 2) for i in range(7)]
+    sinks = [sink_element(j, 1) for j in range(14)]
+    triples = set()
+    while len(triples) < sets:
+        triples.add((rng.randrange(7),) + tuple(sorted(rng.sample(range(14), 2))))
+    family = tuple(
+        balanced_set([sources[i], sinks[j], sinks[k]]) for i, j, k in sorted(triples)
+    )
+    return PackingInstance(ground=tuple(sources + sinks), family=family, k=3)
+
+
+def test_exact_packing_branch_and_bound_matches_brute_force():
+    rng = random.Random(47)
+    for _ in range(5):
+        pk = _wide_packing(rng, 12)
+        keys = [frozenset(e.key for e in bset.elements) for bset in pk.family]
+        best = max(
+            size
+            for size in range(len(keys) + 1)
+            for subset in itertools.combinations(keys, size)
+            if 3 * size == len(frozenset().union(*subset))
+        )
+        chosen = exact_packing(pk)
+        used = [e.key for bset in chosen for e in bset.elements]
+        assert len(used) == len(set(used))
+        assert len(chosen) == best
+
+
+def test_exact_packing_guard_past_the_subset_dp():
+    with pytest.raises(GuardError, match="too large for exact mode"):
+        exact_packing(_wide_packing(random.Random(53), 26))
+
+
 def test_local_search_vs_exact_quality():
     rng = random.Random(43)
     for _ in range(30):
@@ -302,3 +338,5 @@ def test_solve_pfct_u_rejects_unbalanced_instance():
     # Routing would serve sink 1 only and leave sink 2 empty.
     with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
         solve_pfct_u(uniform_pure_instance((2,), (2, 3)))
+    with pytest.raises(FctpError, match="invalid instance: a_1 not positive"):
+        solve_pfct_u(uniform_pure_instance((0, 2), (2,)))
