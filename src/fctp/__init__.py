@@ -22,7 +22,6 @@ from .model import (
     VariantTag,
     classify_variant,
     evaluate_cost,
-    is_inf,
     make_flow,
     make_instance,
     parse_instance,

@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import generators, oracle
@@ -51,36 +50,6 @@ from .reductions import (
 VARIANTS = ("pfct-s", "pfct-u", "fct-u", "fct-bicriteria", "pfct-ptas")
 # Solver options of `fctp solve`; a bench row's params are merged over them.
 SOLVE_DEFAULTS = {"mode": "exact", "swap": 2, "epsilon": None, "guard": 16}
-
-
-@dataclass
-class RunReport:
-    """One solver run; ratio is present exactly when the oracle cost is."""
-
-    instance: str
-    variant: str
-    algorithm: str
-    cost: Fraction
-    parameters: dict
-    oracle_cost: Fraction | None = None
-    ratio: Fraction | None = None
-    wall_time_s: float | None = None
-
-    def to_json(self) -> str:
-        record = {
-            "instance": self.instance,
-            "variant": self.variant,
-            "algorithm": self.algorithm,
-            "cost": format_rational(self.cost),
-            "parameters": self.parameters,
-        }
-        if self.oracle_cost is not None:
-            record["oracle_cost"] = format_rational(self.oracle_cost)
-            if self.ratio is not None:
-                record["ratio"] = format_rational(self.ratio)
-        if self.wall_time_s is not None:
-            record["wall_time_s"] = round(self.wall_time_s, 6)
-        return json.dumps(record)
 
 
 def _read(path: str) -> str:
@@ -150,23 +119,23 @@ def cmd_solve(args) -> int:
     flow, algorithm, parameters = _dispatch_solver(inst, args.variant, vars(args))
     elapsed = time.perf_counter() - started
     cost = evaluate_cost(inst, flow)
-    run = RunReport(
-        instance=args.input,
-        variant=args.variant,
-        algorithm=algorithm,
-        cost=cost,
-        parameters=parameters,
-    )
+    # Every rational is rendered before the solution is written, so a cost
+    # too long to print leaves no solution file.
+    record = {
+        "instance": args.input,
+        "variant": args.variant,
+        "algorithm": algorithm,
+        "cost": format_rational(cost),
+        "parameters": parameters,
+    }
     if args.oracle:
         opt, _ = oracle.exact_fct(inst, guard=args.guard)
-        run.oracle_cost = opt
+        record["oracle_cost"] = format_rational(opt)
         if opt > 0:
-            run.ratio = cost / opt
+            record["ratio"] = format_rational(cost / opt)
     if args.timing:
-        run.wall_time_s = elapsed
-    # Rendered before the solution is written, so a cost too long to print
-    # leaves no solution file.
-    line = run.to_json()
+        record["wall_time_s"] = round(elapsed, 6)
+    line = json.dumps(record)
     if args.out:
         _write(args.out, serialize_solution(flow))
     print(line)

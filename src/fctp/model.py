@@ -53,10 +53,6 @@ INF = _Infinity()
 Cost = Fraction | _Infinity
 
 
-def is_inf(value) -> bool:
-    return value is INF
-
-
 def integer_scaled(*matrices):
     """Scale matrices to ints by the lcm of their finite entries' denominators.
 
@@ -294,9 +290,6 @@ class FlowSolution:
 
     entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     relaxation: Fraction | None = None
-
-    def support(self):
-        return sorted(self.entries)
 
     def row_sums(self, n: int) -> list[Fraction]:
         sums = [Fraction(0)] * n

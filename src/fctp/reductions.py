@@ -15,6 +15,7 @@ with fixed cost 0 (the bipartite instance must be complete, so INF expresses
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,11 +42,9 @@ class DigraphInstance:
     demands: dict
 
 
-def make_digraph(vertices, edges, supplies, demands) -> DigraphInstance:
-    vertices = tuple(vertices)
-    vertex_set = set(vertices)
-    if len(vertex_set) != len(vertices):
-        raise FctpError("duplicate vertex ids")
+def _checked_edges(edges, vertex_set) -> tuple:
+    """Edges as (u, v, Fraction cost), refusing unknown endpoints, self-loops,
+    repeated edges and negative costs."""
     norm_edges = []
     seen = set()
     for u, v, cost in edges:
@@ -60,6 +59,15 @@ def make_digraph(vertices, edges, supplies, demands) -> DigraphInstance:
         if cost < 0:
             raise FctpError("edge costs must be nonnegative")
         norm_edges.append((u, v, cost))
+    return tuple(norm_edges)
+
+
+def make_digraph(vertices, edges, supplies, demands) -> DigraphInstance:
+    vertices = tuple(vertices)
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
+        raise FctpError("duplicate vertex ids")
+    edges = _checked_edges(edges, vertex_set)
     supplies = {v: int(a) for v, a in dict(supplies).items()}
     demands = {v: int(b) for v, b in dict(demands).items()}
     if set(supplies) & set(demands):
@@ -74,7 +82,7 @@ def make_digraph(vertices, edges, supplies, demands) -> DigraphInstance:
         raise FctpError("total supply must equal total demand")
     return DigraphInstance(
         vertices=vertices,
-        edges=tuple(norm_edges),
+        edges=edges,
         supplies=supplies,
         demands=demands,
     )
@@ -173,22 +181,11 @@ def make_dst(vertices, edges, root, terminals) -> DstInstance:
         raise FctpError("duplicate terminals")
     if root in terminals:
         raise FctpError("root cannot be a terminal")
-    norm_edges = []
-    seen = set()
-    for u, v, cost in edges:
-        if u not in vertex_set or v not in vertex_set or u == v:
-            raise FctpError(f"bad edge ({u}, {v})")
-        if (u, v) in seen:
-            raise FctpError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        cost = Fraction(cost)
-        if cost < 0:
-            raise FctpError("edge costs must be nonnegative")
-        norm_edges.append((u, v, cost))
+    edges = _checked_edges(edges, vertex_set)
     if not set(terminals) <= vertex_set:
         raise FctpError("terminals must be vertices")
     return DstInstance(
-        vertices=vertices, edges=tuple(norm_edges), root=root, terminals=terminals
+        vertices=vertices, edges=edges, root=root, terminals=terminals
     )
 
 
@@ -331,39 +328,32 @@ def verify_h_independence(
 ) -> bool:
     """True iff no integer vector h with 1 <= |h|_1 <= b_prime kills the b's.
 
-    Checks sum(h_v * b_v) != 0 for every such h.  Enumeration goes over
-    supports, magnitude compositions, and sign patterns (the sign of the
-    first support member is fixed, by symmetry).
+    With every b positive, a nonzero h with h . b = 0 has both signs: its
+    positive and negative parts are two different multisets of positions, of
+    sizes p, q >= 1 with p + q <= b_prime, whose b-sums are equal.
+    Conversely, the difference of two such multisets is such an h.  A zero or
+    negative b breaks the first step (h = e_v kills a zero b_v), so it is
+    refused.  The multisets of sizes 1 .. b_prime - 1 are walked by
+    increasing size, and each sum first seen at a size <= b_prime / 2 keeps
+    that size.  Of two colliding multisets, the one met first has size at
+    most b_prime / 2, so the later one finds its sum.
     """
     b = [int(x) for x in b_values]
-    d = len(b)
-    checked = 0
-    for s in range(1, min(b_prime, d) + 1):
-        for support in itertools.combinations(range(d), s):
-            for weight in range(s, b_prime + 1):
-                for magnitudes in _compositions(weight, s):
-                    for signs in itertools.product((1, -1), repeat=s - 1):
-                        checked += 1
-                        if checked > guard:
-                            raise GuardError(
-                                "independence check too large to enumerate"
-                            )
-                        total = magnitudes[0] * b[support[0]]
-                        for pos in range(1, s):
-                            total += signs[pos - 1] * magnitudes[pos] * b[support[pos]]
-                        if total == 0:
-                            return False
+    if any(x <= 0 for x in b):
+        raise FctpError("independence check needs positive demands")
+    sizes = range(1, b_prime)
+    if sum(math.comb(len(b) + s - 1, s) for s in sizes) > guard:
+        raise GuardError("independence check too large to enumerate")
+    first_size: dict[int, int] = {}
+    for s in sizes:
+        for total in map(sum, itertools.combinations_with_replacement(b, s)):
+            p = first_size.get(total)
+            if p is None:
+                if 2 * s <= b_prime:
+                    first_size[total] = s
+            elif p + s <= b_prime:
+                return False
     return True
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # Demand draws threedm_to_pfct_u makes before it gives up.

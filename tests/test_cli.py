@@ -3,10 +3,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from util import e1_instance
 
-from fctp.cli import _bench_rows, _parse_fraction, main
+from fctp.cli import (
+    _bench_rows,
+    _parse_fraction,
+    main,
+    parse_dst_file,
+    parse_setcover_file,
+    parse_threedm_file,
+)
 from fctp.errors import FctpError
 from fctp.model import (
     make_instance,
@@ -241,6 +249,20 @@ def test_generate_3dm_deterministic(tmp_path, capsys):
     assert json.loads(records[0])["draws"] == json.loads(records[1])["draws"]
 
 
+def test_generate_3dm_accepts_n_10_and_refuses_n_41000(tmp_path, capsys):
+    triples = [f"{k} {k} {k}" for k in range(1, 11)] + ["1 2 3", "4 5 6"]
+    src = tmp_path / "n10.3dm"
+    src.write_text("3DM v1\n10 12\n" + "\n".join(triples) + "\n")
+    out = tmp_path / "n10.fct"
+    assert main(["generate", "--from", "3dm", "--input", str(src), "--out", str(out)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["n"], record["m"]) == (12, 31)
+    # 123 000 elements: the multiset count refuses the first draw before any loop.
+    src.write_text("3DM v1\n41000 2\n1 1 1\n2 2 2\n")
+    assert main(["generate", "--from", "3dm", "--input", str(src)]) == 2
+    assert capsys.readouterr().err == "error: independence check too large to enumerate\n"
+
+
 def test_bench_roundtrip(tmp_path, capsys):
     config = tmp_path / "bench.json"
     config.write_text(
@@ -432,6 +454,39 @@ def test_generate_rejects_malformed_input(tmp_path, capsys, kind, text, lineno):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"parse error: line {lineno}:")
+
+
+# Tokens each text format must refuse or read: signs, zero denominators,
+# decimals, exponents, words, blanks and non-ASCII digits among small ints.
+_FUZZ_TOKENS = ["0", "1", "2", "3", "4", "-1", "1/0", "1/2", "1.5", "1e3", "inf", "", "\u0663", "\uff11"]
+_FUZZ_TEXT = st.builds(
+    lambda header, lines: "\n".join([header] + lines) + "\n",
+    st.sampled_from(["FCT v1", "SOL v1", "DST v1", "SETCOVER v1", "3DM v1"]),
+    # Small ints at least half the time, so that texts get past their size lines.
+    st.lists(
+        st.lists(
+            st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(_FUZZ_TOKENS)),
+            max_size=5,
+        ).map(" ".join),
+        max_size=9,
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(_FUZZ_TEXT)
+def test_parsers_raise_only_fctp_errors(text):
+    for parse in (
+        parse_instance,
+        parse_solution,
+        parse_dst_file,
+        parse_setcover_file,
+        parse_threedm_file,
+    ):
+        try:
+            parse(text)
+        except FctpError:
+            pass
 
 
 _GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}

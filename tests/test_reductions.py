@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError
-from fctp.model import INF, classify_variant, validate_instance
+from fctp.model import INF, classify_variant, serialize_instance, validate_instance
 from fctp.reductions import (
     default_delta,
     dst_to_pfct_digraph,
@@ -77,6 +79,18 @@ def test_normalize_pendants():
 def test_digraph_source_equals_sink_rejected():
     with pytest.raises(FctpError, match="disjoint"):
         make_digraph(["a", "b"], [("a", "b", 1)], {"a": 1}, {"a": 1})
+    # Both constructors refuse a bad edge with the same message.
+    bad_edges = [
+        ([("a", "x", 1)], r"edge \(a, x\) references unknown vertex"),
+        ([("a", "a", 1)], "self-loops are not allowed"),
+        ([("a", "b", 1), ("a", "b", 2)], r"duplicate edge \(a, b\)"),
+        ([("a", "b", -1)], "edge costs must be nonnegative"),
+    ]
+    for edges, message in bad_edges:
+        with pytest.raises(FctpError, match=message):
+            make_digraph(["a", "b"], edges, {"a": 1}, {"b": 1})
+        with pytest.raises(FctpError, match=message):
+            make_dst(["a", "b"], edges, "a", ["b"])
 
 
 def test_dst_star():
@@ -172,6 +186,63 @@ def test_verify_h_independence_examples():
         verify_h_independence(list(range(1, 10)), 6, guard=10)
 
 
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _h_independent_enumerated(b, b_prime):
+    """Reference: try every h with 1 <= |h|_1 <= b_prime, first sign fixed."""
+    d = len(b)
+    for s in range(1, min(b_prime, d) + 1):
+        for support in itertools.combinations(range(d), s):
+            for weight in range(s, b_prime + 1):
+                for magnitudes in _compositions(weight, s):
+                    for signs in itertools.product((1, -1), repeat=s - 1):
+                        total = magnitudes[0] * b[support[0]]
+                        for pos in range(1, s):
+                            total += signs[pos - 1] * magnitudes[pos] * b[support[pos]]
+                        if total == 0:
+                            return False
+    return True
+
+
+def test_verify_h_independence_matches_enumeration():
+    rng = random.Random(61)
+    dependent = 0
+    for _ in range(2000):
+        d, b_prime = rng.randint(1, 7), rng.randint(1, 6)
+        top = rng.choice([5, 20, 100, 1000])
+        b = [rng.randint(1, top) for _ in range(d)]
+        expected = _h_independent_enumerated(b, b_prime)
+        assert verify_h_independence(b, b_prime) == expected, (b, b_prime)
+        dependent += not expected
+    assert dependent >= 600
+
+
+def test_verify_h_independence_guards_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the guard")
+
+    for name in ("combinations", "combinations_with_replacement", "product"):
+        monkeypatch.setattr(itertools, name, no_enumeration)
+    with pytest.raises(GuardError, match="too large to enumerate"):
+        verify_h_independence(range(1, 123001), 6)
+    # Sum over s = 1 .. 5 of C(63 + s - 1, s) is above 10^7: n = 21 at b_prime 6.
+    with pytest.raises(GuardError):
+        verify_h_independence(range(1, 64), 6)
+
+
+def test_verify_h_independence_refuses_non_positive_demands():
+    for b in ([3, 0], [-2, 5], [0]):
+        with pytest.raises(FctpError, match="positive"):
+            verify_h_independence(b, 3)
+
+
 def test_threedm_generator_deterministic():
     tdm = make_threedm(2, [(0, 0, 0), (1, 1, 1), (0, 1, 1)])
     inst1, record1 = threedm_to_pfct_u(tdm, seed=5)
@@ -191,6 +262,36 @@ def test_threedm_generated_instance_shape():
     assert inst.n == 3 and inst.m == 7  # triples, elements + dummy
     assert record["delta"] == default_delta(2, 6)
     assert verify_h_independence(record["element_demands"], 6)
+
+
+def _threedm_pin_cases():
+    rng = random.Random(101)
+    for k in range(30):
+        n = rng.randint(2, 4)
+        b_prime = k % 6 + 1
+        # Every element in some triple, plus extra triples, so the dummy is positive.
+        perm = [rng.sample(range(n), n) for _ in range(3)]
+        triples = set(zip(*perm))
+        while len(triples) < n + rng.randint(1, 3):
+            triples.add((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
+        # A delta far below the default, so that some draws fail the check.
+        delta = rng.randint(1, 4) * (3 * n) ** (b_prime - 1)
+        yield make_threedm(n, sorted(triples)), b_prime, delta, k
+
+
+def test_threedm_output_pinned():
+    # Recorded before verify_h_independence compared multiset sums: any
+    # change in which draw is accepted changes the demands, the instance or
+    # the draw count, and with it this digest.  Eight of the 30 inputs redraw.
+    digest = hashlib.sha256()
+    redrawn = 0
+    for tdm, b_prime, delta, seed in _threedm_pin_cases():
+        inst, record = threedm_to_pfct_u(tdm, delta=delta, seed=seed, b_prime=b_prime)
+        redrawn += record["draws"] > 1
+        digest.update(serialize_instance(inst).encode())
+        digest.update(repr(sorted(record.items())).encode() + b"\n")
+    assert redrawn == 8
+    assert digest.hexdigest() == "ada4584a2fe98f30b22484677a326c3373df4c8fd24e363336d1c6b6b5428d75"
 
 
 def test_threedm_rejects_degenerate_sizes():
@@ -214,8 +315,6 @@ def test_threedm_small_balanced_sets_are_canonical():
                 [("source", s_idx), ("sink", x), ("sink", n + y), ("sink", 2 * n + z)]
             )
         )
-    import itertools
-
     elements = [("source", i) for i in range(inst.n)] + [
         ("sink", j) for j in range(inst.m - 1)  # dummy excluded
     ]
