@@ -5,7 +5,7 @@ the -S (sink-independent fixed costs) / -U (uniform fixed costs)
 restrictions of each.  See README for the file formats and the CLI.
 """
 
-from .bicriteria import round_tree, solve_bicriteria
+from .bicriteria import solve_bicriteria
 from .errors import (
     CertificateError,
     FctpError,
@@ -19,7 +19,6 @@ from .model import (
     INF,
     FlowSolution,
     Instance,
-    VariantTag,
     classify_variant,
     evaluate_cost,
     make_flow,
@@ -38,25 +37,15 @@ from .pfct_s import (
     lp_cost,
     no_crossing_check,
     opt_lower_bound,
-    pi,
-    sorted_view,
 )
 from .pfct_u import (
-    BalancedPartition,
-    BalancedSet,
-    Element,
-    LpCertificate,
-    PackingInstance,
     enumerate_balanced_sets,
-    exact_packing,
-    flow_within_balanced_sets,
-    local_search_packing,
     preprocess_matched_pairs,
     solve_pfct_u,
     uniform_pure_instance,
     verify_factor_revealing_certificate,
 )
 from .ptas import ptas_solve
-from .transport import cancel_cycles, solve_transportation
+from .transport import solve_transportation
 
 __version__ = "0.1.0"

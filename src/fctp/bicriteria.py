@@ -39,10 +39,8 @@ class NormalizedFractional:
 class BicriteriaReport:
     """Cost accounting emitted next to the solution."""
 
-    epsilon: Fraction
-    internal_epsilon: Fraction
     lp_value: Fraction
-    cost_bound: Fraction  # K(internal_epsilon) * lp_value
+    cost_bound: Fraction  # K(eps / 4) * lp_value
     actual_cost: Fraction
 
 
@@ -142,8 +140,6 @@ def solve_bicriteria(
     scaled = {(i, j): x * inst.supplies[i] / row_sums[i] for (i, j), x in unscaled.items()}
     flow = FlowSolution(entries=scaled, relaxation=eps)
     report = BicriteriaReport(
-        epsilon=eps,
-        internal_epsilon=internal,
         lp_value=lp_value,
         cost_bound=cost_factor(internal) * lp_value,
         actual_cost=evaluate_cost(inst, flow),

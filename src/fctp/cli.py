@@ -53,8 +53,18 @@ SOLVE_DEFAULTS = {"mode": "exact", "swap": 2, "epsilon": None, "guard": 16}
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        pass
+    # Read again with each undecodable byte kept as a lone surrogate, to
+    # name the first one and its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    bad = next(k for k, ch in enumerate(text) if "\udc80" <= ch <= "\udcff")
+    byte = ord(text[bad]) - 0xDC00
+    raise ParseError(text.count("\n", 0, bad) + 1, f"not UTF-8: byte 0x{byte:02x} in {path}")
 
 
 def _write(path: str, text: str) -> None:

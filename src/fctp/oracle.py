@@ -27,8 +27,6 @@ hangs from its sinks) or close a block (its net is not zero), and a tree
 that extends it stays below the window.  Sinks are the mirror image, so the
 window changes no cost and no choice.
 
-A second, independent strategy (exact_fct_enumerated) recursively assigns
-every integral distribution of each supply; the suite checks the two agree.
 Guards are hard errors, never silent truncation.
 """
 
@@ -39,7 +37,7 @@ from itertools import combinations
 
 from .errors import FctpError, GuardError, InfeasibleError
 from .model import (
-    INF, FlowSolution, Instance, check_balanced, check_instance, integer_scaled, subset_sums
+    FlowSolution, Instance, check_balanced, check_instance, integer_scaled, subset_sums
 )
 from .pfct_u import (
     BalancedPartition,
@@ -277,51 +275,6 @@ def _partition_dp(net: list[int], block_cost: list) -> tuple[int | None, list[in
     return dp[full], blocks
 
 
-def exact_fct_enumerated(inst: Instance, guard: int = 9) -> Fraction:
-    """Independent oracle strategy: enumerate all integral assignments.
-
-    Slower but structurally unrelated to exact_fct; used to cross-check it.
-    The guard bounds n * m, and the running time also grows with the supply
-    totals (keep them small).
-    """
-    check_instance(inst)
-    n, m = inst.n, inst.m
-    if n * m > guard:
-        raise GuardError(f"enumeration guard exceeded: n * m = {n * m} > {guard}")
-    rem_b = list(inst.demands)
-    best: list[Fraction | None] = [None]
-
-    def place_source(i: int, cost: Fraction) -> None:
-        if best[0] is not None and cost >= best[0]:
-            return
-        if i == n:
-            best[0] = cost
-            return
-        supply = inst.supplies[i]
-
-        def fill(j: int, left: int, acc: Fraction) -> None:
-            if best[0] is not None and acc >= best[0]:
-                return
-            if j == m:
-                if left == 0:
-                    place_source(i + 1, acc)
-                return
-            c = inst.linear[i][j]
-            top = 0 if c is INF else min(left, rem_b[j])
-            for x in range(top, -1, -1):
-                rem_b[j] -= x
-                extra = Fraction(0) if x == 0 else inst.fixed[i][j] + c * x
-                fill(j + 1, left - x, acc + extra)
-                rem_b[j] += x
-
-        fill(0, supply, cost)
-
-    place_source(0, Fraction(0))
-    if best[0] is None:
-        raise InfeasibleError("no feasible transportation")
-    return best[0]
-
-
 def exact_balanced_partition(
     inst: Instance, guard: int = 16
 ) -> tuple[int, BalancedPartition]:
@@ -407,37 +360,6 @@ def exact_dst(dst: DstInstance, guard: int = 7) -> Fraction:
     if answer is None:
         raise InfeasibleError("infeasible DST")
     return answer
-
-
-def exact_dst_by_edge_subsets(dst: DstInstance, edge_guard: int = 16) -> Fraction:
-    """Second DST strategy: enumerate edge subsets, keep reachability-feasible ones."""
-    edges = dst.edges
-    if len(edges) > edge_guard:
-        raise GuardError(f"too many edges ({len(edges)}) for subset enumeration")
-    best: Fraction | None = None
-    terminals = set(dst.terminals)
-    for mask in range(1 << len(edges)):
-        cost = Fraction(0)
-        chosen = []
-        for pos in range(len(edges)):
-            if mask >> pos & 1:
-                chosen.append(edges[pos])
-                cost += edges[pos][2]
-        if best is not None and cost >= best:
-            continue
-        reach = {dst.root}
-        changed = True
-        while changed:
-            changed = False
-            for u, v, _ in chosen:
-                if u in reach and v not in reach:
-                    reach.add(v)
-                    changed = True
-        if terminals <= reach:
-            best = cost
-    if best is None:
-        raise InfeasibleError("infeasible DST")
-    return best
 
 
 def exact_min_dominating(sc: SetCoverInstance, guard: int = 12) -> int:

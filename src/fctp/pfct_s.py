@@ -20,7 +20,6 @@ from .model import (
     Instance,
     check_balanced,
     classify_variant,
-    evaluate_cost,
     integer_scaled,
     two_pointer_steps,
 )
@@ -169,36 +168,3 @@ def no_crossing_check(inst: Instance, sol: FlowSolution) -> bool:
             if (ri < ri2 and rj > rj2) or (ri2 < ri and rj2 > rj):
                 return False
     return True
-
-
-def compare_residual_bound(inst1: Instance, inst2: Instance, delta: int) -> bool:
-    """Greedy on inst2 versus the exact optimum of inst1, shifted by delta.
-
-    The instances must share sources, supplies and fixed costs; the sink
-    profiles may differ.  Requires pi'(t) <= pi(t) + delta at every supply
-    breakpoint (error otherwise), and then checks
-
-        greedy_cost(inst2) <= opt(inst1) + delta * f_1 + sum_{i>=2} f_i
-
-    exactly, with opt from the exact oracle.  A test utility for the
-    residual-instance bound; no CLI command calls it.
-    """
-    from . import oracle
-
-    if delta < 0:
-        raise FctpError("delta must be nonnegative")
-    view = _require_pfct_s(inst1)
-    view2 = _require_pfct_s(inst2)
-    if inst1.supplies != inst2.supplies:
-        raise FctpError("instances must share supplies")
-    if _source_costs(inst1) != _source_costs(inst2):
-        raise FctpError("instances must share fixed costs")
-    counts1 = _cover_counts(view.demand_sorted, view.supply_prefix)
-    counts2 = _cover_counts(view2.demand_sorted, view.supply_prefix)
-    if any(k2 > k1 + delta for k1, k2 in zip(counts1, counts2)):
-        raise FctpError("pi shift exceeds delta")
-    greedy_cost = evaluate_cost(inst2, greedy_solve(inst2))
-    opt1, _ = oracle.exact_fct(inst1)
-    f = view.fixed_sorted
-    bound = opt1 + delta * f[0] + sum(f[1:], Fraction(0))
-    return greedy_cost <= bound

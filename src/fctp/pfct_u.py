@@ -245,7 +245,7 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[BalancedSe
         # Size-2 swaps: under maximality, an improving pair must consist of
         # two disjoint outsiders that each conflict with the same single
         # chosen set.
-        if swap_size >= 2 and not improved:
+        if swap_size >= 2:
             by_conflict: dict[int, list[int]] = {}
             for idx in range(len(masks)):
                 if idx in chosen:

@@ -102,23 +102,6 @@ def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
     return best_flow
 
 
-def restricted_lp_value(inst: Instance, edges) -> Fraction:
-    """LP value for one candidate set: sunk fixed costs plus the relaxation.
-
-    Test hook for the bound "correctly guessed P has LP value <= opt".
-    """
-    check_balanced(inst)
-    edges = tuple(edges)
-    if any(inst.linear[i][j] is INF for i, j in edges):
-        raise FctpError("a guessed edge is forbidden")
-    guesses = _Guesses(inst)
-    threshold = min((guesses.fixed[i][j] for i, j in edges), default=None)
-    level = guesses.level(threshold)
-    _, value = solve_transportation(inst, guesses.weights(level, edges))
-    sunk = sum((inst.fixed[i][j] for i, j in edges), Fraction(0))
-    return sunk + value / guesses.scale
-
-
 @dataclass(frozen=True)
 class _Level:
     """The edges with scaled fixed cost <= t (every edge when t is None).
@@ -127,7 +110,7 @@ class _Level:
     whether these edges alone can carry the flow, ``sink_min`` and
     ``source_min`` hold each node's cheapest scaled fixed cost among them
     (None for one they leave unreached), and ``weights`` is the relaxation
-    with no edge guessed, in ints scaled by :attr:`_Guesses.scale`.
+    with no edge guessed, in scaled ints.
     """
 
     masks: tuple[int, ...]
@@ -142,11 +125,11 @@ class _Guesses:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        fixed_scale, (self.fixed,) = integer_scaled(inst.fixed)
-        # Weight f_ij / b_j is fixed[i][j] * per_unit[j] / scale; demands are positive.
+        _, (self.fixed,) = integer_scaled(inst.fixed)
+        # Weight f_ij / b_j is fixed[i][j] * per_unit[j], up to one positive
+        # factor common to every weight; demands are positive.
         demand_lcm = lcm(*inst.demands)
         self.per_unit = [demand_lcm // b for b in inst.demands]
-        self.scale = fixed_scale * demand_lcm
         # supply_sums[s] = a(S) for every set S of sources, s being S as a bitmask.
         self.supply_sums = subset_sums(inst.supplies)
         self._levels: dict = {}
@@ -223,7 +206,7 @@ class _Guesses:
     def weights(self, level: _Level, combo) -> tuple[tuple, ...]:
         """Relaxation weights under a guess: guessed edges are free (their
         fixed costs are sunk), the level's other edges pay f/b fractionally,
-        the rest are forbidden; ints scaled by :attr:`scale`."""
+        the rest are forbidden."""
         rows = [list(row) for row in level.weights]
         for i, j in combo:
             rows[i][j] = 0

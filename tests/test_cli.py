@@ -149,6 +149,23 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_every_file_reading_command_refuses_non_utf8_input(e1_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"FCT v1\n1 1\n\xff\n")
+    commands = [
+        ["solve", "--variant", "pfct-s", "--input", str(bad)],
+        ["verify", e1_file, str(bad)],
+        ["oracle", "--input", str(bad)],
+        ["generate", "--from", "dst", "--input", str(bad)],
+        ["bench", "--config", str(bad), "--out-prefix", str(tmp_path / "out")],
+    ]
+    for argv in commands:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: line 3: not UTF-8: byte 0xff in {bad}\n"
+
+
 @pytest.mark.parametrize("token", ["1e9999999", "1.5", "1_0"])
 def test_solve_rejects_cost_outside_grammar(tmp_path, capsys, token):
     # Fraction(str) reads all three; 1e9999999 used to build a ten-million

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from reference import exact_dst_by_edge_subsets
 from util import brute_force_opt, is_forest
 
 from fctp import oracle
@@ -31,7 +34,7 @@ from fctp.reductions import make_dst, make_setcover
 def test_exact_fct_e1(e1):
     opt, flow = oracle.exact_fct(e1)
     assert opt == 28
-    assert oracle.exact_fct_enumerated(e1) == 28
+    assert brute_force_opt(e1) == 28
     assert validate_solution(e1, flow) is None
     assert evaluate_cost(e1, flow) == 28
 
@@ -47,7 +50,7 @@ def test_exact_fct_2x2_mixed_costs():
     inst = make_instance((2, 2), (3, 1), [[1, 1], [1, 1]], [[0, 1], [1, 0]])
     opt, _ = oracle.exact_fct(inst)
     assert opt == 4
-    assert oracle.exact_fct_enumerated(inst) == 4
+    assert brute_force_opt(inst) == 4
 
 
 def test_exact_fct_respects_forbidden_edges():
@@ -60,8 +63,7 @@ def test_exact_fct_respects_forbidden_edges():
     blocked = make_instance((1,), (1,), [[0]], [[INF]])
     with pytest.raises(InfeasibleError):
         oracle.exact_fct(blocked)
-    with pytest.raises(InfeasibleError):
-        oracle.exact_fct_enumerated(blocked)
+    assert brute_force_opt(blocked) is None
 
 
 def test_exact_fct_guard():
@@ -79,7 +81,6 @@ def test_strategies_agree_on_small_instances():
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         inst = random_fct(rng, n, m, max_supply=3, max_fixed=6, max_linear=3)
         opt, flow = oracle.exact_fct(inst)
-        assert opt == oracle.exact_fct_enumerated(inst)
         assert opt == brute_force_opt(inst)
         assert validate_solution(inst, flow) is None
         assert evaluate_cost(inst, flow) == opt
@@ -170,12 +171,11 @@ def test_exact_fct_window_output_pinned():
             cost, flow = oracle.exact_fct(inst)
         except InfeasibleError:
             if inst.n * inst.m <= 9:
-                with pytest.raises(InfeasibleError):
-                    oracle.exact_fct_enumerated(inst)
+                assert brute_force_opt(inst) is None
             digest.update(b"infeasible\n")
             continue
         if inst.n * inst.m <= 9:
-            assert cost == oracle.exact_fct_enumerated(inst)
+            assert cost == brute_force_opt(inst)
         digest.update(format_rational(cost).encode() + b"\n")
         digest.update(serialize_solution(flow).encode())
         digest.update(repr(list(flow.entries)).encode() + b"\n")
@@ -266,7 +266,7 @@ def test_exact_dst_strategies_agree_on_random_graphs():
             continue
         terminals = rng.sample(candidates, min(len(candidates), rng.randint(1, 3)))
         dst = make_dst(vertices, edges, 0, terminals)
-        assert oracle.exact_dst(dst) == oracle.exact_dst_by_edge_subsets(dst)
+        assert oracle.exact_dst(dst) == exact_dst_by_edge_subsets(dst)
 
 
 def test_exact_dst_unreachable_terminal():
@@ -312,3 +312,25 @@ def test_balanced_partition_output_pinned():
         count, partition = oracle.exact_balanced_partition(inst)
         digest.update(f"{count} {partition.parts!r}\n".encode())
     assert digest.hexdigest() == "e94ee45f0e95ac1d423444db2caf6deed856cc399c5944032ca523134756d2e5"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_only_cli_imports_the_oracle():
+    # The oracle is ground truth for the solvers, so no solver may lean on
+    # it, at module level or inside a function.
+    package = Path(__file__).resolve().parent.parent / "src" / "fctp"
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "cli" and {"oracle", "fctp.oracle"} & set(_imported_modules(tree)):
+            importers.append(path.stem)
+    assert importers == []

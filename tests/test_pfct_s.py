@@ -4,6 +4,7 @@ from itertools import accumulate
 
 import pytest
 
+from reference import compare_residual_bound
 from util import is_forest
 
 from fctp import oracle
@@ -11,7 +12,6 @@ from fctp.errors import FctpError, VariantError
 from fctp.generators import random_pfct_s
 from fctp.model import evaluate_cost, make_flow, make_instance, pure_instance
 from fctp.pfct_s import (
-    compare_residual_bound,
     greedy_solve,
     greedy_upper_bound,
     lp_cost,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import restricted_lp_value
 from util import is_forest
 
 from fctp import oracle
@@ -17,7 +18,7 @@ from fctp.model import (
     serialize_solution,
     validate_solution,
 )
-from fctp.ptas import _Guesses, candidate_sizes, ptas_solve, restricted_lp_value
+from fctp.ptas import _Guesses, candidate_sizes, ptas_solve
 from fctp.transport import solve_transportation
 
 
