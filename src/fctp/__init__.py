@@ -28,6 +28,7 @@ from .model import (
     pure_instance,
     serialize_instance,
     serialize_solution,
+    uniform_pure_instance,
     validate_instance,
     validate_solution,
 )
@@ -42,7 +43,6 @@ from .pfct_u import (
     enumerate_balanced_sets,
     preprocess_matched_pairs,
     solve_pfct_u,
-    uniform_pure_instance,
     verify_factor_revealing_certificate,
 )
 from .ptas import ptas_solve

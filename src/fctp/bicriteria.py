@@ -24,6 +24,11 @@ from .model import INF, FlowSolution, Instance, check_balanced, evaluate_cost
 from .transport import solve_transportation, walk_support
 
 
+def capacity(inst: Instance, i: int, j: int) -> int:
+    """p_ij = min(a_i, b_j), the most flow edge ij can carry."""
+    return min(inst.supplies[i], inst.demands[j])
+
+
 @dataclass(frozen=True)
 class NormalizedFractional:
     """Capacity-normalized fractional flow y_e = x_e / p_e on a forest."""
@@ -32,7 +37,7 @@ class NormalizedFractional:
     y: dict[tuple[int, int], Fraction]
 
     def p(self, i: int, j: int) -> int:
-        return min(self.instance.supplies[i], self.instance.demands[j])
+        return capacity(self.instance, i, j)
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,7 @@ def cost_factor(internal_eps: Fraction) -> Fraction:
 
 def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
     # (c p + f) per unit of p-mass: the LP weight c + f/p.
-    p = min(inst.supplies[i], inst.demands[j])
-    return inst.linear[i][j] + inst.fixed[i][j] / p
+    return inst.linear[i][j] + inst.fixed[i][j] / capacity(inst, i, j)
 
 
 def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractional:
@@ -123,15 +127,10 @@ def solve_bicriteria(
     )
     lp_sol, lp_value = solve_transportation(inst, weights)
 
-    y_all = {
-        (i, j): x / min(inst.supplies[i], inst.demands[j])
-        for (i, j), x in lp_sol.entries.items()
-    }
+    y_all = {(i, j): x / capacity(inst, i, j) for (i, j), x in lp_sol.entries.items()}
     rounded = round_tree(NormalizedFractional(instance=inst, y=y_all), internal).y
 
-    unscaled = {
-        (i, j): y * min(inst.supplies[i], inst.demands[j]) for (i, j), y in rounded.items()
-    }
+    unscaled = {(i, j): y * capacity(inst, i, j) for (i, j), y in rounded.items()}
     row_sums = FlowSolution(entries=unscaled).row_sums(inst.n)
     for i in range(inst.n):
         # Rounding keeps every row sum strictly inside ((1-2eps')a_i, (1+eps')a_i].

@@ -11,8 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import INF, Instance, make_instance, pure_instance
-from .pfct_u import uniform_pure_instance
+from .model import INF, Instance, make_instance, pure_instance, uniform_pure_instance
 
 
 def split_total(rng: random.Random, total: int, parts: int) -> list[int]:

@@ -174,6 +174,18 @@ def pure_instance(supplies, demands, fixed) -> Instance:
     return make_instance(supplies, demands, fixed, [[0] * len(demands)] * len(supplies))
 
 
+def uniform_pure_instance(supplies, demands) -> Instance:
+    """PFCT-U instance scaffold: f == 1, c == 0."""
+    supplies, demands = tuple(supplies), tuple(demands)
+    return pure_instance(supplies, demands, [[1] * len(demands)] * len(supplies))
+
+
+def signed_weights(inst: Instance) -> list[int]:
+    """Vertex weights in the one vertex numbering: source i is vertex i with
+    weight a_i, sink j is vertex n + j with weight -b_j."""
+    return list(inst.supplies) + [-b for b in inst.demands]
+
+
 def _sides_report(inst: Instance) -> str | None:
     """The first violation among n, m >= 1 and positive int supplies and demands."""
     if inst.n < 1:

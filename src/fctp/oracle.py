@@ -37,13 +37,13 @@ from itertools import combinations
 
 from .errors import FctpError, GuardError, InfeasibleError
 from .model import (
-    FlowSolution, Instance, check_balanced, check_instance, integer_scaled, subset_sums
-)
-from .pfct_u import (
-    BalancedPartition,
-    balanced_set,
-    sink_element,
-    source_element,
+    FlowSolution,
+    Instance,
+    check_balanced,
+    check_instance,
+    integer_scaled,
+    signed_weights,
+    subset_sums,
 )
 from .reductions import DigraphInstance, DstInstance, SetCoverInstance
 from .transport import walk_support
@@ -73,7 +73,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
 
     scale, (fix, lin) = integer_scaled(inst.fixed, inst.linear)
 
-    values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
+    values = signed_weights(inst)
     size = 1 << total_vertices
     net = subset_sums(values)
     src_mask = (1 << n) - 1
@@ -275,22 +275,15 @@ def _partition_dp(net: list[int], block_cost: list) -> tuple[int | None, list[in
     return dp[full], blocks
 
 
-def exact_balanced_partition(
-    inst: Instance, guard: int = 16
-) -> tuple[int, BalancedPartition]:
-    """Maximum number of balanced parts covering S and T (subset DP)."""
+def exact_balanced_partition(inst: Instance, guard: int = 16) -> tuple[int, list[int]]:
+    """Maximum number of balanced parts covering S and T (subset DP), and
+    the parts as vertex masks (source i is bit i, sink j is bit n + j)."""
     check_balanced(inst)
-    n, m = inst.n, inst.m
-    total_vertices = n + m
-    _check_subset_guard("partition", total_vertices, guard)
-    values = [inst.supplies[v] if v < n else -inst.demands[v - n] for v in range(total_vertices)]
-    net = subset_sums(values)
+    _check_subset_guard("partition", inst.n + inst.m, guard)
+    net = subset_sums(signed_weights(inst))
     # Each part costs -1, so the cheapest split has the most parts.
     cost, blocks = _partition_dp(net, [-1 if x == 0 else None for x in net])
-    ground = [source_element(i, a) for i, a in enumerate(inst.supplies)]
-    ground += [sink_element(j, b) for j, b in enumerate(inst.demands)]
-    parts = [balanced_set(e for v, e in enumerate(ground) if block >> v & 1) for block in blocks]
-    return -cost, BalancedPartition(parts=tuple(parts))
+    return -cost, blocks
 
 
 def exact_dst(dst: DstInstance, guard: int = 7) -> Fraction:

@@ -3,10 +3,11 @@
 With unit fixed costs and no linear costs, the problem is equivalent to
 partitioning sources and sinks into as many balanced sets as possible (a set
 is balanced when its supply equals its demand inside the set); a partition
-with q parts costs m + n - q.  The solver extracts matched supply/demand
-pairs, enumerates the balanced sets of size at most 5 once, packs the
-size <= k ones for k in {3, 4, 5} (exactly, or by bounded-swap local
-search), and keeps the best k.
+with q parts costs m + n - q.  A vertex set is an int bitmask throughout:
+source i is bit i and sink j is bit n + j.  The solver extracts matched
+supply/demand pairs, enumerates the balanced sets of size at most 5 once,
+packs the size <= k ones for k in {3, 4, 5} (exactly, or by bounded-swap
+local search), and keeps the best k.
 
 The worst-case ratio of this scheme is certified by a small factor-revealing
 LP whose exact optimum is 6/5; :func:`verify_factor_revealing_certificate`
@@ -22,99 +23,60 @@ from math import comb
 
 from .errors import CertificateError, FctpError, GuardError, VariantError
 from .model import (
-    FlowSolution, Instance, check_balanced, classify_variant, pure_instance, two_pointer_steps
+    FlowSolution,
+    Instance,
+    check_balanced,
+    classify_variant,
+    signed_weights,
+    two_pointer_steps,
+    uniform_pure_instance,
 )
 
-SOURCE = "source"
-SINK = "sink"
+# Most size-3..p outsider combinations local_search_packing may have to
+# scan, counted as sum over s of C(family size, s); above it the search
+# refuses with GuardError instead of running for minutes or hours.
+MAX_SWAP_COMBOS = 10**7
 
 
-@dataclass(frozen=True)
-class Element:
-    """One ground-set member: a source or sink with its supply/demand."""
-
-    side: str
-    index: int
-    weight: int
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (0 if self.side == SOURCE else 1, self.index)
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def source_element(index: int, weight: int) -> Element:
-    return Element(SOURCE, index, weight)
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def sink_element(index: int, weight: int) -> Element:
-    return Element(SINK, index, weight)
-
-
-@dataclass(frozen=True)
-class BalancedSet:
-    """A nonempty set of elements whose supply equals its demand, exactly."""
-
-    elements: tuple[Element, ...]
-
-    def __post_init__(self):
-        if not self.elements:
-            raise FctpError("balanced set must be nonempty")
-        if sum(e.weight for e in self.sources) != sum(
-            e.weight for e in self.sinks
-        ):
-            raise FctpError("set is not balanced")
-
-    @property
-    def sources(self) -> tuple[Element, ...]:
-        return tuple(e for e in self.elements if e.side == SOURCE)
-
-    @property
-    def sinks(self) -> tuple[Element, ...]:
-        return tuple(e for e in self.elements if e.side == SINK)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def balanced_set(elements) -> BalancedSet:
-    return BalancedSet(elements=tuple(sorted(elements, key=lambda e: e.key)))
-
-
-@dataclass(frozen=True)
-class BalancedPartition:
-    """Disjoint balanced sets covering all of S and T; cost = m + n - #parts."""
-
-    parts: tuple[BalancedSet, ...]
-
-    @property
-    def cost(self) -> int:
-        return sum(p.size for p in self.parts) - len(self.parts)
-
-
-def validate_partition(inst: Instance, partition: BalancedPartition) -> str | None:
-    """Check disjointness, coverage, weights, and per-part balance."""
-    seen = set()
-    for part in partition.parts:
-        for e in part.elements:
-            if e.key in seen:
-                return f"element {e.key} appears twice"
-            seen.add(e.key)
-            pool = inst.supplies if e.side == SOURCE else inst.demands
-            if not (0 <= e.index < len(pool)) or pool[e.index] != e.weight:
-                return f"element {e.key} does not match the instance"
-    expected = {(0, i) for i in range(inst.n)} | {(1, j) for j in range(inst.m)}
-    if seen != expected:
+def validate_partition(inst: Instance, parts) -> str | None:
+    """Check that the parts are nonempty, disjoint, cover every vertex and
+    each have net weight 0."""
+    weights = signed_weights(inst)
+    seen = 0
+    for k, part in enumerate(parts):
+        if not part:
+            return f"part {k} is empty"
+        if part & seen:
+            return f"part {k} overlaps an earlier part"
+        seen |= part
+        if part >> len(weights):
+            return f"part {k} has a vertex outside the instance"
+        if sum(weights[v] for v in _bits(part)) != 0:
+            return f"part {k} is not balanced"
+    if seen != (1 << len(weights)) - 1:
         return "partition does not cover all sources and sinks"
     return None
 
 
 @dataclass(frozen=True)
 class PackingInstance:
-    """k-set packing instance over the residual ground set."""
+    """k-set packing instance: balanced vertex sets as bitmasks over
+    `vertices` vertices."""
 
-    ground: tuple[Element, ...]
-    family: tuple[BalancedSet, ...]
+    vertices: int
+    family: tuple[int, ...]
     k: int
 
 
@@ -125,15 +87,13 @@ class LpCertificate:
     value: Fraction
 
 
-def preprocess_matched_pairs(
-    inst: Instance,
-) -> tuple[list[BalancedSet], Instance]:
+def preprocess_matched_pairs(inst: Instance) -> tuple[list[int], Instance]:
     """Extract {source, sink} pairs with a_i == b_j, smallest value first.
 
     Putting a matched pair in its own part never changes the optimal
     partition size (the two parts can be swapped back), so the residual
-    instance is equivalent and has no i, j with a_i == b_j.  Pair elements
-    keep the original instance's indices.
+    instance is equivalent and has no i, j with a_i == b_j.  Pairs are
+    vertex masks in the original instance's numbering.
     """
     tag = classify_variant(inst)
     if not (tag.pure and tag.uniform):
@@ -147,14 +107,12 @@ def preprocess_matched_pairs(
         if inst.supplies[i] == inst.demands[j]
     )
     pairs = []
-    for value, i, j in candidates:
+    for _, i, j in candidates:
         if i in used_src or j in used_snk:
             continue
         used_src.add(i)
         used_snk.add(j)
-        pairs.append(
-            balanced_set([source_element(i, value), sink_element(j, value)])
-        )
+        pairs.append(1 << i | 1 << (inst.n + j))
     keep_src = [i for i in range(inst.n) if i not in used_src]
     keep_snk = [j for j in range(inst.m) if j not in used_snk]
     # PFCT-U: the residual has f == 1 and c == 0 too.
@@ -167,7 +125,7 @@ def preprocess_matched_pairs(
 def enumerate_balanced_sets(
     inst: Instance, k: int, guard: int = 10**7
 ) -> PackingInstance:
-    """All balanced subsets of size 3..k, in canonical (size, lex) order.
+    """All balanced vertex sets of size 3..k, in canonical (size, lex) order.
 
     All-source or all-sink subsets cannot be balanced (weights are positive),
     so every family member mixes both sides.  Size-2 sets are assumed to have
@@ -175,35 +133,19 @@ def enumerate_balanced_sets(
     """
     if not 3 <= k <= 6:
         raise FctpError("k must be between 3 and 6")
-    ground = tuple(
-        [source_element(i, a) for i, a in enumerate(inst.supplies)]
-        + [sink_element(j, b) for j, b in enumerate(inst.demands)]
-    )
-    if len(ground) >= k and comb(len(ground), k) > guard:
+    weights = signed_weights(inst)
+    vertices = len(weights)
+    if vertices >= k and comb(vertices, k) > guard:
         raise GuardError("instance too large for enumeration")
     family = []
     for size in range(3, k + 1):
-        for combo in itertools.combinations(ground, size):
-            balance = sum(
-                e.weight if e.side == SOURCE else -e.weight for e in combo
-            )
-            if balance == 0:
-                family.append(BalancedSet(elements=combo))
-    return PackingInstance(ground=ground, family=tuple(family), k=k)
+        for combo in itertools.combinations(range(vertices), size):
+            if sum(weights[v] for v in combo) == 0:
+                family.append(_mask(combo))
+    return PackingInstance(vertices=vertices, family=tuple(family), k=k)
 
 
-def _family_masks(pk: PackingInstance) -> list[int]:
-    bit = {e.key: 1 << pos for pos, e in enumerate(pk.ground)}
-    masks = []
-    for bset in pk.family:
-        mask = 0
-        for e in bset.elements:
-            mask |= bit[e.key]
-        masks.append(mask)
-    return masks
-
-
-def local_search_packing(pk: PackingInstance, swap_size: int) -> list[BalancedSet]:
+def local_search_packing(pk: PackingInstance, swap_size: int) -> list[int]:
     """Bounded-swap local search: grow a packing until no <=p-for-(<p) swap helps.
 
     Deterministic first-improvement scans in the canonical family order.
@@ -213,10 +155,19 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[BalancedSe
     they hit.  The packing is kept maximal after every step, which makes
     size-1 improvements pure insertions and lets size-2 improvements be
     found by grouping outsiders by their unique conflicting chosen set.
+    Returns the chosen sets in family order.
     """
     if swap_size < 1:
         raise FctpError("swap size must be >= 1")
-    masks = _family_masks(pk)
+    masks = pk.family
+    # comb(len(masks), s) is 0 for s past the family size.
+    largest_swap = min(swap_size, len(masks))
+    combos = sum(comb(len(masks), s) for s in range(3, largest_swap + 1))
+    if combos > MAX_SWAP_COMBOS:
+        raise GuardError(
+            f"swap size {swap_size} on {len(masks)} sets needs {combos} combinations"
+            f" > {MAX_SWAP_COMBOS}"
+        )
     chosen: list[int] = []
     used = 0
 
@@ -267,11 +218,10 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[BalancedSe
                     swap([conflict], found)
                     improved = True
                     break
-        # Generic fallback for larger swaps; family sizes stay small when
-        # anyone asks for p >= 3.
+        # Generic scan for larger swaps, bounded by MAX_SWAP_COMBOS above.
         if swap_size >= 3 and not improved:
             outside = [idx for idx in range(len(masks)) if idx not in chosen]
-            for s in range(3, swap_size + 1):
+            for s in range(3, largest_swap + 1):
                 for combo in itertools.combinations(outside, s):
                     union = 0
                     disjoint = True
@@ -289,20 +239,22 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[BalancedSe
                         break
                 if improved:
                     break
+    return [masks[idx] for idx in chosen]
+
+
+def exact_packing(pk: PackingInstance) -> list[int]:
+    """Maximum-cardinality disjoint subfamily, by subset DP or branch and
+    bound; returns the chosen sets in family order."""
+    if pk.vertices <= 20:
+        chosen = _packing_dp(pk.family, pk.vertices)
+    elif len(pk.family) <= 25:
+        chosen = _packing_bnb(pk.family)
+    else:
+        raise GuardError("packing instance too large for exact mode")
     return [pk.family[idx] for idx in chosen]
 
 
-def exact_packing(pk: PackingInstance) -> list[BalancedSet]:
-    """Maximum-cardinality disjoint subfamily, by subset DP or branch and bound."""
-    masks = _family_masks(pk)
-    if len(pk.ground) <= 20:
-        return [pk.family[idx] for idx in _packing_dp(masks, len(pk.ground))]
-    if len(pk.family) <= 25:
-        return [pk.family[idx] for idx in _packing_bnb(masks)]
-    raise GuardError("packing instance too large for exact mode")
-
-
-def _packing_dp(masks: list[int], ground_size: int) -> list[int]:
+def _packing_dp(masks, ground_size: int) -> list[int]:
     by_low: dict[int, list[int]] = {}
     for idx, mask in enumerate(masks):
         low = mask & -mask
@@ -336,7 +288,7 @@ def _packing_dp(masks: list[int], ground_size: int) -> list[int]:
     return sorted(chosen)
 
 
-def _packing_bnb(masks: list[int]) -> list[int]:
+def _packing_bnb(masks) -> list[int]:
     n = len(masks)
     best_set: list[int] = []
 
@@ -358,18 +310,21 @@ def _packing_bnb(masks: list[int]) -> list[int]:
     return sorted(best_set)
 
 
-def _two_pointer_fill(part: BalancedSet):
+def _two_pointer_fill(inst: Instance, mask: int):
     """Route supplies to demands inside one part by the two-pointer sweep.
 
-    Returns [(sub_part, edges)] components: where a step empties a supply
+    Returns [(sub_mask, edges)] components: where a step empties a supply
     and a demand together, the next step advances both pointers and the
     part splits there, which only ever adds parts (and so lowers the cost).
     Packed sets of size <= 5 from a pair-free residual never split; only
     the remainder part can.
     """
-    sources = sorted(part.sources, key=lambda e: e.index)
-    sinks = sorted(part.sinks, key=lambda e: e.index)
-    steps = two_pointer_steps([e.weight for e in sources], [e.weight for e in sinks])
+    n = inst.n
+    sources = list(_bits(mask & ((1 << n) - 1)))
+    sinks = list(_bits(mask >> n))
+    steps = two_pointer_steps(
+        [inst.supplies[i] for i in sources], [inst.demands[j] for j in sinks]
+    )
     cuts = [
         k for k in range(1, len(steps))
         if steps[k - 1][0] < steps[k][0] and steps[k - 1][1] < steps[k][1]
@@ -377,16 +332,17 @@ def _two_pointer_fill(part: BalancedSet):
     components = []
     for lo, hi in zip([0] + cuts, cuts + [len(steps)]):
         (p0, q0, _), (p1, q1, _) = steps[lo], steps[hi - 1]
-        edges = [(sources[p].index, sinks[q].index, amount) for p, q, amount in steps[lo:hi]]
-        components.append((balanced_set(sources[p0 : p1 + 1] + sinks[q0 : q1 + 1]), edges))
+        edges = [(sources[p], sinks[q], amount) for p, q, amount in steps[lo:hi]]
+        sub_mask = _mask(sources[p0 : p1 + 1]) | _mask(sinks[q0 : q1 + 1]) << n
+        components.append((sub_mask, edges))
     return components
 
 
-def flow_within_balanced_sets(partition: BalancedPartition) -> FlowSolution:
+def flow_within_balanced_sets(inst: Instance, parts) -> FlowSolution:
     """Greedy within-part routing; edge count is sum(|part| - 1) per part."""
     entries: dict[tuple[int, int], Fraction] = {}
-    for part in partition.parts:
-        for _, edges in _two_pointer_fill(part):
+    for part in parts:
+        for _, edges in _two_pointer_fill(inst, part):
             for i, j, amount in edges:
                 entries[(i, j)] = Fraction(amount)
     return FlowSolution(entries=entries)
@@ -394,53 +350,48 @@ def flow_within_balanced_sets(partition: BalancedPartition) -> FlowSolution:
 
 def solve_pfct_u(
     inst: Instance, mode: str = "exact", swap_size: int = 2
-) -> tuple[BalancedPartition, FlowSolution]:
+) -> tuple[tuple[int, ...], FlowSolution]:
     """Best balanced partition over k in {3, 4, 5}, plus its routed flow.
 
-    mode "exact" packs by brute force (keeps the full 6/5 guarantee at desk
-    scale); mode "ls" uses bounded-swap local search with the given swap
-    size.  The balanced sets are enumerated once, for k = 5: the family is
-    in (size, lex) order, so the family for a smaller k is a prefix of it.
-    The remainder of the residual after packing forms one extra part
-    (split further if the routing disconnects it; both only lower the cost).
+    The parts are vertex masks (source i is bit i, sink j is bit n + j);
+    the partition costs n + m - len(parts).  mode "exact" packs by brute
+    force (keeps the full 6/5 guarantee at desk scale); mode "ls" uses
+    bounded-swap local search with the given swap size.  The balanced sets
+    are enumerated once, for k = 5: the family is in (size, lex) order, so
+    the family for a smaller k is a prefix of it.  The remainder of the
+    residual after packing forms one extra part (split further if the
+    routing disconnects it; both only lower the cost).
     """
     check_balanced(inst)
     if mode not in ("exact", "ls"):
         raise FctpError(f"unknown mode {mode!r}")
     pairs, residual = preprocess_matched_pairs(inst)
 
-    best_parts: list[BalancedSet] | None = None
+    best_parts: list[int] = []
     if residual.n:
         full = enumerate_balanced_sets(residual, 5)
+        everyone = (1 << full.vertices) - 1
         for k in (3, 4, 5):
-            size = sum(1 for bset in full.family if bset.size <= k)
-            pk = PackingInstance(ground=full.ground, family=full.family[:size], k=k)
+            size = sum(1 for mask in full.family if mask.bit_count() <= k)
+            pk = PackingInstance(vertices=full.vertices, family=full.family[:size], k=k)
             if mode == "exact":
                 chosen = exact_packing(pk)
             else:
                 chosen = local_search_packing(pk, swap_size)
-            taken = {e.key for bset in chosen for e in bset.elements}
-            leftover = [e for e in pk.ground if e.key not in taken]
-            parts = list(chosen)
-            if leftover:
-                parts.append(balanced_set(leftover))
-            if best_parts is None or len(parts) > len(best_parts):
+            # Packed sets are disjoint, so their sum is their union.
+            leftover = everyone ^ sum(chosen)
+            parts = chosen + [leftover] if leftover else chosen
+            if len(parts) > len(best_parts):
                 best_parts = parts
 
-    # Residual index k is the k-th source (sink) left unpaired.
-    paired = {e.key for pair in pairs for e in pair.elements}
-    kept = [
-        [k for k in range(size) if (side, k) not in paired]
-        for side, size in ((0, inst.n), (1, inst.m))
-    ]
-    final_parts: list[BalancedSet] = list(pairs)
-    for bset in best_parts or []:
-        part = balanced_set(
-            Element(e.side, kept[e.key[0]][e.index], e.weight) for e in bset.elements
-        )
-        final_parts.extend(sub_part for sub_part, _ in _two_pointer_fill(part))
-    partition = BalancedPartition(parts=tuple(final_parts))
-    return partition, flow_within_balanced_sets(partition)
+    # Residual vertex v is the v-th vertex no pair took.
+    kept = list(_bits(((1 << (inst.n + inst.m)) - 1) ^ sum(pairs)))
+    final_parts = list(pairs)
+    for part in best_parts:
+        original = _mask(kept[v] for v in _bits(part))
+        final_parts.extend(sub_mask for sub_mask, _ in _two_pointer_fill(inst, original))
+    parts = tuple(final_parts)
+    return parts, flow_within_balanced_sets(inst, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +487,3 @@ def verify_factor_revealing_certificate(
         raise CertificateError("; ".join(problems))
     return LpCertificate(primal=p, dual=d, value=_VALUE)
 
-
-def uniform_pure_instance(supplies, demands) -> Instance:
-    """PFCT-U instance scaffold: f == 1, c == 0."""
-    supplies, demands = tuple(supplies), tuple(demands)
-    return pure_instance(supplies, demands, [[1] * len(demands)] * len(supplies))

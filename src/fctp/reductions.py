@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError, GuardError
-from .model import INF, Instance, make_instance
-from .pfct_u import uniform_pure_instance
+from .model import INF, Instance, make_instance, uniform_pure_instance
 
 Vertex = object  # hashable vertex id; strings and ints in practice
 
@@ -376,8 +375,9 @@ def threedm_to_pfct_u(
     are forced to be unions of canonical {i, j, k, ijk} sets; after
     MAX_DRAWS failed draws it gives up with FctpError.
 
-    Returns the instance and a replayable demand record.  Element sinks come
-    in X, Y, Z order followed by the dummy sink, sources in triple order.
+    Returns the instance and a replayable demand record.  The 3n element
+    sinks come in X, Y, Z order followed by the dummy sink, sources in
+    triple order.
     """
     if not 1 <= b_prime <= 6:
         raise FctpError("b_prime must be between 1 and 6")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from fctp.model import (
     parse_instance,
     parse_solution,
     serialize_instance,
+    uniform_pure_instance,
 )
-from fctp.pfct_u import uniform_pure_instance
 
 
 @pytest.fixture
@@ -140,6 +141,22 @@ def test_oracle_memory_ceiling_exits_2(tmp_path, capsys):
     path.write_text(serialize_instance(uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)))
     assert main(["oracle", "--input", str(path), "--guard", "64"]) == 2
     assert "memory ceiling exceeded: n + m = 21 > 20" in capsys.readouterr().err
+
+
+def test_solve_refuses_large_swap_scan(tmp_path, capsys):
+    # A 4 x 18 draw of random_pfct_u(Random(7), 22, max_supply=4): its
+    # 3 x 17 residual has 136 balanced sets of size 3 and 816 of size <= 5,
+    # so --swap 3 would scan about 9e7 triples at k = 5 (about a minute)
+    # and --swap 4 about 1.4e7 quadruples already at k = 3.
+    path = tmp_path / "wide.fct"
+    path.write_text(serialize_instance(uniform_pure_instance((2, 3, 1, 12), (1,) * 18)))
+    for swap in ("3", "4"):
+        started = time.perf_counter()
+        code = main(["solve", "--variant", "pfct-u", "--mode", "ls", "--swap", swap,
+                     "--input", str(path)])
+        assert time.perf_counter() - started < 2
+        assert code == 2
+        assert "combinations > 10000000" in capsys.readouterr().err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -25,9 +25,10 @@ from fctp.model import (
     format_rational,
     make_instance,
     serialize_solution,
+    uniform_pure_instance,
     validate_solution,
 )
-from fctp.pfct_u import uniform_pure_instance, validate_partition
+from fctp.pfct_u import validate_partition
 from fctp.reductions import make_dst, make_setcover
 
 
@@ -302,16 +303,18 @@ def test_partition_guard():
 
 
 def test_balanced_partition_output_pinned():
-    # Recorded before exact_fct and exact_balanced_partition shared one
-    # partition DP: any change in which maximum partition is picked among
-    # ties, or in the order of its parts, changes this digest.
+    # Recorded from the parts as vertex masks (source i is bit i, sink j is
+    # bit n + j), and equal to the digest of the same masks built from the
+    # element objects the oracle returned before: any change in which
+    # maximum partition is picked among ties, or in the order of its parts,
+    # changes this digest.
     rng = random.Random(2032)
     digest = hashlib.sha256()
     for k in range(120):
         inst = random_pfct_u(rng, 2 + k % 11, max_supply=3)
-        count, partition = oracle.exact_balanced_partition(inst)
-        digest.update(f"{count} {partition.parts!r}\n".encode())
-    assert digest.hexdigest() == "e94ee45f0e95ac1d423444db2caf6deed856cc399c5944032ca523134756d2e5"
+        count, blocks = oracle.exact_balanced_partition(inst)
+        digest.update(f"{count} {blocks!r}\n".encode())
+    assert digest.hexdigest() == "6c18621deb6557ffe6301f241baeb305f4aa11cacca9315ac4c4783b367b9dc5"
 
 
 def _imported_modules(tree):
@@ -332,5 +335,24 @@ def test_only_cli_imports_the_oracle():
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem != "cli" and {"oracle", "fctp.oracle"} & set(_imported_modules(tree)):
+            importers.append(path.stem)
+    assert importers == []
+
+
+SOLVER_MODULES = ("pfct_s", "pfct_u", "fct_u", "bicriteria", "ptas")
+
+
+def test_only_cli_and_init_import_a_solver():
+    # Models, generators, reductions, transport and the oracle sit below the
+    # solvers, so none of them may import one, at module level or inside a
+    # function; the solvers may not import each other either.
+    package = Path(__file__).resolve().parent.parent / "src" / "fctp"
+    solvers = {name for solver in SOLVER_MODULES for name in (solver, f"fctp.{solver}")}
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("cli", "__init__"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if solvers & set(_imported_modules(tree)):
             importers.append(path.stem)
     assert importers == []

@@ -11,46 +11,52 @@ from fctp import oracle
 from fctp.errors import CertificateError, FctpError, GuardError, VariantError
 from fctp.generators import random_pfct_u
 from fctp.model import evaluate_cost, serialize_solution, validate_solution
+from fctp.model import uniform_pure_instance
 from fctp.pfct_u import (
-    BalancedPartition,
-    balanced_set,
     enumerate_balanced_sets,
     exact_packing,
     flow_within_balanced_sets,
     local_search_packing,
     PackingInstance,
     preprocess_matched_pairs,
-    sink_element,
     solve_pfct_u,
-    source_element,
-    uniform_pure_instance,
     validate_partition,
     verify_factor_revealing_certificate,
 )
 
 
-def keys(bset):
-    return [(e.side, e.index) for e in bset.elements]
+def keys(mask, n):
+    """A vertex mask as [(side, index), ...] in ascending bit order: source
+    i is bit i, sink j is bit n + j."""
+    return [
+        ("source", v) if v < n else ("sink", v - n)
+        for v in range(mask.bit_length())
+        if mask >> v & 1
+    ]
 
 
-def test_balanced_set_rejects_imbalance():
-    with pytest.raises(FctpError, match="not balanced"):
-        balanced_set([source_element(0, 3), sink_element(0, 2)])
-    with pytest.raises(FctpError, match="nonempty"):
-        balanced_set([])
+def test_validate_partition_rejects_bad_parts():
+    # Vertices: source 0 (3), source 1 (5), sink 0 (1), sink 1 (2), sink 2 (5).
+    inst = uniform_pure_instance((3, 5), (1, 2, 5))
+    assert validate_partition(inst, (0b01101, 0b10010)) is None
+    assert validate_partition(inst, (0b00101, 0b11010)) == "part 0 is not balanced"
+    assert validate_partition(inst, (0b01101, 0b11110)) == "part 1 overlaps an earlier part"
+    assert validate_partition(inst, (0b01101,)) == "partition does not cover all sources and sinks"
+    assert validate_partition(inst, (0b01101, 0, 0b10010)) == "part 1 is empty"
+    assert validate_partition(inst, (0b01101, 0b110010)) == "part 1 has a vertex outside the instance"
 
 
 def test_preprocess_extracts_matched_pair():
     inst = uniform_pure_instance((3, 5), (1, 2, 5))
     pairs, residual = preprocess_matched_pairs(inst)
-    assert [keys(p) for p in pairs] == [[("source", 1), ("sink", 2)]]
+    assert [keys(p, inst.n) for p in pairs] == [[("source", 1), ("sink", 2)]]
     assert residual.supplies == (3,)
     assert residual.demands == (1, 2)
 
 
 def test_preprocess_trivial_pair():
     pairs, residual = preprocess_matched_pairs(uniform_pure_instance((2,), (2,)))
-    assert [keys(p) for p in pairs] == [[("source", 0), ("sink", 0)]]
+    assert [keys(p, 1) for p in pairs] == [[("source", 0), ("sink", 0)]]
     assert residual.n == 0 and residual.m == 0
 
 
@@ -64,7 +70,7 @@ def test_preprocess_no_pairs():
 def test_preprocess_smallest_value_first():
     inst = uniform_pure_instance((4, 2, 2), (2, 4, 2))
     pairs, residual = preprocess_matched_pairs(inst)
-    assert [keys(p) for p in pairs] == [
+    assert [keys(p, inst.n) for p in pairs] == [
         [("source", 1), ("sink", 0)],
         [("source", 2), ("sink", 2)],
         [("source", 0), ("sink", 1)],
@@ -87,14 +93,14 @@ def test_preprocess_keeps_optimum_partition_count():
 
 def test_enumerate_balanced_sets_examples():
     pk = enumerate_balanced_sets(uniform_pure_instance((3,), (1, 2)), 3)
-    assert [keys(b) for b in pk.family] == [
+    assert [keys(b, 1) for b in pk.family] == [
         [("source", 0), ("sink", 0), ("sink", 1)]
     ]
     assert enumerate_balanced_sets(
         uniform_pure_instance((2, 2), (1, 3)), 3
     ).family == ()
     pk4 = enumerate_balanced_sets(uniform_pure_instance((2, 2), (1, 3)), 4)
-    assert [keys(b) for b in pk4.family] == [
+    assert [keys(b, 2) for b in pk4.family] == [
         [("source", 0), ("source", 1), ("sink", 0), ("sink", 1)]
     ]
 
@@ -106,21 +112,12 @@ def test_enumerate_guard():
 
 
 def _abc_packing():
-    # Ground 1..6 with weights making {1,2,3}, {3,4,5}, {4,5,6} balanced.
-    e1, e4 = source_element(0, 2), source_element(1, 2)
-    e2, e3, e5, e6 = (
-        sink_element(0, 1),
-        sink_element(1, 1),
-        sink_element(2, 1),
-        sink_element(3, 1),
-    )
-    family = (
-        balanced_set([e1, e2, e3]),
-        balanced_set([e3, e4, e5]),
-        balanced_set([e4, e5, e6]),
-    )
-    ground = (e1, e4, e2, e3, e5, e6)
-    return PackingInstance(ground=ground, family=family, k=3)
+    # Elements 1..6 with weights making {1,2,3}, {3,4,5}, {4,5,6} balanced:
+    # 1 and 4 are sources of supply 2 (bits 0 and 1), 2, 3, 5 and 6 sinks of
+    # demand 1 (bits 2 to 5).
+    e1, e4, e2, e3, e5, e6 = (1 << v for v in range(6))
+    family = (e1 | e2 | e3, e3 | e4 | e5, e4 | e5 | e6)
+    return PackingInstance(vertices=6, family=family, k=3)
 
 
 def test_local_search_abc_example():
@@ -131,7 +128,7 @@ def test_local_search_abc_example():
 
 
 def test_local_search_degenerate_families():
-    pk = PackingInstance(ground=(), family=(), k=3)
+    pk = PackingInstance(vertices=0, family=(), k=3)
     assert local_search_packing(pk, 2) == []
     inst = uniform_pure_instance((3, 3), (1, 2, 1, 2))
     pk = enumerate_balanced_sets(inst, 3)
@@ -140,52 +137,65 @@ def test_local_search_degenerate_families():
     assert len(chosen) == 2  # all sources used by two disjoint triples
 
 
+def test_local_search_swap_guard():
+    # 60 disjoint sets: swaps of size 3..5 count 5 983 367 combinations, under
+    # MAX_SWAP_COMBOS; size 6 adds 50 063 860 and is refused before any scan.
+    pk = PackingInstance(vertices=60, family=tuple(1 << v for v in range(60)), k=3)
+    assert len(local_search_packing(pk, 5)) == 60
+    with pytest.raises(GuardError, match="56047227 combinations > 10000000"):
+        local_search_packing(pk, 6)
+    # Swap sizes past the family size add nothing to scan or to count.
+    pk = _abc_packing()
+    assert local_search_packing(pk, 10**18) == [pk.family[0], pk.family[2]]
+
+
 def test_local_search_takes_disjoint_family_entirely():
     inst = uniform_pure_instance((3, 3, 3), (1, 2, 1, 2, 1, 2))
     pk = enumerate_balanced_sets(inst, 3)
     chosen = local_search_packing(pk, 2)
-    used = [e.key for b in chosen for e in b.elements]
     assert len(chosen) == 3
-    assert len(used) == len(set(used)) == 9
+    assert sum(chosen) == (1 << 9) - 1  # disjoint and covering
 
 
 def test_exact_packing_examples():
     pk = _abc_packing()
     assert len(exact_packing(pk)) == 2
-    assert exact_packing(PackingInstance(ground=(), family=(), k=3)) == []
-    single = PackingInstance(
-        ground=_abc_packing().ground, family=_abc_packing().family[:1], k=3
-    )
+    assert exact_packing(PackingInstance(vertices=0, family=(), k=3)) == []
+    single = PackingInstance(vertices=6, family=_abc_packing().family[:1], k=3)
     assert len(exact_packing(single)) == 1
 
 
 def _wide_packing(rng, sets):
-    """21 ground elements, past the subset DP, and `sets` random balanced triples."""
-    sources = [source_element(i, 2) for i in range(7)]
-    sinks = [sink_element(j, 1) for j in range(14)]
+    """21 vertices, past the subset DP, and `sets` random balanced triples:
+    7 sources of supply 2 (bits 0 to 6) and 14 sinks of demand 1 (bits 7 to 20)."""
     triples = set()
     while len(triples) < sets:
         triples.add((rng.randrange(7),) + tuple(sorted(rng.sample(range(14), 2))))
-    family = tuple(
-        balanced_set([sources[i], sinks[j], sinks[k]]) for i, j, k in sorted(triples)
-    )
-    return PackingInstance(ground=tuple(sources + sinks), family=family, k=3)
+    family = tuple(1 << i | 1 << (7 + j) | 1 << (7 + k) for i, j, k in sorted(triples))
+    return PackingInstance(vertices=21, family=family, k=3)
+
+
+def _disjoint(masks):
+    union = 0
+    for mask in masks:
+        if mask & union:
+            return False
+        union |= mask
+    return True
 
 
 def test_exact_packing_branch_and_bound_matches_brute_force():
     rng = random.Random(47)
     for _ in range(5):
         pk = _wide_packing(rng, 12)
-        keys = [frozenset(e.key for e in bset.elements) for bset in pk.family]
         best = max(
             size
-            for size in range(len(keys) + 1)
-            for subset in itertools.combinations(keys, size)
-            if 3 * size == len(frozenset().union(*subset))
+            for size in range(len(pk.family) + 1)
+            for subset in itertools.combinations(pk.family, size)
+            if _disjoint(subset)
         )
         chosen = exact_packing(pk)
-        used = [e.key for bset in chosen for e in bset.elements]
-        assert len(used) == len(set(used))
+        assert _disjoint(chosen)
         assert len(chosen) == best
 
 
@@ -209,21 +219,19 @@ def test_local_search_vs_exact_quality():
 
 
 def test_solve_pfct_u_examples():
-    part, flow = solve_pfct_u(uniform_pure_instance((3, 5), (1, 2, 5)))
-    assert sorted(sorted(keys(p)) for p in part.parts) == [
+    inst = uniform_pure_instance((3, 5), (1, 2, 5))
+    parts, flow = solve_pfct_u(inst)
+    assert sorted(sorted(keys(p, inst.n)) for p in parts) == [
         [("sink", 0), ("sink", 1), ("source", 0)],
         [("sink", 2), ("source", 1)],
     ]
-    assert part.cost == 3
-    inst = uniform_pure_instance((3, 5), (1, 2, 5))
-    assert evaluate_cost(inst, flow) == 3
+    assert evaluate_cost(inst, flow) == inst.n + inst.m - len(parts) == 3
 
-    part, flow = solve_pfct_u(uniform_pure_instance((2,), (2,)))
-    assert part.cost == 1 and len(part.parts) == 1
+    parts, flow = solve_pfct_u(uniform_pure_instance((2,), (2,)))
+    assert parts == (0b11,)
 
-    part, flow = solve_pfct_u(uniform_pure_instance((7,), (1, 2, 4)))
-    assert len(part.parts) == 1
-    assert part.cost == 3
+    parts, flow = solve_pfct_u(uniform_pure_instance((7,), (1, 2, 4)))
+    assert parts == (0b1111,)
 
 
 def test_solve_pfct_u_requires_variant():
@@ -237,17 +245,18 @@ def test_solve_pfct_u_invariants():
     rng = random.Random(47)
     for _ in range(30):
         inst = random_pfct_u(rng, rng.randint(2, 12), max_supply=8)
-        part, flow = solve_pfct_u(inst)
-        assert validate_partition(inst, part) is None
+        parts, flow = solve_pfct_u(inst)
+        assert validate_partition(inst, parts) is None
         assert validate_solution(inst, flow) is None
         assert is_forest(flow.entries)
         # Edge-count identity: |support| + |parts| == m + n.
-        assert len(flow.entries) + len(part.parts) == inst.n + inst.m
-        assert evaluate_cost(inst, flow) == part.cost
+        cost = inst.n + inst.m - len(parts)
+        assert len(flow.entries) == cost
+        assert evaluate_cost(inst, flow) == cost
         # 6/5 bound in exact mode, exact rational comparison.
         count, _ = oracle.exact_balanced_partition(inst)
         opt_cost = inst.n + inst.m - count
-        assert 5 * part.cost <= 6 * opt_cost
+        assert 5 * cost <= 6 * opt_cost
 
 
 def _pfct_u_pinned_cases():
@@ -271,42 +280,26 @@ def test_pfct_u_output_pinned():
     digest = hashlib.sha256()
     for inst in _pfct_u_pinned_cases():
         for mode, swap in (("exact", 2), ("ls", 1), ("ls", 2), ("ls", 3)):
-            part, flow = solve_pfct_u(inst, mode=mode, swap_size=swap)
-            digest.update(repr([keys(p) for p in part.parts]).encode() + b"\n")
+            parts, flow = solve_pfct_u(inst, mode=mode, swap_size=swap)
+            digest.update(repr([keys(p, inst.n) for p in parts]).encode() + b"\n")
             digest.update(serialize_solution(flow).encode())
     assert digest.hexdigest() == "78211d938d8ccbac3171f98b51e187ce832747501c1da5ee2fca4dd1b4e9b262"
 
 
 def test_flow_within_balanced_sets_examples():
-    part = balanced_set(
-        [source_element(0, 3), sink_element(0, 1), sink_element(1, 2)]
-    )
-    flow = flow_within_balanced_sets(
-        BalancedPartition(parts=(part,))
-    )
+    flow = flow_within_balanced_sets(uniform_pure_instance((3,), (1, 2)), (0b111,))
     assert flow.entries == {(0, 0): Fraction(1), (0, 1): Fraction(2)}
 
-    part = balanced_set(
-        [
-            source_element(0, 2),
-            source_element(1, 2),
-            sink_element(0, 1),
-            sink_element(1, 3),
-        ]
-    )
-    flow = flow_within_balanced_sets(
-        BalancedPartition(parts=(part,))
-    )
+    flow = flow_within_balanced_sets(uniform_pure_instance((2, 2), (1, 3)), (0b1111,))
     assert flow.entries == {
         (0, 0): Fraction(1),
         (0, 1): Fraction(1),
         (1, 1): Fraction(2),
     }
 
-    pair = balanced_set([source_element(2, 4), sink_element(1, 4)])
-    flow = flow_within_balanced_sets(
-        BalancedPartition(parts=(pair,))
-    )
+    # Only the given part is routed: source 2 (bit 2) and sink 1 (bit 4).
+    inst = uniform_pure_instance((1, 1, 4), (2, 4))
+    flow = flow_within_balanced_sets(inst, (1 << 2 | 1 << 4,))
     assert flow.entries == {(2, 1): Fraction(4)}
 
 
