@@ -1,13 +1,12 @@
 """Bicriteria approximation for general instances: demands met within 1 +/- eps.
 
 Pipeline: solve the linear relaxation with capacity-normalized weights
-c_ij + f_ij / p_ij where p_ij = min(a_i, b_j); normalize the forest solution
-to y_e = x_e / p_e in [0, 1]; walk the whole forest once, each tree rooted
-at its lowest vertex, and at every vertex round the child edges whose y is
-below a threshold to 0 or the threshold without raising the cost; rescale
-each source's outgoing flow so supplies are met exactly.  Each sink then
-receives within (1 +/- eps) of its demand and the cost is at most K(eps')
-times the LP value with K(t) = 1 / (t (1 - 2t)).
+c_ij + f_ij / p_ij where p_ij = min(a_i, b_j); walk the LP's forest once,
+each tree rooted at its lowest vertex, and at every vertex round the child
+edges carrying less than eps' p_e to 0 or eps' p_e without raising the cost;
+rescale each source's outgoing flow so supplies are met exactly.  Each sink
+then receives within (1 +/- eps) of its demand and the cost is at most
+K(eps') times the LP value with K(t) = 1 / (t (1 - 2t)).
 
 The public eps is pre-shrunk internally to eps' = eps / 4, which guarantees
 (1 - 2 eps') / (1 + eps') >= 1 - eps and (1 + eps') / (1 - 2 eps') <= 1 + eps
@@ -30,17 +29,6 @@ def capacity(inst: Instance, i: int, j: int) -> int:
 
 
 @dataclass(frozen=True)
-class NormalizedFractional:
-    """Capacity-normalized fractional flow y_e = x_e / p_e on a forest."""
-
-    instance: Instance
-    y: dict[tuple[int, int], Fraction]
-
-    def p(self, i: int, j: int) -> int:
-        return capacity(self.instance, i, j)
-
-
-@dataclass(frozen=True)
 class BicriteriaReport:
     """Cost accounting emitted next to the solution."""
 
@@ -50,7 +38,7 @@ class BicriteriaReport:
 
 
 def cost_factor(internal_eps: Fraction) -> Fraction:
-    """K(t) = 1 / (t (1 - 2t)): rounding keeps y >= t, rescaling <= 1/(1-2t)."""
+    """K(t) = 1 / (t (1 - 2t)): rounding keeps x >= t p, rescaling <= 1/(1-2t)."""
     return 1 / (internal_eps * (1 - 2 * internal_eps))
 
 
@@ -59,50 +47,46 @@ def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
     return inst.linear[i][j] + inst.fixed[i][j] / capacity(inst, i, j)
 
 
-def round_tree(tree: NormalizedFractional, eps: Fraction) -> NormalizedFractional:
-    """Round sub-threshold child edges to {0, eps} per vertex, group by group.
+def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
+    """Round each vertex's small child edges, those with x < eps p, to eps p or 0.
 
     The support may be a forest, walked once by walk_support: each tree is
     rooted at its lowest vertex (vertices are sources 0..n-1, then sinks
     n..n+m-1), and a vertex's edges away from the root form its group.
     For every vertex v with child edges E', the output satisfies, exactly:
-    y' = y where y >= eps; y' in {0, eps} elsewhere; the p-mass of
-    E' drops by less than eps times v's supply/demand and never grows; the
-    group cost sum (c p + f) y' never grows.  Mass moves from expensive small
-    edges to cheap ones (cheapest unit rate filled first) and the final
-    leftover fragment is dropped.  A support with a cycle is rejected.
+    x' = x where x >= eps p; x' in {0, eps p} elsewhere; sum x over E'
+    drops by less than eps times v's supply/demand and never grows; the
+    group cost sum (c + f/p) x' never grows.  Mass moves from expensive
+    small edges to cheap ones (cheapest unit rate filled first), the final
+    leftover fragment is dropped, and zeroed edges leave the returned flow.
+    A support with a cycle is rejected.
     """
-    inst = tree.instance
     eps = Fraction(eps)
-    parents, cycle = walk_support(inst.n, tree.y)
+    parents, cycle = walk_support(inst.n, flow)
     if cycle is not None:
         raise FctpError("non-tree support")
     children: dict[int, list[tuple[int, int]]] = {}
-    for i, j in tree.y:
+    for i, j in flow:
         parent = i if parents[inst.n + j] == i else inst.n + j
         children.setdefault(parent, []).append((i, j))
 
-    new_y = dict(tree.y)
+    rounded = dict(flow)
     for edges in children.values():
-        small = [e for e in edges if tree.y[e] < eps]
+        small = [e for e in edges if flow[e] < eps * capacity(inst, *e)]
         if not small:
             continue
-        mass = sum(
-            (Fraction(tree.y[e] * tree.p(*e)) for e in small), Fraction(0)
-        )
+        mass = sum((flow[e] for e in small), Fraction(0))
         small.sort(key=lambda e: (_unit_rate(inst, *e), e))
         for e in small:
-            cap = eps * tree.p(*e)
+            cap = eps * capacity(inst, *e)
             if mass >= cap:
-                new_y[e] = eps
+                rounded[e] = cap
                 mass -= cap
             else:
                 # At most one fragment remains; the paper zeroes it.
-                new_y[e] = Fraction(0)
+                del rounded[e]
                 mass = Fraction(0)
-    return NormalizedFractional(
-        instance=inst, y={e: val for e, val in new_y.items() if val > 0}
-    )
+    return rounded
 
 
 def solve_bicriteria(
@@ -127,10 +111,7 @@ def solve_bicriteria(
     )
     lp_sol, lp_value = solve_transportation(inst, weights)
 
-    y_all = {(i, j): x / capacity(inst, i, j) for (i, j), x in lp_sol.entries.items()}
-    rounded = round_tree(NormalizedFractional(instance=inst, y=y_all), internal).y
-
-    unscaled = {(i, j): y * capacity(inst, i, j) for (i, j), y in rounded.items()}
+    unscaled = round_tree(inst, lp_sol.entries, internal)
     row_sums = FlowSolution(entries=unscaled).row_sums(inst.n)
     for i in range(inst.n):
         # Rounding keeps every row sum strictly inside ((1-2eps')a_i, (1+eps')a_i].

@@ -340,6 +340,8 @@ def validate_solution(inst: Instance, sol: FlowSolution) -> str | None:
     for (i, j), x in sol.entries.items():
         if not (0 <= i < inst.n and 0 <= j < inst.m):
             return f"edge ({i + 1}, {j + 1}) out of range"
+        if inst.linear[i][j] is INF:
+            return f"flow on forbidden edge ({i + 1}, {j + 1})"
         if x <= 0:
             return f"flow on edge ({i + 1}, {j + 1}) not positive"
     rows = sol.row_sums(inst.n)

@@ -45,14 +45,18 @@ from .model import (
     signed_weights,
     subset_sums,
 )
-from .reductions import DigraphInstance, DstInstance, SetCoverInstance
-from .transport import walk_support
+from .reductions import DigraphInstance, DstInstance, SetCoverInstance, reachable
+from .transport import feasible, walk_support
 
 
 # Largest n + m the subset DPs accept, whatever guard a caller passes:
 # exact_fct allocates (n + m) * 2^(n + m) slots per table, about 170 MB
 # each at 20.
 MAX_SUBSET_VERTICES = 20
+
+# Most vertices exact_dst and most sets exact_min_dominating accept.
+MAX_DST_VERTICES = 7
+MAX_DOMINATING_SETS = 12
 
 
 def _check_subset_guard(name: str, total_vertices: int, guard: int) -> None:
@@ -286,19 +290,17 @@ def exact_balanced_partition(inst: Instance, guard: int = 16) -> tuple[int, list
     return -cost, blocks
 
 
-def exact_dst(dst: DstInstance, guard: int = 7) -> Fraction:
+def exact_dst(dst: DstInstance) -> Fraction:
     """Minimum cost of a subgraph connecting the root to every terminal.
 
     Dreyfus-Wagner style DP over terminal subsets on all-pairs shortest
     paths; exact rationals throughout.
     """
-    if len(dst.vertices) > guard:
-        raise GuardError(
-            f"dst guard exceeded: {len(dst.vertices)} vertices > {guard}"
-        )
+    nv = len(dst.vertices)
+    if nv > MAX_DST_VERTICES:
+        raise GuardError(f"dst guard exceeded: {nv} vertices > {MAX_DST_VERTICES}")
     vertices = list(dst.vertices)
     index = {v: k for k, v in enumerate(vertices)}
-    nv = len(vertices)
     dist: list[list[Fraction | None]] = [[None] * nv for _ in range(nv)]
     for v in range(nv):
         dist[v][v] = Fraction(0)
@@ -355,11 +357,11 @@ def exact_dst(dst: DstInstance, guard: int = 7) -> Fraction:
     return answer
 
 
-def exact_min_dominating(sc: SetCoverInstance, guard: int = 12) -> int:
+def exact_min_dominating(sc: SetCoverInstance) -> int:
     """Exact minimum dominating-set (set cover) size by subset enumeration."""
     m = len(sc.sets)
-    if m > guard:
-        raise GuardError(f"dominating guard exceeded: {m} sets > {guard}")
+    if m > MAX_DOMINATING_SETS:
+        raise GuardError(f"dominating guard exceeded: {m} sets > {MAX_DOMINATING_SETS}")
     universe = frozenset(range(sc.n_elements))
     union_all = frozenset().union(*(frozenset(s) for s in sc.sets))
     if union_all != universe:
@@ -373,65 +375,20 @@ def exact_min_dominating(sc: SetCoverInstance, guard: int = 12) -> int:
 
 
 def exact_pfct_digraph(dg: DigraphInstance, edge_guard: int = 16) -> Fraction:
-    """Exact digraph optimum: enumerate used-edge subsets, test by max-flow."""
+    """Exact digraph optimum: the cheapest used-edge subset, by increasing
+    cost, that passes transport.feasible with each source's sinks taken as
+    those its edges reach from it, flow through any vertex included."""
     edges = dg.edges
     if len(edges) > edge_guard:
         raise GuardError(f"too many edges ({len(edges)}) for subset enumeration")
-    total = sum(dg.supplies.values())
-    index = {v: k for k, v in enumerate(dg.vertices)}
-    nv = len(dg.vertices)
-    source_node = nv
-    sink_node = nv + 1
-    base_arcs = [(source_node, index[v], a) for v, a in sorted(dg.supplies.items(), key=lambda kv: index[kv[0]])]
-    base_arcs += [(index[v], sink_node, b) for v, b in sorted(dg.demands.items(), key=lambda kv: index[kv[0]])]
+    sink_bit = {v: 1 << k for k, v in enumerate(dg.demands)}
+    supply_sums = subset_sums(list(dg.supplies.values()))
+    demands = list(dg.demands.values())
     scale, [[weights]] = integer_scaled([[cost for _, _, cost in edges]])
     costs = subset_sums(weights)
-    best: int | None = None
     for mask in sorted(range(1 << len(edges)), key=costs.__getitem__):
-        cost = costs[mask]
-        if best is not None and cost >= best:
-            break
-        arcs = list(base_arcs)
-        for p in range(len(edges)):
-            if mask >> p & 1:
-                u, v, _ = edges[p]
-                arcs.append((index[u], index[v], total))
-        if _max_flow(nv + 2, arcs, source_node, sink_node) == total:
-            best = cost
-    if best is None:
-        raise InfeasibleError("no feasible digraph flow")
-    return Fraction(best, scale)
-
-
-def _max_flow(num_nodes: int, arcs, s: int, t: int) -> int:
-    """Integral Edmonds-Karp max flow on a small arc list."""
-    capacity = [[0] * num_nodes for _ in range(num_nodes)]
-    for u, v, cap in arcs:
-        capacity[u][v] += cap
-    flow = 0
-    while True:
-        parent = [-1] * num_nodes
-        parent[s] = s
-        queue = [s]
-        while queue and parent[t] < 0:
-            u = queue.pop(0)
-            for v in range(num_nodes):
-                if parent[v] < 0 and capacity[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            return flow
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            cap = capacity[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            capacity[u][v] -= bottleneck
-            capacity[v][u] += bottleneck
-            v = u
-        flow += bottleneck
+        used = [edge for p, edge in enumerate(edges) if mask >> p & 1]
+        sink_masks = [sum(sink_bit.get(v, 0) for v in reachable(used, s)) for s in dg.supplies]
+        if feasible(supply_sums, demands, sink_masks):
+            return Fraction(costs[mask], scale)
+    raise InfeasibleError("no feasible digraph flow")

@@ -32,6 +32,9 @@ from .model import (
     uniform_pure_instance,
 )
 
+# Most size-k vertex subsets, C(vertices, k), enumerate_balanced_sets walks.
+MAX_ENUMERATED_SETS = 10**7
+
 # Most size-3..p outsider combinations local_search_packing may have to
 # scan, counted as sum over s of C(family size, s); above it the search
 # refuses with GuardError instead of running for minutes or hours.
@@ -77,7 +80,6 @@ class PackingInstance:
 
     vertices: int
     family: tuple[int, ...]
-    k: int
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,7 @@ def preprocess_matched_pairs(inst: Instance) -> tuple[list[int], Instance]:
     return pairs, residual
 
 
-def enumerate_balanced_sets(
-    inst: Instance, k: int, guard: int = 10**7
-) -> PackingInstance:
+def enumerate_balanced_sets(inst: Instance, k: int) -> PackingInstance:
     """All balanced vertex sets of size 3..k, in canonical (size, lex) order.
 
     All-source or all-sink subsets cannot be balanced (weights are positive),
@@ -135,14 +135,14 @@ def enumerate_balanced_sets(
         raise FctpError("k must be between 3 and 6")
     weights = signed_weights(inst)
     vertices = len(weights)
-    if vertices >= k and comb(vertices, k) > guard:
+    if vertices >= k and comb(vertices, k) > MAX_ENUMERATED_SETS:
         raise GuardError("instance too large for enumeration")
     family = []
     for size in range(3, k + 1):
         for combo in itertools.combinations(range(vertices), size):
             if sum(weights[v] for v in combo) == 0:
                 family.append(_mask(combo))
-    return PackingInstance(vertices=vertices, family=tuple(family), k=k)
+    return PackingInstance(vertices=vertices, family=tuple(family))
 
 
 def local_search_packing(pk: PackingInstance, swap_size: int) -> list[int]:
@@ -373,7 +373,7 @@ def solve_pfct_u(
         everyone = (1 << full.vertices) - 1
         for k in (3, 4, 5):
             size = sum(1 for mask in full.family if mask.bit_count() <= k)
-            pk = PackingInstance(vertices=full.vertices, family=full.family[:size], k=k)
+            pk = PackingInstance(vertices=full.vertices, family=full.family[:size])
             if mode == "exact":
                 chosen = exact_packing(pk)
             else:

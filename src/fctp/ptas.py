@@ -16,10 +16,10 @@ transport core.  Two kinds are skipped, each without changing the result:
 
 - Infeasible: no flow fits inside A(P).  On a balanced instance a flow
   exists exactly when a(S) <= b(N(S)) for every set S of sources, N(S) being
-  the sinks A(P) joins to S (Gale 1957).  That is 2^n subsets, n being the
-  scheme's parameter, checked on per-source sink bitmasks, and not at all
-  when the edges with f <= t pass it alone.  These are the guesses
-  transport would reject.
+  the sinks A(P) joins to S (Gale 1957, transport.feasible).  That is 2^n
+  subsets, n being the scheme's parameter, checked on per-source sink
+  bitmasks, and not at all when the edges with f <= t pass it alone.
+  These are the guesses transport would reject.
 - Dominated: transport's support lies inside A(P) and touches every source
   and sink, so the flow costs at least the larger of the two sums, over
   sinks and over sources, of the cheapest fixed cost A(P) allows there.  A
@@ -53,7 +53,11 @@ from .model import (  # noqa: F401
     integer_scaled,
     subset_sums,
 )
-from .transport import solve_transportation
+from .transport import feasible, solve_transportation
+
+
+# Most guesses ptas_solve enumerates, counted before its loop.
+MAX_CANDIDATES = 10**7
 
 
 def candidate_sizes(inst: Instance, eps: Fraction) -> range:
@@ -65,7 +69,7 @@ def candidate_sizes(inst: Instance, eps: Fraction) -> range:
     return range(0, cap + 1)
 
 
-def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
+def ptas_solve(inst: Instance, eps) -> FlowSolution:
     """Best-of-all-guesses solution; cost at most (1 + eps) times optimal."""
     check_balanced(inst)
     tag = classify_variant(inst)
@@ -77,7 +81,7 @@ def ptas_solve(inst: Instance, eps, guard: int = 10**7) -> FlowSolution:
     sizes = candidate_sizes(inst, eps)
     edges = sorted(inst.edges())
     total_candidates = sum(comb(len(edges), s) for s in sizes)
-    if total_candidates > guard:
+    if total_candidates > MAX_CANDIDATES:
         raise GuardError("instance too large for PTAS enumeration")
 
     guesses = _Guesses(inst)
@@ -158,34 +162,18 @@ class _Guesses:
             weights[i][j] = c * per_unit[j]
         return _Level(
             masks=tuple(masks),
-            feasible=self._hall(masks),
+            feasible=feasible(self.supply_sums, inst.demands, masks),
             sink_min=tuple(sink_min),
             source_min=tuple(source_min),
             weights=tuple(tuple(row) for row in weights),
         )
-
-    def _hall(self, masks) -> bool:
-        """a(S) <= b(N(S)) for every nonempty set S of sources."""
-        supply_sums, demands = self.supply_sums, self.inst.demands
-        reach = [0] * len(supply_sums)
-        for s in range(1, len(supply_sums)):
-            low = s & -s
-            reach[s] = reach[s ^ low] | masks[low.bit_length() - 1]
-            need, rest = supply_sums[s], reach[s]
-            while rest and need > 0:
-                bit = rest & -rest
-                need -= demands[bit.bit_length() - 1]
-                rest ^= bit
-            if need > 0:
-                return False
-        return True
 
     def fits(self, level: _Level, combo) -> bool:
         """Whether any flow fits inside the level's edges plus ``combo``."""
         masks = list(level.masks)
         for i, j in combo:
             masks[i] |= 1 << j
-        return self._hall(masks)
+        return feasible(self.supply_sums, self.inst.demands, masks)
 
     def lower_bound(self, level: _Level, combo) -> int:
         """Scaled cost floor of any flow inside the level's edges plus ``combo``.

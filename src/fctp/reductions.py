@@ -188,7 +188,9 @@ def make_dst(vertices, edges, root, terminals) -> DstInstance:
     )
 
 
-def _reachable(edges, start) -> set:
+def reachable(edges, start) -> set:
+    """Every vertex a directed walk over edges, (u, v, cost) triples, reaches
+    from start, start included."""
     adj: dict = {}
     for u, v, _ in edges:
         adj.setdefault(u, []).append(v)
@@ -211,7 +213,7 @@ def dst_to_pfct_digraph(dst: DstInstance) -> DigraphInstance:
     optimum is unchanged.  Any optimal flow can be assumed cycle-free, so its
     support is exactly a Steiner tree and the optima coincide.
     """
-    reach = _reachable(dst.edges, dst.root)
+    reach = reachable(dst.edges, dst.root)
     for t in dst.terminals:
         if t not in reach:
             raise FctpError("infeasible DST")
@@ -322,9 +324,11 @@ def default_delta(n: int, b_prime: int) -> int:
     return 2 * (6 * n + 1) ** b_prime
 
 
-def verify_h_independence(
-    b_values, b_prime: int, guard: int = 10**7
-) -> bool:
+# Most multisets verify_h_independence walks, counted before its loop.
+MAX_INDEPENDENCE_MULTISETS = 10**7
+
+
+def verify_h_independence(b_values, b_prime: int) -> bool:
     """True iff no integer vector h with 1 <= |h|_1 <= b_prime kills the b's.
 
     With every b positive, a nonzero h with h . b = 0 has both signs: its
@@ -341,7 +345,8 @@ def verify_h_independence(
     if any(x <= 0 for x in b):
         raise FctpError("independence check needs positive demands")
     sizes = range(1, b_prime)
-    if sum(math.comb(len(b) + s - 1, s) for s in sizes) > guard:
+    multisets = sum(math.comb(len(b) + s - 1, s) for s in sizes)
+    if multisets > MAX_INDEPENDENCE_MULTISETS:
         raise GuardError("independence check too large to enumerate")
     first_size: dict[int, int] = {}
     for s in sizes:

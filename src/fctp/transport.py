@@ -12,7 +12,8 @@ big-M weight.
 
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away, the trees bicriteria rounds and the
-connected components the exact oracle splits blocks by.
+connected components the exact oracle splits blocks by.  feasible is the
+package's one flow-feasibility test, used by the PTAS and the digraph oracle.
 """
 
 from __future__ import annotations
@@ -154,6 +155,29 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     sol = cancel_cycles(FlowSolution(entries=flow), iw)
     value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
     return sol, Fraction(value, scale)
+
+
+def feasible(supply_sums, demands, sink_masks) -> bool:
+    """Gale (1957): every supply can be shipped iff a(S) <= b(N(S)) for all S.
+
+    S runs over the nonempty sets of sources, supply_sums[s] = a(S) with s
+    the bitmask of S (model.subset_sums), and N(S) is the union of S's
+    sink_masks, bitmasks over the positions of demands.  The edges have no
+    capacity, so every finite cut is closed under successors, and a sink
+    mask may hold the sinks a source reaches through other vertices.
+    """
+    reach = [0] * len(supply_sums)
+    for s in range(1, len(supply_sums)):
+        low = s & -s
+        reach[s] = reach[s ^ low] | sink_masks[low.bit_length() - 1]
+        need, rest = supply_sums[s], reach[s]
+        while rest and need > 0:
+            bit = rest & -rest
+            need -= demands[bit.bit_length() - 1]
+            rest ^= bit
+        if need > 0:
+            return False
+    return True
 
 
 def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:

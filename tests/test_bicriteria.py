@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fctp import oracle
-from fctp.bicriteria import (
-    NormalizedFractional,
-    cost_factor,
-    round_tree,
-    solve_bicriteria,
-)
+from fctp.bicriteria import capacity, cost_factor, round_tree, solve_bicriteria
 from fctp.errors import FctpError, InfeasibleError
 from fctp.generators import generate, random_fct
 from fctp.model import (
@@ -22,72 +17,65 @@ from fctp.model import (
 )
 
 
-def group_mass(tree, edges):
-    return sum((tree.y.get(e, Fraction(0)) * tree.p(*e) for e in edges), Fraction(0))
+def group_mass(flow, edges):
+    return sum((flow.get(e, Fraction(0)) for e in edges), Fraction(0))
 
 
-def group_price(tree, edges):
-    inst = tree.instance
+def group_price(inst, flow, edges):
     total = Fraction(0)
     for (i, j) in edges:
-        p = tree.p(i, j)
-        total += (inst.linear[i][j] * p + inst.fixed[i][j]) * tree.y.get(
-            (i, j), Fraction(0)
-        )
+        p = capacity(inst, i, j)
+        total += (inst.linear[i][j] * p + inst.fixed[i][j]) * flow.get((i, j), Fraction(0)) / p
     return total
 
 
-def check_rounding_properties(before, after, eps, child_groups):
+def check_rounding_properties(inst, before, after, eps, child_groups):
     """The four per-group guarantees, checked by direct recomputation."""
     for vertex_value, edges in child_groups:
         for e in edges:
-            y_old = before.y.get(e, Fraction(0))
-            y_new = after.y.get(e, Fraction(0))
-            if y_old >= eps:
-                assert y_new == y_old
+            x_old = before.get(e, Fraction(0))
+            x_new = after.get(e, Fraction(0))
+            p = capacity(inst, *e)
+            if x_old >= eps * p:
+                assert x_new == x_old
             else:
-                assert y_new in (Fraction(0), eps)
+                assert x_new in (Fraction(0), eps * p)
         drop = group_mass(after, edges) - group_mass(before, edges)
         assert -eps * vertex_value < drop <= 0
-        assert group_price(after, edges) <= group_price(before, edges)
+        assert group_price(inst, after, edges) <= group_price(inst, before, edges)
 
 
 def test_round_tree_identity_when_all_edges_large():
+    # Every p is 2, so flows 2, 1 and 3/2 are 1, 1/2 and 3/4 of capacity.
     inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
-    tree = NormalizedFractional(
-        instance=inst,
-        y={(0, 0): Fraction(1), (0, 1): Fraction(1, 2), (1, 1): Fraction(3, 4)},
-    )
-    out = round_tree(tree, Fraction(1, 4))
-    assert out.y == tree.y
+    flow = {(0, 0): Fraction(2), (0, 1): Fraction(1), (1, 1): Fraction(3, 2)}
+    assert round_tree(inst, flow, Fraction(1, 4)) == flow
 
 
 def test_round_tree_leaf_vertices_untouched():
     inst = make_instance((3,), (3,), [[1]], [[0]])
-    tree = NormalizedFractional(instance=inst, y={(0, 0): Fraction(1)})
-    assert round_tree(tree, Fraction(1, 8)).y == tree.y
+    flow = {(0, 0): Fraction(3)}
+    assert round_tree(inst, flow, Fraction(1, 8)) == flow
 
 
 def test_round_tree_two_equal_small_edges():
-    # Two small child edges with equal p and equal unit price: the first is
-    # raised to eps, the second zeroed.
+    # Two small child edges with equal p = 4 and equal unit price, each
+    # carrying eps p / 2: the first is raised to eps p, the second zeroed.
     inst = make_instance(
         (8,), (4, 4), [[1, 1]], [[0, 0]]
     )
     eps = Fraction(1, 4)
-    tree = NormalizedFractional(
-        instance=inst, y={(0, 0): eps / 2, (0, 1): eps / 2}
-    )
-    out = round_tree(tree, eps)
-    assert out.y == {(0, 0): eps}
+    flow = {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    out = round_tree(inst, flow, eps)
+    assert out == {(0, 0): Fraction(1)}
     check_rounding_properties(
-        tree, out, eps, [(8, [(0, 0), (0, 1)])]
+        inst, flow, out, eps, [(8, [(0, 0), (0, 1)])]
     )
 
 
 def test_round_tree_small_edge_on_2x2_instance():
-    # LP solution on a=(20,20), b=(21,19) keeps edge (1,0) at y=1/20, which
-    # is below eps' = 1/16; the child-group rule zeroes it.
+    # LP solution on a=(20,20), b=(21,19) keeps 1 on edge (1,0), below
+    # eps' p = 20/16; the child-group rule zeroes it.
     inst = make_instance(
         (20, 20), (21, 19), [[0, 8], [0, 0]], [[0, 1], [0, 0]]
     )
@@ -101,23 +89,19 @@ def test_round_tree_small_edge_on_2x2_instance():
             row.append(inst.linear[i][j] + inst.fixed[i][j] / p)
         weights.append(row)
     lp_sol, _ = solve_transportation(inst, weights)
-    assert lp_sol.entries == {
+    flow = lp_sol.entries
+    assert flow == {
         (0, 0): Fraction(20),
         (1, 0): Fraction(1),
         (1, 1): Fraction(19),
     }
-    y = {
-        e: x / min(inst.supplies[e[0]], inst.demands[e[1]])
-        for e, x in lp_sol.entries.items()
-    }
-    tree = NormalizedFractional(instance=inst, y=y)
     eps = Fraction(1, 16)
-    assert y[(1, 0)] == Fraction(1, 20) < eps
-    out = round_tree(tree, eps)
-    assert (1, 0) not in out.y
-    assert out.y[(0, 0)] == y[(0, 0)] and out.y[(1, 1)] == y[(1, 1)]
+    assert flow[(1, 0)] < eps * capacity(inst, 1, 0)
+    out = round_tree(inst, flow, eps)
+    assert (1, 0) not in out
+    assert out[(0, 0)] == flow[(0, 0)] and out[(1, 1)] == flow[(1, 1)]
     # Child groups from rooting at source 0: t0's group holds edge (1, 0).
-    check_rounding_properties(tree, out, eps, [(21, [(1, 0)])])
+    check_rounding_properties(inst, flow, out, eps, [(21, [(1, 0)])])
 
 
 def test_round_tree_on_a_forest_rounds_each_tree_alone():
@@ -130,35 +114,29 @@ def test_round_tree_on_a_forest_rounds_each_tree_alone():
         [[0] * 5] * 3,
     )
     eps = Fraction(1, 4)
+    # Flows of 1/8, 1/16, 1/2 and 1/10 of capacities 4, 4, 4 and 6.
     first = {
-        (0, 0): Fraction(1, 8),
-        (0, 1): Fraction(1, 16),
-        (1, 1): Fraction(1, 2),
-        (1, 2): Fraction(1, 10),
+        (0, 0): Fraction(1, 2),
+        (0, 1): Fraction(1, 4),
+        (1, 1): Fraction(2),
+        (1, 2): Fraction(3, 5),
     }
-    second = {(2, 3): Fraction(1, 8), (2, 4): Fraction(1, 6)}
-    forest = NormalizedFractional(instance=inst, y={**first, **second})
+    # Flows of 1/8 and 1/6 of capacities 2 and 3.
+    second = {(2, 3): Fraction(1, 4), (2, 4): Fraction(1, 2)}
+    forest = {**first, **second}
     apart = {}
     for tree in (first, second):
-        apart.update(round_tree(NormalizedFractional(instance=inst, y=tree), eps).y)
-    out = round_tree(forest, eps)
-    assert out.y == apart
-    assert out.y != forest.y
+        apart.update(round_tree(inst, tree, eps))
+    out = round_tree(inst, forest, eps)
+    assert out == apart
+    assert out != forest
 
 
 def test_round_tree_rejects_cycles():
     inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
-    cycle = NormalizedFractional(
-        instance=inst,
-        y={
-            (0, 0): Fraction(1, 2),
-            (0, 1): Fraction(1, 2),
-            (1, 0): Fraction(1, 2),
-            (1, 1): Fraction(1, 2),
-        },
-    )
+    cycle = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1)}
     with pytest.raises(FctpError, match="non-tree support"):
-        round_tree(cycle, Fraction(1, 8))
+        round_tree(inst, cycle, Fraction(1, 8))
 
 
 def test_epsilon_validation():

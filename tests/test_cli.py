@@ -11,6 +11,7 @@ from util import e1_instance
 from fctp.cli import (
     _bench_rows,
     _parse_fraction,
+    _read,
     main,
     parse_dst_file,
     parse_setcover_file,
@@ -101,6 +102,20 @@ def test_verify_ok_and_violation(e1_file, tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "violation"
     assert "sink" in record["detail"] or "column" in record["detail"]
+
+
+def test_verify_reports_flow_on_forbidden_edge(tmp_path, capsys):
+    inst = tmp_path / "inst.fct"
+    inst.write_text("FCT v1\n1 2\n3\n1 2\n1 1\n0 inf\n")
+    sol = tmp_path / "forbidden.sol"
+    sol.write_text("SOL v1\n1 1 1\n1 2 2\n")
+    assert main(["verify", str(inst), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "status": "violation",
+        "detail": "flow on forbidden edge (1, 2)",
+    }
+    assert captured.err == ""
 
 
 def test_verify_rejects_relaxation_tag_above_one(tmp_path, capsys):
@@ -493,9 +508,10 @@ def test_generate_rejects_malformed_input(tmp_path, capsys, kind, text, lineno):
 # Tokens each text format must refuse or read: signs, zero denominators,
 # decimals, exponents, words, blanks and non-ASCII digits among small ints.
 _FUZZ_TOKENS = ["0", "1", "2", "3", "4", "-1", "1/0", "1/2", "1.5", "1e3", "inf", "", "\u0663", "\uff11"]
+_FUZZ_HEADERS = ["FCT v1", "SOL v1", "DST v1", "SETCOVER v1", "3DM v1"]
 _FUZZ_TEXT = st.builds(
     lambda header, lines: "\n".join([header] + lines) + "\n",
-    st.sampled_from(["FCT v1", "SOL v1", "DST v1", "SETCOVER v1", "3DM v1"]),
+    st.sampled_from(_FUZZ_HEADERS),
     # Small ints at least half the time, so that texts get past their size lines.
     st.lists(
         st.lists(
@@ -507,20 +523,37 @@ _FUZZ_TEXT = st.builds(
 )
 
 
+# Random bytes, bare or after a valid header line, as a file holds them.
+_FUZZ_BYTES = st.builds(
+    bytes.__add__,
+    st.sampled_from([b""] + [f"{header}\n".encode() for header in _FUZZ_HEADERS]),
+    st.binary(max_size=64),
+)
+
+
 @settings(max_examples=400)
-@given(_FUZZ_TEXT)
-def test_parsers_raise_only_fctp_errors(text):
-    for parse in (
-        parse_instance,
-        parse_solution,
-        parse_dst_file,
-        parse_setcover_file,
-        parse_threedm_file,
-    ):
+@given(_FUZZ_TEXT, _FUZZ_BYTES)
+def test_parsers_raise_only_fctp_errors(tmp_path_factory, text, raw):
+    # Each draw is written to a file and read back the way every command
+    # reads its input.
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    for data in (text.encode(), raw):
+        path.write_bytes(data)
         try:
-            parse(text)
+            read = _read(str(path))
         except FctpError:
-            pass
+            continue
+        for parse in (
+            parse_instance,
+            parse_solution,
+            parse_dst_file,
+            parse_setcover_file,
+            parse_threedm_file,
+        ):
+            try:
+                parse(read)
+            except FctpError:
+                pass
 
 
 _GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}

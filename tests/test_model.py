@@ -302,6 +302,13 @@ def test_validate_solution_marginals(e1):
     assert "row sum" in validate_solution(e1, short)
 
 
+def test_validate_solution_rejects_flow_on_forbidden_edge():
+    # Marginals and positivity hold; only the edge is forbidden.
+    inst = make_instance((3,), (1, 2), [[1, 1]], [[0, INF]])
+    sol = FlowSolution(entries={(0, 0): Fraction(1), (0, 1): Fraction(2)})
+    assert validate_solution(inst, sol) == "flow on forbidden edge (1, 2)"
+
+
 def test_validate_solution_relaxed_band():
     inst = make_instance((4,), (2, 2), [[0, 0]], [[0, 0]])
     sol = FlowSolution(

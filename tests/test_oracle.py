@@ -29,7 +29,7 @@ from fctp.model import (
     validate_solution,
 )
 from fctp.pfct_u import validate_partition
-from fctp.reductions import make_dst, make_setcover
+from fctp.reductions import make_digraph, make_dst, make_setcover, split_digraph_to_bipartite
 
 
 def test_exact_fct_e1(e1):
@@ -274,6 +274,43 @@ def test_exact_dst_unreachable_terminal():
     dst = make_dst(["r", "t"], [("t", "r", 1)], "r", ["t"])
     with pytest.raises(InfeasibleError):
         oracle.exact_dst(dst)
+
+
+def test_exact_pfct_digraph_matches_split_bipartite_optimum():
+    # Seeded digraphs with 2-3 sources, sinks that may forward flow, and
+    # draws with no feasible flow, where both oracles must refuse.
+    rng = random.Random(29)
+    feasible_draws = infeasible_draws = forwarding_sinks = 0
+    for _ in range(40):
+        # Four vertices split into at most 12, which keeps exact_fct quick.
+        sources = rng.randint(2, 3)
+        sinks = rng.randint(1, 4 - sources)
+        vertices = list(range(4))
+        supplies = [rng.randint(1, 3) for _ in range(sources)]
+        demands = split_total(rng, sum(supplies), sinks)
+        pairs = [(u, v) for u in vertices for v in vertices if u != v]
+        edges = [
+            (u, v, Fraction(rng.randint(0, 4), rng.randint(1, 2)))
+            for u, v in rng.sample(pairs, rng.randint(3, 8))
+        ]
+        dg = make_digraph(
+            vertices,
+            edges,
+            dict(zip(vertices, supplies)),
+            dict(zip(vertices[sources:], demands)),
+        )
+        forwarding_sinks += any(u in dg.demands for u, _, _ in edges)
+        try:
+            expected = oracle.exact_fct(split_digraph_to_bipartite(dg))[0]
+        except InfeasibleError:
+            infeasible_draws += 1
+            with pytest.raises(InfeasibleError, match="no feasible digraph flow"):
+                oracle.exact_pfct_digraph(dg)
+            continue
+        feasible_draws += 1
+        assert oracle.exact_pfct_digraph(dg) == expected, dg
+    assert feasible_draws >= 10 and infeasible_draws >= 10, (feasible_draws, infeasible_draws)
+    assert forwarding_sinks >= 10, forwarding_sinks
 
 
 def test_exact_dst_guard():

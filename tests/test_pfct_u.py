@@ -105,10 +105,11 @@ def test_enumerate_balanced_sets_examples():
     ]
 
 
-def test_enumerate_guard():
+def test_enumerate_guard(monkeypatch):
     inst = uniform_pure_instance((1,) * 12, (1,) * 12)
+    monkeypatch.setattr("fctp.pfct_u.MAX_ENUMERATED_SETS", 10)
     with pytest.raises(GuardError, match="too large for enumeration"):
-        enumerate_balanced_sets(inst, 5, guard=10)
+        enumerate_balanced_sets(inst, 5)
 
 
 def _abc_packing():
@@ -117,7 +118,7 @@ def _abc_packing():
     # demand 1 (bits 2 to 5).
     e1, e4, e2, e3, e5, e6 = (1 << v for v in range(6))
     family = (e1 | e2 | e3, e3 | e4 | e5, e4 | e5 | e6)
-    return PackingInstance(vertices=6, family=family, k=3)
+    return PackingInstance(vertices=6, family=family)
 
 
 def test_local_search_abc_example():
@@ -128,7 +129,7 @@ def test_local_search_abc_example():
 
 
 def test_local_search_degenerate_families():
-    pk = PackingInstance(vertices=0, family=(), k=3)
+    pk = PackingInstance(vertices=0, family=())
     assert local_search_packing(pk, 2) == []
     inst = uniform_pure_instance((3, 3), (1, 2, 1, 2))
     pk = enumerate_balanced_sets(inst, 3)
@@ -140,7 +141,7 @@ def test_local_search_degenerate_families():
 def test_local_search_swap_guard():
     # 60 disjoint sets: swaps of size 3..5 count 5 983 367 combinations, under
     # MAX_SWAP_COMBOS; size 6 adds 50 063 860 and is refused before any scan.
-    pk = PackingInstance(vertices=60, family=tuple(1 << v for v in range(60)), k=3)
+    pk = PackingInstance(vertices=60, family=tuple(1 << v for v in range(60)))
     assert len(local_search_packing(pk, 5)) == 60
     with pytest.raises(GuardError, match="56047227 combinations > 10000000"):
         local_search_packing(pk, 6)
@@ -160,8 +161,8 @@ def test_local_search_takes_disjoint_family_entirely():
 def test_exact_packing_examples():
     pk = _abc_packing()
     assert len(exact_packing(pk)) == 2
-    assert exact_packing(PackingInstance(vertices=0, family=(), k=3)) == []
-    single = PackingInstance(vertices=6, family=_abc_packing().family[:1], k=3)
+    assert exact_packing(PackingInstance(vertices=0, family=())) == []
+    single = PackingInstance(vertices=6, family=_abc_packing().family[:1])
     assert len(exact_packing(single)) == 1
 
 
@@ -172,7 +173,7 @@ def _wide_packing(rng, sets):
     while len(triples) < sets:
         triples.add((rng.randrange(7),) + tuple(sorted(rng.sample(range(14), 2))))
     family = tuple(1 << i | 1 << (7 + j) | 1 << (7 + k) for i, j, k in sorted(triples))
-    return PackingInstance(vertices=21, family=family, k=3)
+    return PackingInstance(vertices=21, family=family)
 
 
 def _disjoint(masks):

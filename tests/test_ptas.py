@@ -138,10 +138,11 @@ def test_pruning_predicates_agree_with_transport():
     assert min(seen.values()) >= 100
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     inst = pure_instance((2, 2, 2), (2, 2, 2), [[1] * 3] * 3)
+    monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 3)
     with pytest.raises(GuardError, match="too large"):
-        ptas_solve(inst, Fraction(1, 2), guard=3)
+        ptas_solve(inst, Fraction(1, 2))
 
 
 def _pinned_cases():

@@ -178,12 +178,13 @@ def test_setcover_equivalence_on_random_instances():
         assert oracle.exact_fct(inst)[0] == oracle.exact_min_dominating(sc)
 
 
-def test_verify_h_independence_examples():
+def test_verify_h_independence_examples(monkeypatch):
     assert verify_h_independence([2, 3], 1)
     assert not verify_h_independence([2, 2], 2)
     assert verify_h_independence([5, 7, 11], 2)
+    monkeypatch.setattr("fctp.reductions.MAX_INDEPENDENCE_MULTISETS", 10)
     with pytest.raises(GuardError):
-        verify_h_independence(list(range(1, 10)), 6, guard=10)
+        verify_h_independence(list(range(1, 10)), 6)
 
 
 def _compositions(total, parts):

@@ -8,9 +8,16 @@ import pytest
 from util import brute_force_min_linear, is_forest
 
 from fctp.errors import FctpError, InfeasibleError
-from fctp.generators import generate, random_fct
-from fctp.model import INF, make_flow, make_instance, serialize_solution, validate_solution
-from fctp.transport import cancel_cycles, solve_transportation, walk_support
+from fctp.generators import generate, random_fct, split_total
+from fctp.model import (
+    INF,
+    make_flow,
+    make_instance,
+    serialize_solution,
+    subset_sums,
+    validate_solution,
+)
+from fctp.transport import cancel_cycles, feasible, solve_transportation, walk_support
 
 
 def weighted_cost(weights, entries):
@@ -40,6 +47,33 @@ def test_infeasible_when_all_edges_forbidden():
     inst = make_instance((1,), (1,), [[0]], [[INF]])
     with pytest.raises(InfeasibleError, match="no feasible transportation"):
         solve_transportation(inst, [[INF]])
+
+
+def test_feasible_agrees_with_transport():
+    # Gale's condition holds exactly when transport finds a flow over the
+    # allowed (finite-weight) edges.
+    rng = random.Random(13)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        supplies = [rng.randint(1, 6) for _ in range(n)]
+        demands = split_total(rng, sum(supplies), m) if sum(supplies) >= m else None
+        if demands is None:
+            continue
+        weights = [[INF if rng.random() < 0.3 else rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+        inst = make_instance(supplies, demands, [[0] * m] * n, [[0] * m] * n)
+        sink_masks = [
+            sum(1 << j for j in range(m) if weights[i][j] is not INF) for i in range(n)
+        ]
+        verdict = feasible(subset_sums(supplies), demands, sink_masks)
+        try:
+            solve_transportation(inst, weights)
+            solved = True
+        except InfeasibleError:
+            solved = False
+        assert verdict == solved, (supplies, demands, weights)
+        outcomes[verdict] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_negative_weights_rejected():
