@@ -384,11 +384,20 @@ def exact_pfct_digraph(dg: DigraphInstance, edge_guard: int = 16) -> Fraction:
     sink_bit = {v: 1 << k for k, v in enumerate(dg.demands)}
     supply_sums = subset_sums(list(dg.supplies.values()))
     demands = list(dg.demands.values())
+
+    def fits(used) -> bool:
+        sink_masks = [sum(sink_bit.get(v, 0) for v in reachable(used, s)) for s in dg.supplies]
+        return feasible(supply_sums, demands, sink_masks)
+
+    # Feasibility only grows with the edge set, so the full set decides it,
+    # and once it passes the walk below ends at a subset that fits.
+    if not fits(edges):
+        raise InfeasibleError("no feasible digraph flow")
     scale, [[weights]] = integer_scaled([[cost for _, _, cost in edges]])
     costs = subset_sums(weights)
-    for mask in sorted(range(1 << len(edges)), key=costs.__getitem__):
-        used = [edge for p, edge in enumerate(edges) if mask >> p & 1]
-        sink_masks = [sum(sink_bit.get(v, 0) for v in reachable(used, s)) for s in dg.supplies]
-        if feasible(supply_sums, demands, sink_masks):
-            return Fraction(costs[mask], scale)
-    raise InfeasibleError("no feasible digraph flow")
+    cheapest = next(
+        mask
+        for mask in sorted(range(1 << len(edges)), key=costs.__getitem__)
+        if fits([edge for p, edge in enumerate(edges) if mask >> p & 1])
+    )
+    return Fraction(costs[cheapest], scale)

@@ -5,11 +5,14 @@ fixed cost in P, a guess allows A(P) = P plus every edge with f <= t; the
 linear relaxation sum(x_ij / b_j * f_ij) is solved over A(P) (P's fixed
 costs are sunk, so P's edges weigh 0) and the candidate's actual cost is
 evaluated; the cheapest candidate wins, the first enumerated among equals.
-Candidates run over the sets of allowed (finite linear cost) edges of size
-up to min(2n/eps, number of allowed edges, n + m - 1), by size and then
-lexicographically: a guess of size exactly 2n/eps covers
-optima with at least that many support edges, and the exact optimal support
-(at most n + m - 1 edges, forests) covers the rest.
+Candidates run over the acyclic sets of allowed (finite linear cost) edges
+of size up to min(2n/eps, number of allowed edges, n + m - 1), by size and
+then lexicographically: a guess of size exactly 2n/eps covers optima with at
+least that many support edges, and the exact optimal support (at most
+n + m - 1 edges) covers the rest.  Some optimum sits at an extreme point of
+the transportation polytope, whose support is a forest, and every subset of
+a forest is a forest, so the guesses that bound needs are all acyclic and
+skipping cyclic ones keeps the (1 + eps) ratio.
 
 Only a guess that could strictly beat the best candidate so far reaches the
 transport core.  Two kinds are skipped, each without changing the result:
@@ -56,7 +59,9 @@ from .model import (  # noqa: F401
 from .transport import feasible, solve_transportation
 
 
-# Most guesses ptas_solve enumerates, counted before its loop.
+# Most guesses ptas_solve enumerates, counted before its loop as every edge
+# subset up to the guess size, cyclic ones included: a bound on the acyclic
+# guesses that is known before the first of them reaches transport.
 MAX_CANDIDATES = 10**7
 
 
@@ -67,6 +72,39 @@ def candidate_sizes(inst: Instance, eps: Fraction) -> range:
     allowed = sum(1 for _ in inst.edges())
     cap = min(2 * inst.n * int(inverse), allowed, inst.n + inst.m - 1)
     return range(0, cap + 1)
+
+
+def forest_combinations(edges, n: int, size: int):
+    """The acyclic ``size``-subsets of ``edges``, pairs (i, j) of source i and
+    sink j, in the order ``itertools.combinations(edges, size)`` yields them.
+
+    A prefix grows one edge at a time, never by an edge whose ends already
+    share a component, so no cyclic superset is built.  ``comp[v]`` is the
+    bitmask of v's component in the prefix, source i being bit i and sink j
+    bit n + j; the walk holds one such list per edge of the current prefix.
+    """
+    if size < 4:  # a bipartite cycle has at least 4 edges
+        return itertools.combinations(edges, size)
+    ends = [(i, n + j) for i, j in edges]
+
+    def extend(prefix, start, comp):
+        depth = len(prefix) + 1
+        # The edge at this depth leaves size - depth edges after it.
+        for k in range(start, len(edges) - size + depth):
+            u, v = ends[k]
+            if comp[u] >> v & 1:
+                continue
+            combo = prefix + (edges[k],)
+            if depth == size:
+                yield combo
+            else:
+                merged = comp[u] | comp[v]
+                yield from extend(
+                    combo, k + 1, [merged if merged >> w & 1 else c for w, c in enumerate(comp)]
+                )
+
+    width = 1 + max((v for _, v in ends), default=0)
+    return extend((), 0, [1 << v for v in range(width)])
 
 
 def ptas_solve(inst: Instance, eps) -> FlowSolution:
@@ -89,7 +127,7 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
     best_cost: int | None = None
     best_flow: FlowSolution | None = None
     for size in sizes:
-        for combo in itertools.combinations(edges, size):
+        for combo in forest_combinations(edges, inst.n, size):
             threshold = min((fixed[i][j] for i, j in combo), default=None)
             level = guesses.level(threshold)
             if not level.feasible and not guesses.fits(level, combo):

@@ -313,6 +313,33 @@ def test_exact_pfct_digraph_matches_split_bipartite_optimum():
     assert forwarding_sinks >= 10, forwarding_sinks
 
 
+def test_exact_pfct_digraph_refuses_infeasible_without_subset_walk(monkeypatch):
+    # Sink t has no incoming edge, so no subset of the 16 edges can feed it;
+    # one feasibility test of the full edge set refuses the digraph.
+    pairs = [(u, v) for u in range(6) for v in range(6) if u != v][:16]
+    dg = make_digraph(
+        [*range(6), "t"],
+        [(u, v, 1 + (u + v) % 3) for u, v in pairs],
+        {0: 2, 1: 1},
+        {5: 1, "t": 2},
+    )
+    calls = []
+    real_feasible = oracle.feasible
+
+    def counted(*args):
+        calls.append(args)
+        return real_feasible(*args)
+
+    monkeypatch.setattr("fctp.oracle.feasible", counted)
+    with pytest.raises(InfeasibleError, match="no feasible digraph flow"):
+        oracle.exact_pfct_digraph(dg)
+    assert len(calls) == 1
+    # Without t the same edges feed sink 5; the subset walk then runs.
+    feasible_dg = make_digraph(range(6), dg.edges, {0: 1}, {5: 1})
+    assert oracle.exact_pfct_digraph(feasible_dg) == 3  # 0 -> 5, or 0 -> 1 -> 5
+    assert len(calls) > 2
+
+
 def test_exact_dst_guard():
     dst = make_dst(range(8), [(0, 1, 1)], 0, [1])
     with pytest.raises(GuardError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from fctp.model import (
     serialize_solution,
     validate_solution,
 )
-from fctp.ptas import _Guesses, candidate_sizes, ptas_solve
+from fctp.ptas import _Guesses, candidate_sizes, forest_combinations, ptas_solve
 from fctp.transport import solve_transportation
 
 
@@ -143,6 +144,77 @@ def test_enumeration_guard(monkeypatch):
     monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 3)
     with pytest.raises(GuardError, match="too large"):
         ptas_solve(inst, Fraction(1, 2))
+
+
+def test_guard_counts_cyclic_subsets_before_any_transport_call(monkeypatch):
+    # K3,3 at eps 1/2 guesses up to 5 edges: 382 subsets, 328 of them acyclic.
+    # The guard counts all 382 before the walk, so one below that refuses the
+    # instance although the walk would stay under it, and refuses it before
+    # any guess reaches transport.
+    inst = pure_instance((2, 2, 2), (2, 2, 2), [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+    edges = sorted(inst.edges())
+    sizes = candidate_sizes(inst, Fraction(1, 2))
+    assert sum(1 for s in sizes for _ in forest_combinations(edges, 3, s)) == 328
+    assert sum(1 for s in sizes for _ in itertools.combinations(edges, s)) == 382
+
+    def no_transport(*args):
+        raise AssertionError("a refused instance reached transport")
+
+    monkeypatch.setattr("fctp.ptas.solve_transportation", no_transport)
+    monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 381)
+    with pytest.raises(GuardError, match="too large"):
+        ptas_solve(inst, Fraction(1, 2))
+    monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 382)
+    with pytest.raises(AssertionError, match="reached transport"):
+        ptas_solve(inst, Fraction(1, 2))
+
+
+def _is_forest_by_union_find(combo):
+    parent = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i, j in combo:
+        a, b = root(("source", i)), root(("sink", j))
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+def _checked_forest_count(edges, n, sizes):
+    """Assert that the walk yields exactly the acyclic combinations of each
+    size, in combinations order; return how many it yields in all."""
+    count = 0
+    for size in sizes:
+        want = [c for c in itertools.combinations(edges, size) if _is_forest_by_union_find(c)]
+        assert list(forest_combinations(edges, n, size)) == want, (edges, size)
+        count += len(want)
+    return count
+
+
+def test_forest_walk_is_filtered_combinations():
+    # Complete K_{n,m} up to 3 x 5, every size up to one past the largest
+    # forest (n + m - 1 edges): each count is every acyclic guess on K_{n,m}.
+    counts = {}
+    for n in (1, 2, 3):
+        for m in range(1, 6):
+            edges = [(i, j) for i in range(n) for j in range(m)]
+            counts[n, m] = _checked_forest_count(edges, n, range(n + m + 1))
+    assert counts[3, 4] == 1856 and counts[3, 5] == 9984
+    # Seeded instances with forbidden edges, over the sizes the PTAS guesses.
+    rng = random.Random(97)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        base = random_pure(rng, n, m, max_supply=5)
+        linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+        inst = make_instance(base.supplies, base.demands, base.fixed, linear)
+        eps = rng.choice((Fraction(1), Fraction(1, 2)))
+        edges = sorted(inst.edges())
+        _checked_forest_count(edges, n, candidate_sizes(inst, eps))
 
 
 def _pinned_cases():
