@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import INF, FlowSolution, Instance, check_balanced, evaluate_cost
+from .model import INF, FlowSolution, Instance, check_balanced, check_epsilon, evaluate_cost
 from .transport import solve_transportation, walk_support
 
 
@@ -98,7 +98,7 @@ def solve_bicriteria(
     the proven bound K(eps/4) * LP >= actual cost.
     """
     check_balanced(inst)
-    eps = Fraction(eps)
+    eps = check_epsilon(eps)
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")
     internal = eps / 4

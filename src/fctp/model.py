@@ -235,6 +235,14 @@ def check_instance(inst: Instance) -> None:
         raise FctpError(f"invalid instance: {report}")
 
 
+def check_epsilon(eps) -> Fraction:
+    """eps as a Fraction; FctpError unless it is an int (not a bool) or a
+    Fraction, so a float's binary expansion never becomes an exact eps."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
+    return Fraction(eps)
+
+
 def check_balanced(inst: Instance) -> None:
     """The O(n + m) part of validate_instance, with its messages, for solvers
     too hot for the full check: sizes, positive int supplies and demands, balance."""

@@ -23,18 +23,23 @@ transport core.  Two kinds are skipped, each without changing the result:
   subsets, n being the scheme's parameter, checked on per-source sink
   bitmasks, and not at all when the edges with f <= t pass it alone.
   These are the guesses transport would reject.
-- Dominated: transport's support lies inside A(P) and touches every source
-  and sink, so the flow costs at least the larger of the two sums, over
-  sinks and over sources, of the cheapest fixed cost A(P) allows there.  A
-  guess whose bound is at least the best cost so far cannot win the strict
-  comparison.
+- Dominated: each sink j receives b_j inside A(P) from a set T of sources
+  with a(T) >= b_j, and each edge has one sink, so the flow costs at least
+  the sum over sinks of the least such sum of f_ij over T (read from a
+  per-sink table over the sets of allowed sources), and, as every source
+  ships, the sum over sources of the cheapest fixed cost A(P) allows there.
+  A guess whose bound, the larger sum, is at least the best cost so far
+  cannot win the strict comparison.
 
 Costs are compared as ints, the fixed costs scaled by one common
 denominator, and transport gets the relaxation weights f_ij / b_j as ints,
 scaled once more by lcm(b): one positive factor for every weight, so every
 comparison transport makes, and so its flow, is that of the rational
 weights.  The per-threshold tables are O(nm) each, so no state grows with
-the number of guesses.
+the number of guesses.  An instance with a source or sink that has no
+allowed edge is refused before any table is built; otherwise the guesses
+reach size n, so MAX_CANDIDATES bounds the 2^n subset sums, and the cover
+tables too: each nonempty set of a sink's allowed sources is one guess.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .model import (  # noqa: F401
     FlowSolution,
     Instance,
     check_balanced,
+    check_epsilon,
     classify_variant,
     evaluate_cost,
     integer_scaled,
@@ -113,11 +119,13 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
     tag = classify_variant(inst)
     if not (tag.pure or tag.pure_modulo_forbidden):
         raise VariantError("requires PFCT")
-    eps = Fraction(eps)
+    eps = check_epsilon(eps)
     if eps <= 0:
         raise FctpError("epsilon must be positive")
     sizes = candidate_sizes(inst, eps)
     edges = sorted(inst.edges())
+    if len({i for i, _ in edges}) < inst.n or len({j for _, j in edges}) < inst.m:
+        raise InfeasibleError("no feasible transportation")
     total_candidates = sum(comb(len(edges), s) for s in sizes)
     if total_candidates > MAX_CANDIDATES:
         raise GuardError("instance too large for PTAS enumeration")
@@ -144,20 +152,37 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
     return best_flow
 
 
+def _least_covers(sets, costs, supply_sums, demand) -> dict:
+    """{sets[t]: the least costs[u] over the subsets sets[u] of sets[t] with
+    a(sets[u]) >= demand, or None when a(sets[t]) < demand}, in O(k 2^k):
+    ``sets`` holds every set of some k sources, sets[t] the sources at t's bits.
+    """
+    least = [c if supply_sums[s] >= demand else None for s, c in zip(sets, costs)]
+    step = 1
+    while step < len(least):
+        for t in range(len(least)):
+            # A superset of a covering set covers, so least[t] is set when below is.
+            below = least[t ^ step] if t & step else None
+            if below is not None and below < least[t]:
+                least[t] = below
+        step <<= 1
+    return dict(zip(sets, least))
+
+
 @dataclass(frozen=True)
 class _Level:
     """The edges with scaled fixed cost <= t (every edge when t is None).
 
-    ``masks`` hold each source's sinks as a bitmask, ``feasible`` says
-    whether these edges alone can carry the flow, ``sink_min`` and
-    ``source_min`` hold each node's cheapest scaled fixed cost among them
-    (None for one they leave unreached), and ``weights`` is the relaxation
-    with no edge guessed, in scaled ints.
+    ``masks`` hold each source's sinks as a bitmask and ``cols`` each sink's
+    sources, ``feasible`` says whether these edges alone can carry the
+    flow, ``source_min`` holds each source's cheapest scaled fixed cost
+    among them (None for one they leave unreached), and ``weights`` is the
+    relaxation with no edge guessed, in scaled ints.
     """
 
     masks: tuple[int, ...]
+    cols: tuple[int, ...]
     feasible: bool
-    sink_min: tuple
     source_min: tuple
     weights: tuple[tuple, ...]
 
@@ -174,6 +199,16 @@ class _Guesses:
         self.per_unit = [demand_lcm // b for b in inst.demands]
         # supply_sums[s] = a(S) for every set S of sources, s being S as a bitmask.
         self.supply_sums = subset_sums(inst.supplies)
+        # cover[j] maps each set s of the sources allowed into sink j, as a
+        # bitmask, to the least scaled fixed cost of a set T within s with
+        # a(T) >= b_j, and to None when a(s) < b_j.
+        sets, costs = [[0] for _ in inst.demands], [[0] for _ in inst.demands]
+        for i, j in inst.edges():
+            sets[j] += [s | 1 << i for s in sets[j]]
+            costs[j] += [c + self.fixed[i][j] for c in costs[j]]
+        self.cover = [
+            _least_covers(s, c, self.supply_sums, b) for s, c, b in zip(sets, costs, inst.demands)
+        ]
         self._levels: dict = {}
 
     def level(self, threshold) -> _Level:
@@ -185,7 +220,7 @@ class _Guesses:
     def _build_level(self, threshold) -> _Level:
         inst, fixed, per_unit = self.inst, self.fixed, self.per_unit
         masks = [0] * inst.n
-        sink_min = [None] * inst.m
+        cols = [0] * inst.m
         source_min = [None] * inst.n
         weights = [[INF] * inst.m for _ in range(inst.n)]
         for i, j in inst.edges():
@@ -193,15 +228,14 @@ class _Guesses:
             if threshold is not None and c > threshold:
                 continue
             masks[i] |= 1 << j
-            if sink_min[j] is None or c < sink_min[j]:
-                sink_min[j] = c
+            cols[j] |= 1 << i
             if source_min[i] is None or c < source_min[i]:
                 source_min[i] = c
             weights[i][j] = c * per_unit[j]
         return _Level(
             masks=tuple(masks),
+            cols=tuple(cols),
             feasible=feasible(self.supply_sums, inst.demands, masks),
-            sink_min=tuple(sink_min),
             source_min=tuple(source_min),
             weights=tuple(tuple(row) for row in weights),
         )
@@ -214,20 +248,21 @@ class _Guesses:
         return feasible(self.supply_sums, self.inst.demands, masks)
 
     def lower_bound(self, level: _Level, combo) -> int:
-        """Scaled cost floor of any flow inside the level's edges plus ``combo``.
+        """Scaled cost floor of any flow inside the level's edges plus ``combo``:
+        the larger of the sum over sinks of the cheapest covering set of
+        sources and the sum over sources of the cheapest edge.
 
-        Call only on a feasible guess, where every node that ships or
-        receives has an allowed edge.
+        Call only on a feasible guess, where every sink's sources can cover
+        its demand and every source has an edge.
         """
         fixed = self.fixed
-        sinks, sources = list(level.sink_min), list(level.source_min)
+        cols, sources = list(level.cols), list(level.source_min)
         for i, j in combo:
+            cols[j] |= 1 << i
             c = fixed[i][j]
-            if sinks[j] is None or c < sinks[j]:
-                sinks[j] = c
             if sources[i] is None or c < sources[i]:
                 sources[i] = c
-        return max(sum(sinks), sum(sources))
+        return max(sum(map(dict.__getitem__, self.cover, cols)), sum(sources))
 
     def weights(self, level: _Level, combo) -> tuple[tuple, ...]:
         """Relaxation weights under a guess: guessed edges are free (their

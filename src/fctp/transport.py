@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import InfeasibleError
+from .errors import FctpError, InfeasibleError
 from .model import FlowSolution, Instance, check_balanced, integer_scaled
 
 
@@ -31,18 +31,18 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     Returns (solution, objective).  The solution is an optimal extreme point:
     integral flows (integrality of the transportation polytope) with acyclic
     support of at most n + m - 1 edges.  Raises FctpError on an unbalanced
-    instance or on a weight that is not an int, a Fraction or INF,
-    InfeasibleError when the finite-weight edges cannot carry any feasible
-    flow, and ValueError on negative weights (the Dijkstra potentials
-    require w >= 0).
+    instance, on a weight matrix of the wrong shape, on a weight that is not
+    an int, a Fraction or INF, and on a negative weight (the Dijkstra
+    potentials require w >= 0); InfeasibleError when the finite-weight edges
+    cannot carry any feasible flow.
     """
     check_balanced(inst)
     n, m = inst.n, inst.m
     if len(weights) != n or any(len(row) != m for row in weights):
-        raise ValueError("weight matrix shape must match the instance")
+        raise FctpError("weight matrix shape must match the instance")
     scale, (iw,) = integer_scaled(weights)
     if any(x is not None and x < 0 for row in iw for x in row):
-        raise ValueError("negative weights are not supported")
+        raise FctpError("negative weights are not supported")
 
     # Node ids: sources 0..n-1, sinks n..n+m-1.
     adj = [[] for _ in range(n)]  # source -> (sink node, j, weight)

@@ -146,6 +146,10 @@ def test_epsilon_validation():
             solve_bicriteria(inst, bad)
     for good in (Fraction(1, 4), Fraction(1, 8)):
         solve_bicriteria(inst, good)
+    # Only ints and Fractions: a float would become its binary expansion.
+    for bad in ("x", None, 0.1, 0.25, False):
+        with pytest.raises(FctpError, match="epsilon must be an int or a Fraction"):
+            solve_bicriteria(inst, bad)
 
 
 def test_bicriteria_1x1():

@@ -19,6 +19,7 @@ from fctp.cli import (
 )
 from fctp.errors import FctpError
 from fctp.model import (
+    INF,
     make_instance,
     parse_instance,
     parse_solution,
@@ -156,6 +157,20 @@ def test_oracle_memory_ceiling_exits_2(tmp_path, capsys):
     path.write_text(serialize_instance(uniform_pure_instance((2,) + (1,) * 9, (1,) * 11)))
     assert main(["oracle", "--input", str(path), "--guard", "64"]) == 2
     assert "memory ceiling exceeded: n + m = 21 > 20" in capsys.readouterr().err
+
+
+def test_ptas_refuses_isolated_source_at_once(tmp_path, capsys):
+    # 40 sources and one sink, only source 1 has an edge: infeasible, and
+    # refused before the PTAS builds its 2^40 subset sums.
+    n = 40
+    linear = [[0]] + [[INF]] * (n - 1)
+    path = tmp_path / "isolated.fct"
+    path.write_text(serialize_instance(make_instance((1000,) * n, (1000 * n,), [[1]] * n, linear)))
+    started = time.perf_counter()
+    code = main(["solve", "--variant", "pfct-ptas", "--epsilon", "1/2", "--input", str(path)])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert "no feasible transportation" in capsys.readouterr().err
 
 
 def test_solve_refuses_large_swap_scan(tmp_path, capsys):

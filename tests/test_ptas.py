@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,12 @@ def test_epsilon_must_be_unit_fraction():
         ptas_solve(inst, Fraction(2, 5))
     with pytest.raises(FctpError, match="positive"):
         ptas_solve(inst, 0)
+    # Only ints and Fractions: a float would become its binary expansion,
+    # 0.1 = 3602879701896397/2**55.
+    for bad in ("x", None, 0.1, 0.5, True):
+        with pytest.raises(FctpError, match="epsilon must be an int or a Fraction"):
+            ptas_solve(inst, bad)
+    assert ptas_solve(inst, 1).entries == {(0, 0): 1}
 
 
 def test_requires_pure_instance():
@@ -104,12 +111,26 @@ def test_blocked_instance_is_infeasible():
         ptas_solve(inst, Fraction(1, 2))
 
 
+def _cheapest_edge_bound(guesses, edges, combo):
+    """The larger of the sums over sinks and over sources of the cheapest
+    fixed cost a guess allows there: the bound before the cover tables."""
+    fixed = guesses.fixed
+    threshold = min((fixed[i][j] for i, j in combo), default=None)
+    allowed = [e for e in edges if threshold is None or fixed[e[0]][e[1]] <= threshold]
+    allowed += combo
+    sinks = {j: min(fixed[i][j] for i, k in allowed if k == j) for _, j in allowed}
+    sources = {i: min(fixed[i][j] for k, j in allowed if k == i) for i, _ in allowed}
+    return max(sum(sinks.values()), sum(sources.values()))
+
+
 def test_pruning_predicates_agree_with_transport():
     # Random guesses on random allowed-edge sets, with n <= m and n > m: the
     # Hall check says infeasible exactly when transport raises, and the lower
-    # bound never exceeds the cost of the flow transport returns.
+    # bound never exceeds the cost of the flow transport returns, nor falls
+    # below the cheapest-edge bound it replaced.
     rng = random.Random(83)
     seen = {True: 0, False: 0}
+    tighter = 0
     for _ in range(150):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         base = random_pure(rng, n, m, max_supply=6, max_fixed=4)
@@ -135,8 +156,69 @@ def test_pruning_predicates_agree_with_transport():
                 continue
             assert feasible
             cost = sum(guesses.fixed[i][j] for i, j in sol.entries)
-            assert guesses.lower_bound(level, combo) <= cost
+            old_bound = _cheapest_edge_bound(guesses, edges, combo)
+            bound = guesses.lower_bound(level, combo)
+            assert old_bound <= bound <= cost
+            tighter += bound > old_bound
     assert min(seen.values()) >= 100
+    assert tighter >= 50
+
+
+def test_cover_tables_are_least_covering_sets():
+    # Seeded instances with forbidden edges, zero-heavy and fractional fixed
+    # costs: cover[j] holds one entry per set of sink j's allowed sources,
+    # each the brute-force least fixed cost over its subsets that cover b_j.
+    rng = random.Random(89)
+    covered = {True: 0, False: 0}
+    for k in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        base = random_pure(rng, n, m, max_supply=6, max_fixed=2)
+        den = rng.choice((1, 2, 3))
+        fixed = [[Fraction(rng.randint(0, 6), den) for _ in range(m)] for _ in range(n)]
+        linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+        inst = make_instance(base.supplies, base.demands, fixed, linear)
+        guesses = _Guesses(inst)
+        for j, table in enumerate(guesses.cover):
+            allowed = [i for i in range(n) if linear[i][j] is not INF]
+            sets = [
+                subset
+                for r in range(len(allowed) + 1)
+                for subset in itertools.combinations(allowed, r)
+            ]
+            assert sorted(table) == sorted(sum(1 << i for i in s) for s in sets)
+            for s in sets:
+                costs = [
+                    sum(guesses.fixed[i][j] for i in t)
+                    for t in sets
+                    if set(t) <= set(s) and sum(inst.supplies[i] for i in t) >= inst.demands[j]
+                ]
+                want = min(costs) if costs else None
+                assert table[sum(1 << i for i in s)] == want, (k, j, s)
+                assert (want is None) == (sum(inst.supplies[i] for i in s) < inst.demands[j])
+                covered[want is not None] += 1
+    assert min(covered.values()) >= 100, covered
+
+
+def test_isolated_vertex_refused_before_any_table(monkeypatch):
+    # A source or sink with no allowed edge makes the instance infeasible.
+    # The guard's count passes such an instance (one edge gives two guesses),
+    # so ptas_solve must refuse it before the 2^n subset sums: at n = 40
+    # they would never fit in memory.
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("fctp.ptas.subset_sums", no_table)
+    monkeypatch.setattr("fctp.ptas.comb", no_table)
+    # 40 sources of supply 1000 and one sink; only source 1 has an edge.
+    inst = make_instance((1000,) * 40, (40000,), [[1]] * 40, [[0]] + [[INF]] * 39)
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleError, match="no feasible transportation"):
+        ptas_solve(inst, Fraction(1, 2))
+    assert time.perf_counter() - start < 0.1
+    # An isolated sink: sink 2 has no allowed edge.
+    inst = make_instance((2, 2), (3, 1), [[1, 1], [1, 1]], [[0, INF], [0, INF]])
+    with pytest.raises(InfeasibleError, match="no feasible transportation"):
+        ptas_solve(inst, Fraction(1, 2))
 
 
 def test_enumeration_guard(monkeypatch):
@@ -252,3 +334,23 @@ def test_ptas_output_pinned():
         digest.update(serialize_solution(flow).encode())
         digest.update(repr(list(flow.entries)).encode() + b"\n")
     assert digest.hexdigest() == "945ba7e7ab354aa1d7e968c644a2df125cb54ed41b5011f2adbe317cfe6e24ef"
+
+
+def test_transport_calls_pinned(monkeypatch):
+    # Guesses that reach transport over the pinned cases.  The cheapest-edge
+    # bound (per sink, the cheapest allowed edge) let 3707 through; the exact
+    # per-sink cover bound lets 2913 through, with the same output.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return solve_transportation(*args)
+
+    monkeypatch.setattr("fctp.ptas.solve_transportation", counting)
+    for inst, eps in _pinned_cases():
+        try:
+            ptas_solve(inst, eps)
+        except InfeasibleError:
+            pass
+    assert calls == 2913

@@ -78,8 +78,15 @@ def test_feasible_agrees_with_transport():
 
 def test_negative_weights_rejected():
     inst = make_instance((1,), (1,), [[0]], [[0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(FctpError, match="negative weights"):
         solve_transportation(inst, [[-1]])
+
+
+def test_wrong_shaped_weights_rejected():
+    inst = make_instance((1, 1), (2,), [[0], [0]], [[0], [0]])
+    for bad in ([[0]], [[0], [0], [0]], [[0], [0, 0]], []):
+        with pytest.raises(FctpError, match="weight matrix shape"):
+            solve_transportation(inst, bad)
 
 
 def test_non_rational_weights_rejected():
