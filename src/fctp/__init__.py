@@ -38,6 +38,7 @@ from .pfct_s import (
     lp_cost,
     no_crossing_check,
     opt_lower_bound,
+    solve_pfct_s,
 )
 from .pfct_u import (
     enumerate_balanced_sets,

@@ -59,9 +59,10 @@ def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
     group cost sum (c + f/p) x' never grows.  Mass moves from expensive
     small edges to cheap ones (cheapest unit rate filled first), the final
     leftover fragment is dropped, and zeroed edges leave the returned flow.
-    A support with a cycle is rejected.
+    A support with a cycle is rejected, and so is an eps that
+    model.check_epsilon refuses, such as a float.
     """
-    eps = Fraction(eps)
+    eps = check_epsilon(eps)
     parents, cycle = walk_support(inst.n, flow)
     if cycle is not None:
         raise FctpError("non-tree support")

@@ -24,6 +24,7 @@ from .fct_u import solve_fct_u
 from .model import (
     MAX_COST_DIGITS,
     LineReader,
+    balance_report,
     evaluate_cost,
     format_rational,
     parse_instance,
@@ -31,10 +32,9 @@ from .model import (
     parse_solution,
     serialize_instance,
     serialize_solution,
-    validate_instance,
     validate_solution,
 )
-from .pfct_s import greedy_solve, greedy_upper_bound, opt_lower_bound
+from .pfct_s import solve_pfct_s
 from .pfct_u import solve_pfct_u, verify_factor_revealing_certificate
 from .ptas import ptas_solve
 from .reductions import (
@@ -46,6 +46,11 @@ from .reductions import (
     split_digraph_to_bipartite,
     threedm_to_pfct_u,
 )
+
+# Unused here: `fctp solve` validates with balance_report and solves PFCT-S
+# with solve_pfct_s, but perfbench/tracing.py still wraps these fctp.cli names.
+from .model import validate_instance  # noqa: F401
+from .pfct_s import greedy_solve, greedy_upper_bound, opt_lower_bound  # noqa: F401
 
 VARIANTS = ("pfct-s", "pfct-u", "fct-u", "fct-bicriteria", "pfct-ptas")
 # Solver options of `fctp solve`; a bench row's params are merged over them.
@@ -99,9 +104,9 @@ def _dispatch_solver(inst, variant, options):
     elif variant in ("fct-bicriteria", "pfct-ptas"):
         raise FctpError(f"--epsilon is required for {variant}")
     if variant == "pfct-s":
-        flow = greedy_solve(inst)
-        parameters["opt_lower_bound"] = format_rational(opt_lower_bound(inst))
-        parameters["greedy_upper_bound"] = format_rational(greedy_upper_bound(inst))
+        flow, lower, upper = solve_pfct_s(inst)
+        parameters["opt_lower_bound"] = format_rational(lower)
+        parameters["greedy_upper_bound"] = format_rational(upper)
         return flow, "greedy", parameters
     if variant == "pfct-u":
         _, flow = solve_pfct_u(inst, mode=options["mode"], swap_size=options["swap"])
@@ -121,7 +126,7 @@ def _dispatch_solver(inst, variant, options):
 
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    report = validate_instance(inst)
+    report = balance_report(inst)
     if report is not None:
         print(f"invalid instance: {report}", file=sys.stderr)
         return 2
@@ -155,7 +160,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
     sol = parse_solution(_read(args.solution))
-    report = validate_instance(inst)
+    report = balance_report(inst)
     if report is not None:
         print(json.dumps({"status": "violation", "detail": f"instance: {report}"}))
         return 2
@@ -205,7 +210,7 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = parse_instance(_read(args.input))
-    report = validate_instance(inst)
+    report = balance_report(inst)
     if report is not None:
         print(f"invalid instance: {report}", file=sys.stderr)
         return 2

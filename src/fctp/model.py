@@ -223,9 +223,18 @@ def validate_instance(inst: Instance) -> str | None:
                 return f"c_{i + 1},{j + 1} must be a rational or inf"
             if c.numerator < 0:
                 return f"c_{i + 1},{j + 1} negative"
-    if sum(inst.supplies) != sum(inst.demands):
-        return "sum(a) != sum(b)"
-    return None
+    return balance_report(inst)
+
+
+def balance_report(inst: Instance) -> str | None:
+    """The O(n + m) part of validate_instance, with its messages: sizes,
+    positive int supplies and demands, balance.  It is the whole report for
+    a parsed instance, since parse_instance refuses every cost that the
+    matrix checks would."""
+    report = _sides_report(inst)
+    if report is None and sum(inst.supplies) != sum(inst.demands):
+        report = "sum(a) != sum(b)"
+    return report
 
 
 def check_instance(inst: Instance) -> None:
@@ -244,11 +253,9 @@ def check_epsilon(eps) -> Fraction:
 
 
 def check_balanced(inst: Instance) -> None:
-    """The O(n + m) part of validate_instance, with its messages, for solvers
-    too hot for the full check: sizes, positive int supplies and demands, balance."""
-    report = _sides_report(inst)
-    if report is None and sum(inst.supplies) != sum(inst.demands):
-        report = "sum(a) != sum(b)"
+    """Raise FctpError when balance_report reports a violation; for solvers
+    too hot for the full check."""
+    report = balance_report(inst)
     if report is not None:
         raise FctpError(f"invalid instance: {report}")
 
@@ -271,21 +278,31 @@ class VariantTag:
 def classify_variant(inst: Instance) -> VariantTag:
     """Compute variant tags exactly from the cost matrices, in one pass.
 
-    Entries compare by their int numerator and denominator, exact for ints
-    and Fractions alike, and an entry that is its row's first object needs
-    no comparison.  A row that settles a tag ends the scan for that tag.
+    A row whose last entry is its first object, as in a parsed row, where
+    one object stands for each distinct token, is tested as a whole with
+    row.count(row[0]) == len(row): exact, since count compares with ==, and
+    at C speed, since it compares by identity first.  Other rows, such as
+    the fresh Fractions of make_instance, are read entry by entry: comparing
+    numerators and denominators costs less than the Fraction.__eq__ that
+    count would call on each entry.  A row that settles a tag ends the scan
+    for that tag.
     """
     pure = pure_mod = sink_independent = uniform = True
     for frow, crow in zip(inst.fixed, inst.linear):
         if sink_independent and frow:
             first = frow[0]
             num, den = first.numerator, first.denominator
-            uniform = uniform and num == 1 and den == 1
-            for f in frow:
-                if f is not first and (f.numerator != num or f.denominator != den):
-                    sink_independent = uniform = False
-                    break
+            if frow[-1] is first:
+                sink_independent = frow.count(first) == len(frow)
+            else:
+                for f in frow:
+                    if f is not first and (f.numerator != num or f.denominator != den):
+                        sink_independent = False
+                        break
+            uniform = uniform and sink_independent and num == 1 and den == 1
         if pure_mod:
+            if crow and crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
+                crow = crow[:1]
             for c in crow:
                 if c is INF:
                     pure = False
@@ -325,7 +342,8 @@ class FlowSolution:
 
 
 def make_flow(entries, relaxation=None) -> FlowSolution:
-    """Build a FlowSolution, dropping explicit zeros and coercing values."""
+    """Build a FlowSolution, dropping explicit zeros and coercing values; the
+    relaxation tag goes through check_epsilon, so a float is refused."""
     flows = {}
     for (i, j), x in dict(entries).items():
         x = Fraction(x)
@@ -333,7 +351,7 @@ def make_flow(entries, relaxation=None) -> FlowSolution:
             raise FctpError(f"negative flow on edge ({i + 1}, {j + 1})")
         if x > 0:
             flows[(int(i), int(j))] = x
-    tag = None if relaxation is None else Fraction(relaxation)
+    tag = None if relaxation is None else check_epsilon(relaxation)
     return FlowSolution(entries=flows, relaxation=tag)
 
 

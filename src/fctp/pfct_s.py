@@ -6,6 +6,11 @@ at each step.  The resulting solution minimizes the linear relaxation
 sum(x_ij / b_j * f_i) (its support has no crossing pair), and its actual
 cost is sandwiched between an exact lower bound on the optimum and that
 bound plus sum of all but the largest fixed cost.
+
+solve_pfct_s returns the flow and both bounds from one sorted view, after
+one variant check; `fctp solve --variant pfct-s` calls it once.
+greedy_solve, opt_lower_bound and greedy_upper_bound each check the
+instance and compute only their own result.
 """
 
 from __future__ import annotations
@@ -84,9 +89,19 @@ def _require_pfct_s(inst: Instance) -> SortedView:
     return sorted_view(inst)
 
 
-def greedy_solve(inst: Instance) -> FlowSolution:
-    """Two-pointer sweep over the sorted view; crossing-free forest flow."""
+def solve_pfct_s(inst: Instance) -> tuple[FlowSolution, Fraction, Fraction]:
+    """(greedy flow, opt_lower_bound, greedy_upper_bound) from one sorted view.
+
+    The balance and variant checks and the sorted view run once, so a caller
+    that wants the flow and both bounds, as `fctp solve` does, reads the
+    cost matrices once.
+    """
     view = _require_pfct_s(inst)
+    lower = _lower_bound(view)
+    return _greedy(inst, view), lower, lower + sum(view.fixed_sorted[1:], Fraction(0))
+
+
+def _greedy(inst: Instance, view: SortedView) -> FlowSolution:
     steps = two_pointer_steps([inst.supplies[i] for i in view.source_order], view.demand_sorted)
     return FlowSolution(
         entries={
@@ -94,6 +109,11 @@ def greedy_solve(inst: Instance) -> FlowSolution:
             for p, q, amount in steps
         }
     )
+
+
+def greedy_solve(inst: Instance) -> FlowSolution:
+    """Two-pointer sweep over the sorted view; crossing-free forest flow."""
+    return _greedy(inst, _require_pfct_s(inst))
 
 
 def lp_cost(inst: Instance, sol: FlowSolution) -> Fraction:

@@ -53,26 +53,6 @@ def _mask(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
-def validate_partition(inst: Instance, parts) -> str | None:
-    """Check that the parts are nonempty, disjoint, cover every vertex and
-    each have net weight 0."""
-    weights = signed_weights(inst)
-    seen = 0
-    for k, part in enumerate(parts):
-        if not part:
-            return f"part {k} is empty"
-        if part & seen:
-            return f"part {k} overlaps an earlier part"
-        seen |= part
-        if part >> len(weights):
-            return f"part {k} has a vertex outside the instance"
-        if sum(weights[v] for v in _bits(part)) != 0:
-            return f"part {k} is not balanced"
-    if seen != (1 << len(weights)) - 1:
-        return "partition does not cover all sources and sinks"
-    return None
-
-
 @dataclass(frozen=True)
 class PackingInstance:
     """k-set packing instance: balanced vertex sets as bitmasks over

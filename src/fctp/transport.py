@@ -10,6 +10,12 @@ the network cannot change that round's path or potential update.  Forbidden
 edges (weight INF) are excluded from the residual graph rather than given a
 big-M weight.
 
+A popped sink j scans only its backward arcs: used[j] is a bitmask of the
+sources with flow into j, set when an augmentation creates edge (i, j) and
+cleared when it empties it.  Its bits are read in ascending order, the
+order of a scan over every source, so pushes and ties, and the output,
+are those of that scan.
+
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away, the trees bicriteria rounds and the
 connected components the exact oracle splits blocks by.  feasible is the
@@ -45,19 +51,15 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
         raise FctpError("negative weights are not supported")
 
     # Node ids: sources 0..n-1, sinks n..n+m-1.
-    adj = [[] for _ in range(n)]  # source -> (sink node, j, weight)
-    radj = [[] for _ in range(m)]  # sink -> (source, weight)
-    for i in range(n):
-        for j in range(m):
-            x = iw[i][j]
-            if x is not None:
-                adj[i].append((n + j, j, x))
-                radj[j].append((i, x))
+    adj = [
+        [(n + j, j, x) for j, x in enumerate(row) if x is not None] for row in iw
+    ]  # source -> (sink node, j, weight)
 
     heappush, heappop = heapq.heappush, heapq.heappop
     rem_a = list(inst.supplies)
     rem_b = list(inst.demands)
     flow: dict[tuple[int, int], int] = {}
+    used = [0] * m  # used[j]: bitmask of the sources with flow into sink j
     pot = [0] * (n + m)
     total_left = sum(rem_a)
 
@@ -71,14 +73,17 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
         # reads only distances under the target's, are those of a run that
         # settles every reachable node.
         dist: list[int | None] = [None] * (n + m)
-        parent: list[tuple[int, int] | None] = [None] * (n + m)
+        # The arc into each reached node: (par_i[v], par_j[v]), forward
+        # when v is sink par_j[v]; par_i[v] < 0 at a start source.
+        par_i = [-1] * (n + m)
+        par_j = [-1] * (n + m)
         heap = []
         counter = 0
         reach = None  # distance of the first popped sink with unmet demand
-        for i in range(n):
+        for i in range(n):  # entries (0, k, i) in ascending order: already a heap
             if rem_a[i] > 0:
                 dist[i] = 0
-                heappush(heap, (0, counter, i))
+                heap.append((0, counter, i))
                 counter += 1
         while heap:
             d, _, v = heappop(heap)
@@ -91,7 +96,8 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                     du = dist[u]
                     if du is None or nd < du:
                         dist[u] = nd
-                        parent[u] = (v, j)
+                        par_i[u] = v
+                        par_j[u] = j
                         heappush(heap, (nd, counter, u))
                         counter += 1
             else:
@@ -102,15 +108,19 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                 elif d > reach:
                     break
                 base = d + pot[v]
-                for i, x in radj[j]:
-                    if (i, j) in flow:
-                        nd = base - x - pot[i]
-                        di = dist[i]
-                        if di is None or nd < di:
-                            dist[i] = nd
-                            parent[i] = (i, j)
-                            heappush(heap, (nd, counter, i))
-                            counter += 1
+                sources = used[j]
+                while sources:
+                    low = sources & -sources
+                    sources ^= low
+                    i = low.bit_length() - 1
+                    nd = base - iw[i][j] - pot[i]
+                    di = dist[i]
+                    if di is None or nd < di:
+                        dist[i] = nd
+                        par_i[i] = i
+                        par_j[i] = j
+                        heappush(heap, (nd, counter, i))
+                        counter += 1
         target = -1
         for j in range(m):
             v = n + j
@@ -123,8 +133,8 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
         # Walk the path back, collecting forward/backward arcs.
         path = []
         v = target
-        while parent[v] is not None:
-            i, j = parent[v]
+        while par_i[v] >= 0:
+            i, j = par_i[v], par_j[v]
             forward = v == n + j
             path.append((i, j, forward))
             v = i if forward else n + j
@@ -137,11 +147,16 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                 delta = min(delta, flow[(i, j)])
         for i, j, forward in path:
             if forward:
-                flow[(i, j)] = flow.get((i, j), 0) + delta
+                if (i, j) in flow:
+                    flow[(i, j)] += delta
+                else:
+                    flow[(i, j)] = delta
+                    used[j] |= 1 << i
             else:
                 flow[(i, j)] -= delta
                 if flow[(i, j)] == 0:
                     del flow[(i, j)]
+                    used[j] ^= 1 << i
         rem_a[start] -= delta
         rem_b[target - n] -= delta
         total_left -= delta

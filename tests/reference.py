@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
-from fctp.model import INF, classify_variant, evaluate_cost
+from fctp.model import INF, VariantTag, classify_variant, evaluate_cost, signed_weights
 from fctp.pfct_s import greedy_solve, pi, sorted_view
 from fctp.transport import solve_transportation
 
@@ -83,3 +83,55 @@ def restricted_lp_value(inst, edges):
         weights[i][j] = 0
     _, value = solve_transportation(inst, weights)
     return sum((inst.fixed[i][j] for i, j in edges), Fraction(0)) + value
+
+
+def validate_partition(inst, parts):
+    """None when the vertex-mask parts are nonempty, disjoint, cover every
+    vertex and each have net weight 0, else the first violation."""
+    weights = signed_weights(inst)
+    seen = 0
+    for k, part in enumerate(parts):
+        if not part:
+            return f"part {k} is empty"
+        if part & seen:
+            return f"part {k} overlaps an earlier part"
+        seen |= part
+        if part >> len(weights):
+            return f"part {k} has a vertex outside the instance"
+        if sum(w for v, w in enumerate(weights) if part >> v & 1) != 0:
+            return f"part {k} is not balanced"
+    if seen != (1 << len(weights)) - 1:
+        return "partition does not cover all sources and sinks"
+    return None
+
+
+def classify_variant_per_entry(inst):
+    """classify_variant as one scan that reads every entry it needs.
+
+    Entries compare by their int numerator and denominator, exact for ints
+    and Fractions alike, and an entry that is its row's first object needs
+    no comparison.  A row that settles a tag ends the scan for that tag.
+    """
+    pure = pure_mod = sink_independent = uniform = True
+    for frow, crow in zip(inst.fixed, inst.linear):
+        if sink_independent and frow:
+            first = frow[0]
+            num, den = first.numerator, first.denominator
+            uniform = uniform and num == 1 and den == 1
+            for f in frow:
+                if f is not first and (f.numerator != num or f.denominator != den):
+                    sink_independent = uniform = False
+                    break
+        if pure_mod:
+            for c in crow:
+                if c is INF:
+                    pure = False
+                elif c.numerator:
+                    pure = pure_mod = False
+                    break
+    return VariantTag(
+        pure=pure,
+        sink_independent=sink_independent,
+        uniform=uniform,
+        pure_modulo_forbidden=pure_mod,
+    )

@@ -52,6 +52,14 @@ def test_round_tree_identity_when_all_edges_large():
     assert round_tree(inst, flow, Fraction(1, 4)) == flow
 
 
+def test_round_tree_refuses_a_float_eps():
+    inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    flow = {(0, 0): Fraction(2), (0, 1): Fraction(1), (1, 1): Fraction(3, 2)}
+    for bad in (0.1, 0.25, "1/4", None):
+        with pytest.raises(FctpError, match="epsilon must be an int or a Fraction"):
+            round_tree(inst, flow, bad)
+
+
 def test_round_tree_leaf_vertices_untouched():
     inst = make_instance((3,), (3,), [[1]], [[0]])
     flow = {(0, 0): Fraction(3)}

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from util import e1_instance
 
+from fctp import cli, model, pfct_s
 from fctp.cli import (
     _bench_rows,
     _parse_fraction,
@@ -187,6 +188,48 @@ def test_solve_refuses_large_swap_scan(tmp_path, capsys):
         assert time.perf_counter() - started < 2
         assert code == 2
         assert "combinations > 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "supplies, demands, report",
+    [((0, 3), (1, 2), "a_1 not positive"), ((2, 3), (1, 2), "sum(a) != sum(b)")],
+)
+def test_invalid_instance_file_exits_2(tmp_path, capsys, supplies, demands, report):
+    # The parser refuses every bad cost, so solve, oracle and verify check
+    # only sizes, supplies, demands and balance, with the same messages.
+    inst = make_instance(supplies, demands, [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    path = tmp_path / "bad.fct"
+    path.write_text(serialize_instance(inst))
+    sol = tmp_path / "any.sol"
+    sol.write_text("SOL v1\n1 1 1\n")
+    for argv in (
+        ["solve", "--variant", "pfct-s", "--input", str(path)],
+        ["solve", "--variant", "fct-u", "--input", str(path)],
+        ["oracle", "--input", str(path)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid instance: {report}\n"
+        assert captured.out == ""
+    assert main(["verify", str(path), str(sol)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record == {"status": "violation", "detail": f"instance: {report}"}
+
+
+def test_solve_pfct_s_validates_and_classifies_once(e1_file, monkeypatch, capsys):
+    # One balance check and one PFCT-S view: validate_instance's O(nm) pass
+    # never runs, and the cost matrices are classified once.
+    def unexpected(inst):
+        raise AssertionError("validate_instance called")
+
+    calls = []
+    classify = pfct_s.classify_variant
+    monkeypatch.setattr(cli, "validate_instance", unexpected)
+    monkeypatch.setattr(model, "validate_instance", unexpected)
+    monkeypatch.setattr(pfct_s, "classify_variant", lambda inst: calls.append(1) or classify(inst))
+    assert main(["solve", "--variant", "pfct-s", "--input", e1_file]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == "28"
+    assert len(calls) == 1
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

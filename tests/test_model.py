@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+
+from reference import classify_variant_per_entry
 
 from fctp.errors import FctpError, ParseError
 from fctp.model import (
@@ -10,6 +13,7 @@ from fctp.model import (
     FlowSolution,
     Instance,
     VariantTag,
+    balance_report,
     check_balanced,
     classify_variant,
     evaluate_cost,
@@ -171,6 +175,82 @@ def test_classify_matches_four_pass_definition():
         assert tag == reference_classify(inst), inst
         seen.add(tag)
     assert len(seen) >= 6  # every tag both ways, in several combinations
+
+
+def test_classify_matches_the_per_entry_scan():
+    # The per-entry scan that the row.count(row[0]) test replaced where a
+    # row's last entry is its first object.  make_instance builds equal but
+    # distinct Fractions, a parsed instance shares one object per token, and
+    # the drawn rows themselves repeat pool objects next to equal distinct
+    # ones (1 and 2/2, 3/2 and 6/4, 0 and 0/7).  Every third draw starts a
+    # linear row with INF or mixes INF and 0 in it.
+    rng = random.Random(16)
+    fixed_values = [Fraction(1), Fraction(2, 2), Fraction(0), Fraction(3, 2), Fraction(6, 4)]
+    linear_values = [INF, Fraction(0), Fraction(0, 7), Fraction(1, 3)]
+    seen, inf_first, mixed = set(), 0, 0
+    for k in range(600):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        fixed = _random_cost_matrix(rng, n, m, fixed_values)
+        linear = _random_cost_matrix(rng, n, m, linear_values)
+        if k % 3 == 0:
+            row = linear[rng.randrange(n)]
+            row[0] = INF
+            if m > 1 and k % 2:
+                row[1:] = [rng.choice((INF, linear_values[1])) for _ in range(m - 1)]
+        inf_first += any(row[0] is INF for row in linear)
+        mixed += any(INF in row and 0 in row for row in linear)
+        inst = make_instance([1] * n, [1] * m, fixed, linear)
+        drawn = Instance(
+            supplies=inst.supplies,
+            demands=inst.demands,
+            fixed=tuple(map(tuple, fixed)),
+            linear=tuple(map(tuple, linear)),
+        )
+        for case in (inst, parse_instance(serialize_instance(inst)), drawn):
+            tag = classify_variant(case)
+            assert tag == classify_variant_per_entry(case) == reference_classify(case), case
+            seen.add(tag)
+    assert len(seen) >= 6 and inf_first >= 150 and mixed >= 100
+
+
+_SIDE_TOKENS = ["0", "1", "2", "3"]
+_COST_TOKENS = ["0", "1", "2", "1/2", "4/8", "0/3", "007", "inf"]
+_BAD_TOKENS = ["-1", "-0", "-1/2", "2/0", "x", "1.5", "1e3", "+1", "Inf"]
+
+
+@st.composite
+def token_grids(draw):
+    """FCT v1 text over a small token grid; half the grids draw bad tokens too."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    costs = st.sampled_from(_COST_TOKENS + draw(st.sampled_from([[], _BAD_TOKENS])))
+    sides = st.sampled_from(_SIDE_TOKENS)
+    lines = ["FCT v1", f"{n} {m}"]
+    lines.append(" ".join(draw(sides) for _ in range(n)))
+    lines.append(" ".join(draw(sides) for _ in range(m)))
+    for _ in range(2 * n):
+        lines.append(" ".join(draw(costs) for _ in range(m)))
+    return "\n".join(lines) + "\n"
+
+
+@given(token_grids())
+def test_parsed_instances_pass_every_matrix_check(text):
+    # fctp solve, verify and oracle check a parsed file with balance_report
+    # alone; that is sound only while the parser refuses every cost that
+    # validate_instance's matrix checks would report.
+    try:
+        inst = parse_instance(text)
+    except ParseError:
+        return
+    assert validate_instance(inst) == balance_report(inst)
+    sides_fixed = dataclasses.replace(inst, supplies=(inst.m,) * inst.n, demands=(inst.n,) * inst.m)
+    assert validate_instance(sides_fixed) is None
+
+
+def test_make_flow_refuses_a_float_relaxation():
+    assert make_flow({(0, 0): 1}, relaxation=Fraction(1, 10)).relaxation == Fraction(1, 10)
+    for bad in (0.1, 0.25, "1/4", True):
+        with pytest.raises(FctpError, match="epsilon must be an int or a Fraction"):
+            make_flow({(0, 0): 1}, relaxation=bad)
 
 
 def test_integer_scaled_rejects_non_rational_entries():

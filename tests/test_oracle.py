@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from reference import exact_dst_by_edge_subsets
+from reference import exact_dst_by_edge_subsets, validate_partition
 from util import brute_force_opt, is_forest
 
 from fctp import oracle
@@ -28,7 +28,6 @@ from fctp.model import (
     uniform_pure_instance,
     validate_solution,
 )
-from fctp.pfct_u import validate_partition
 from fctp.reductions import make_digraph, make_dst, make_setcover, split_digraph_to_bipartite
 
 

@@ -18,6 +18,7 @@ from fctp.pfct_s import (
     no_crossing_check,
     opt_lower_bound,
     pi,
+    solve_pfct_s,
     sorted_view,
 )
 from fctp.transport import solve_transportation
@@ -55,6 +56,17 @@ def test_greedy_requires_pfct_s():
     not_sink_independent = pure_instance((2,), (1, 1), [[1, 2]])
     with pytest.raises(VariantError, match="requires PFCT-S"):
         greedy_solve(not_sink_independent)
+
+
+def test_solve_pfct_s_agrees_with_the_three_functions():
+    rng = random.Random(16)
+    for _ in range(30):
+        inst = random_pfct_s(rng, rng.randint(1, 6), rng.randint(1, 8))
+        flow, lower, upper = solve_pfct_s(inst)
+        assert flow == greedy_solve(inst)
+        assert lower == opt_lower_bound(inst)
+        assert upper == greedy_upper_bound(inst)
+        assert lower <= evaluate_cost(inst, flow) <= upper
 
 
 def test_sorted_view_orders_and_ties():

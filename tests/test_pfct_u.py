@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import validate_partition
 from util import is_forest
 
 from fctp import oracle
@@ -20,7 +21,6 @@ from fctp.pfct_u import (
     PackingInstance,
     preprocess_matched_pairs,
     solve_pfct_u,
-    validate_partition,
     verify_factor_revealing_certificate,
 )
 
