@@ -1,7 +1,8 @@
 """Bicriteria approximation for general instances: demands met within 1 +/- eps.
 
 Pipeline: solve the linear relaxation with capacity-normalized weights
-c_ij + f_ij / p_ij where p_ij = min(a_i, b_j); walk the LP's forest once,
+c_ij + f_ij / p_ij where p_ij = min(a_i, b_j), handed to the transport core
+as ints over their least common denominator; walk the LP's forest once,
 each tree rooted at its lowest vertex, and at every vertex round the child
 edges carrying less than eps' p_e to 0 or eps' p_e without raising the cost;
 rescale each source's outgoing flow so supplies are met exactly.  Each sink
@@ -17,9 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FctpError
-from .model import INF, FlowSolution, Instance, check_balanced, check_epsilon, evaluate_cost
+from .model import (
+    INF,
+    FlowSolution,
+    Instance,
+    check_balanced,
+    check_epsilon,
+    evaluate_cost,
+    integer_scaled,
+)
 from .transport import solve_transportation, walk_support
 
 
@@ -45,6 +55,38 @@ def cost_factor(internal_eps: Fraction) -> Fraction:
 def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
     # (c p + f) per unit of p-mass: the LP weight c + f/p.
     return inst.linear[i][j] + inst.fixed[i][j] / capacity(inst, i, j)
+
+
+def _lp_weights(inst: Instance) -> tuple[int, list]:
+    """(common, weights): the LP weights c + f/p as ints over common, INF where
+    c is INF.
+
+    Each weight is (C p + F) / (s p) in lowest terms, with C = c s and F = f s
+    scaled to ints by one s, and common is the lcm of those denominators: the
+    matrix integer_scaled makes of the weights as Fractions, entry for entry.
+    """
+    scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
+    nums, dens = [], []
+    for a, f_row, c_row in zip(inst.supplies, fixed, linear):
+        num_row, den_row = [], []
+        for b, f, c in zip(inst.demands, f_row, c_row):
+            if c is None:
+                num_row.append(None)
+                den_row.append(1)
+                continue
+            p = a if a < b else b
+            num, den = c * p + f, scale * p
+            g = gcd(num, den)
+            num_row.append(num // g)
+            den_row.append(den // g)
+        nums.append(num_row)
+        dens.append(den_row)
+    common = lcm(*{den for row in dens for den in row})
+    weights = [
+        [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]
+        for num_row, den_row in zip(nums, dens)
+    ]
+    return common, weights
 
 
 def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
@@ -103,14 +145,9 @@ def solve_bicriteria(
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")
     internal = eps / 4
-    weights = tuple(
-        tuple(
-            INF if inst.linear[i][j] is INF else _unit_rate(inst, i, j)
-            for j in range(inst.m)
-        )
-        for i in range(inst.n)
-    )
-    lp_sol, lp_value = solve_transportation(inst, weights)
+    common, weights = _lp_weights(inst)
+    lp_sol, objective = solve_transportation(inst, weights)
+    lp_value = objective / common
 
     unscaled = round_tree(inst, lp_sol.entries, internal)
     row_sums = FlowSolution(entries=unscaled).row_sums(inst.n)

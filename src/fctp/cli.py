@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -93,7 +94,7 @@ def _parse_fraction(text: str | int) -> Fraction:
 
 
 def _dispatch_solver(inst, variant, options):
-    """Returns (flow, algorithm name, parameters echoed in the report)."""
+    """Returns (flow, its cost, algorithm name, parameters echoed in the report)."""
     parameters = {}
     if variant == "pfct-u":
         parameters["mode"] = options["mode"]
@@ -107,21 +108,24 @@ def _dispatch_solver(inst, variant, options):
         flow, lower, upper = solve_pfct_s(inst)
         parameters["opt_lower_bound"] = format_rational(lower)
         parameters["greedy_upper_bound"] = format_rational(upper)
-        return flow, "greedy", parameters
-    if variant == "pfct-u":
+        algorithm = "greedy"
+    elif variant == "pfct-u":
         _, flow = solve_pfct_u(inst, mode=options["mode"], swap_size=options["swap"])
-        return flow, f"balanced-packing-{options['mode']}", parameters
-    if variant == "fct-u":
-        return solve_fct_u(inst), "linear-then-forest", parameters
-    if variant == "fct-bicriteria":
+        algorithm = f"balanced-packing-{options['mode']}"
+    elif variant == "fct-u":
+        flow, algorithm = solve_fct_u(inst), "linear-then-forest"
+    elif variant == "fct-bicriteria":
         flow, report = solve_bicriteria(inst, _parse_fraction(options["epsilon"]))
         parameters["lp_value"] = format_rational(report.lp_value)
         parameters["cost_bound"] = format_rational(report.cost_bound)
-        return flow, "bicriteria-rounding", parameters
-    if variant == "pfct-ptas":
+        # solve_bicriteria has already costed its flow.
+        return flow, report.actual_cost, "bicriteria-rounding", parameters
+    elif variant == "pfct-ptas":
         flow = ptas_solve(inst, _parse_fraction(options["epsilon"]))
-        return flow, "guess-expensive-edges", parameters
-    raise FctpError(f"unknown variant {variant!r}")
+        algorithm = "guess-expensive-edges"
+    else:
+        raise FctpError(f"unknown variant {variant!r}")
+    return flow, evaluate_cost(inst, flow), algorithm, parameters
 
 
 def cmd_solve(args) -> int:
@@ -131,9 +135,8 @@ def cmd_solve(args) -> int:
         print(f"invalid instance: {report}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    flow, algorithm, parameters = _dispatch_solver(inst, args.variant, vars(args))
+    flow, cost, algorithm, parameters = _dispatch_solver(inst, args.variant, vars(args))
     elapsed = time.perf_counter() - started
-    cost = evaluate_cost(inst, flow)
     # Every rational is rendered before the solution is written, so a cost
     # too long to print leaves no solution file.
     record = {
@@ -401,8 +404,7 @@ def cmd_bench(args) -> int:
         }
         try:
             inst = generators.generate(family, n, m, seed, **params["generator"])
-            flow, _, _ = _dispatch_solver(inst, solver, params)
-            cost = evaluate_cost(inst, flow)
+            _, cost, _, _ = _dispatch_solver(inst, solver, params)
             record["cost"] = format_rational(cost)
             if want_oracle:
                 opt, _ = oracle.exact_fct(inst, guard=params["guard"])
@@ -432,7 +434,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fctp` argument parser, built on the first call and shared after it.
+
+    parse_args leaves the parser unchanged and returns a new namespace each
+    call, and SOLVE_DEFAULTS holds only immutable values, so every main()
+    call in a process may parse with the one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="fctp",
         description="Fixed charge transportation: solvers, oracles, generators.",

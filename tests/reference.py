@@ -64,6 +64,17 @@ def compare_residual_bound(inst1, inst2, delta):
     return greedy_cost <= opt1 + delta * f[0] + sum(f[1:], Fraction(0))
 
 
+def bicriteria_weights(inst):
+    """The bicriteria LP weights c + f / min(a, b) as Fractions, INF where c is INF."""
+    return [
+        [
+            INF if c is INF else c + f / min(a, b)
+            for c, f, b in zip(c_row, f_row, inst.demands)
+        ]
+        for c_row, f_row, a in zip(inst.linear, inst.fixed, inst.supplies)
+    ]
+
+
 def restricted_lp_value(inst, edges):
     """LP value of one PTAS guess P: P's sunk fixed costs plus the relaxation.
 

@@ -3,18 +3,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fctp import oracle
+from reference import bicriteria_weights
+
+from fctp import bicriteria, oracle
 from fctp.bicriteria import capacity, cost_factor, round_tree, solve_bicriteria
 from fctp.errors import FctpError, InfeasibleError
-from fctp.generators import generate, random_fct
+from fctp.generators import generate, random_fct, split_total
 from fctp.model import (
+    INF,
     evaluate_cost,
     format_rational,
+    integer_scaled,
     make_instance,
     serialize_solution,
     validate_solution,
 )
+from fctp.transport import solve_transportation
 
 
 def group_mass(flow, edges):
@@ -87,16 +93,7 @@ def test_round_tree_small_edge_on_2x2_instance():
     inst = make_instance(
         (20, 20), (21, 19), [[0, 8], [0, 0]], [[0, 1], [0, 0]]
     )
-    from fctp.transport import solve_transportation
-
-    weights = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            p = min(inst.supplies[i], inst.demands[j])
-            row.append(inst.linear[i][j] + inst.fixed[i][j] / p)
-        weights.append(row)
-    lp_sol, _ = solve_transportation(inst, weights)
+    lp_sol, _ = solve_transportation(inst, bicriteria_weights(inst))
     flow = lp_sol.entries
     assert flow == {
         (0, 0): Fraction(20),
@@ -242,3 +239,94 @@ def test_bicriteria_output_pinned():
                 f"{format_rational(report.cost_bound)}\n".encode()
             )
     assert digest.hexdigest() == "450e60d05602930c2ccf64ab43048fd9959705bc759e5235e14743a227469e22"
+
+
+def _fractional_instance(rng, n, m):
+    """Costs with denominators up to 7, zeros and, off row and column 0,
+    forbidden cells (about 15%)."""
+    supplies = [rng.randint(1, 9) for _ in range(n)]
+    supplies[0] += max(0, m - sum(supplies))
+    demands = split_total(rng, sum(supplies), m)
+
+    def cost():
+        return 0 if rng.random() < 0.2 else Fraction(rng.randint(1, 40), rng.randint(1, 7))
+
+    fixed = [[cost() for _ in range(m)] for _ in range(n)]
+    linear = [
+        [INF if i and j and rng.random() < 0.15 else cost() for j in range(m)]
+        for i in range(n)
+    ]
+    return make_instance(supplies, demands, fixed, linear)
+
+
+def _fractional_pinned_cases():
+    rng = random.Random(1717)
+    for _ in range(200):
+        yield _fractional_instance(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+
+def test_bicriteria_fractional_output_pinned():
+    # Recorded while the LP weights were built as Fractions: any change in
+    # the LP forest, in which edges are rounded or in the reported values
+    # changes this digest.
+    digest = hashlib.sha256()
+    for inst in _fractional_pinned_cases():
+        for eps in (Fraction(1, 4), Fraction(1, 8)):
+            try:
+                flow, report = solve_bicriteria(inst, eps)
+            except InfeasibleError:
+                digest.update(b"infeasible\n")
+                continue
+            digest.update(serialize_solution(flow).encode())
+            digest.update(
+                f"{format_rational(report.lp_value)} {format_rational(report.cost_bound)} "
+                f"{format_rational(report.actual_cost)}\n".encode()
+            )
+    assert digest.hexdigest() == "6e66839740b2e77273b895df5935b28e628fe4808aa08359ce367d337f32b3f8"
+
+
+@st.composite
+def fractional_instances(draw):
+    """Balanced instances, 1 x m and n x 1 included, whose costs are zero or
+    fractions, with about one forbidden cell in seven."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    supplies = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    supplies[0] += max(0, m - sum(supplies))
+    total = sum(supplies)
+    cut = st.integers(1, max(total - 1, 1))
+    cuts = sorted(draw(st.sets(cut, min_size=m - 1, max_size=m - 1)))
+    demands = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    cost = st.one_of(st.just(0), st.fractions(0, 20, max_denominator=12))
+    fixed = [[draw(cost) for _ in range(m)] for _ in range(n)]
+    linear = [
+        [INF if draw(st.integers(0, 6)) == 0 else draw(cost) for _ in range(m)]
+        for _ in range(n)
+    ]
+    return make_instance(supplies, demands, fixed, linear)
+
+
+@given(fractional_instances())
+def test_lp_weights_are_the_scaled_fraction_weights(inst):
+    passed = []
+
+    def recording(inst, weights):
+        passed.append(weights)
+        return solve_transportation(inst, weights)
+
+    reference = bicriteria_weights(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bicriteria, "solve_transportation", recording)
+        try:
+            _, report = solve_bicriteria(inst, Fraction(1, 4))
+        except InfeasibleError:
+            report = None
+    (weights,) = passed
+    scale, (scaled,) = integer_scaled(weights)
+    assert scale == 1
+    assert all(type(x) is int for row in weights for x in row if x is not INF)
+    assert scaled == integer_scaled(reference)[1][0]
+    if report is None:
+        with pytest.raises(InfeasibleError):
+            solve_transportation(inst, reference)
+    else:
+        assert report.lp_value == solve_transportation(inst, reference)[1]

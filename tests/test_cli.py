@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from fctp.cli import (
     _bench_rows,
     _parse_fraction,
     _read,
+    build_parser,
     main,
     parse_dst_file,
     parse_setcover_file,
@@ -90,6 +95,44 @@ def test_solve_bicriteria_writes_relaxed_solution(tmp_path, capsys):
     sol = parse_solution(out.read_text())
     assert sol.relaxation == Fraction(1, 4)
     assert main(["verify", str(path), str(out)]) == 0
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import fctp.cli; print(fctp.cli.build_parser.cache_info().currsize)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == b"0\n"
+
+
+def test_shared_parser_is_unchanged_by_refused_calls(tmp_path, capsys):
+    inst = make_instance((4, 2), (3, 3), [[2, 1], [1, 2]], [[0, 1], [1, 0]])
+    path = tmp_path / "fct.fct"
+    path.write_text(serialize_instance(inst))
+    out = tmp_path / "fct.sol"
+    argv = ["solve", "--variant", "fct-bicriteria", "--epsilon", "1/4", "--input", str(path)]
+
+    def good_run():
+        assert main(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    first = good_run()
+    # argparse refuses the first call, the solver dispatch the second.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--variant", "bogus", "--input", str(path)])
+    assert exc.value.code == 2
+    assert main(["solve", "--variant", "fct-bicriteria", "--input", str(path)]) == 2
+    assert "--epsilon is required" in capsys.readouterr().err
+    out.write_bytes(b"")
+    assert good_run() == first
 
 
 def test_verify_ok_and_violation(e1_file, tmp_path, capsys):

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from reference import bicriteria_weights
 from util import brute_force_min_linear, is_forest
 
 from fctp.errors import FctpError, InfeasibleError
@@ -156,13 +157,9 @@ def test_solution_bytes_pinned_on_18x36_instance():
     # not depend on the number type.  The bicriteria weights c + f / min(a, b)
     # and, where a changed tie-break shows, the tie-heavy linear costs alone.
     inst = generate("fct", 18, 36, seed=2024)
-    bicriteria = [
-        [c + f / min(a, b) for c, f, b in zip(lin, fix, inst.demands)]
-        for lin, fix, a in zip(inst.linear, inst.fixed, inst.supplies)
-    ]
     for weights, digest, objective in (
         (
-            bicriteria,
+            bicriteria_weights(inst),
             "348a48546d9dbd7349df27c7e83c668c880045882ab64788c6cd420be301ba67",
             Fraction(64001, 360),
         ),
