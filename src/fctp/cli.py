@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import generators, oracle
 from .bicriteria import solve_bicriteria
-from .errors import CertificateError, FctpError, GuardError, ParseError
+from .errors import CertificateError, FctpError, ParseError
 from .fct_u import solve_fct_u
 from .model import (
     MAX_COST_DIGITS,
@@ -415,7 +415,7 @@ def cmd_bench(args) -> int:
                     key = f"{family}/{solver}"
                     if key not in max_ratio or ratio > max_ratio[key]:
                         max_ratio[key] = ratio
-        except (FctpError, GuardError) as exc:
+        except FctpError as exc:
             record["error"] = str(exc)
         out_rows.append(record)
 

@@ -40,6 +40,11 @@ MAX_ENUMERATED_SETS = 10**7
 # refuses with GuardError instead of running for minutes or hours.
 MAX_SWAP_COMBOS = 10**7
 
+# exact_packing's memo states (memory; never reached at <= 20 vertices, as
+# states are vertex subsets) and DP steps (time; a state may scan hundreds of sets).
+MAX_PACKING_STATES = 1 << 20
+MAX_PACKING_STEPS = 5 * 10**7
+
 
 def _bits(mask: int):
     """The set bits of mask, lowest first."""
@@ -223,40 +228,51 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[int]:
 
 
 def exact_packing(pk: PackingInstance) -> list[int]:
-    """Maximum-cardinality disjoint subfamily, by subset DP or branch and
-    bound; returns the chosen sets in family order."""
-    if pk.vertices <= 20:
-        chosen = _packing_dp(pk.family, pk.vertices)
-    elif len(pk.family) <= 25:
-        chosen = _packing_bnb(pk.family)
-    else:
-        raise GuardError("packing instance too large for exact mode")
-    return [pk.family[idx] for idx in chosen]
+    """Maximum-cardinality disjoint subfamily by a memoized subset DP over
+    the available vertices; returns the chosen sets in family order.
 
-
-def _packing_dp(masks, ground_size: int) -> list[int]:
+    Each state is the set of vertices still free: its lowest vertex is left
+    out, or covered by one of the sets whose lowest vertex it is.  Creating
+    a state costs one step plus one per such set; above MAX_PACKING_STATES
+    states or MAX_PACKING_STEPS steps the DP refuses with GuardError.
+    """
+    masks = pk.family
     by_low: dict[int, list[int]] = {}
     for idx, mask in enumerate(masks):
-        low = mask & -mask
-        by_low.setdefault(low, []).append(idx)
+        by_low.setdefault(mask & -mask, []).append(idx)
     memo: dict[int, tuple[int, int | None]] = {0: (0, None)}
+    steps = 0
 
     def best(avail: int) -> int:
+        nonlocal steps
         if avail in memo:
             return memo[avail][0]
         low = avail & -avail
+        candidates = by_low.get(low, ())
         value, action = best(avail ^ low), None
-        for idx in by_low.get(low, []):
+        for idx in candidates:
             if masks[idx] & ~avail:
                 continue
             cand = 1 + best(avail ^ masks[idx])
             if cand > value:
                 value, action = cand, idx
+        steps += 1 + len(candidates)
+        if len(memo) >= MAX_PACKING_STATES:
+            raise GuardError(
+                f"exact packing needs more than {MAX_PACKING_STATES} DP states; try --mode ls"
+            )
+        if steps > MAX_PACKING_STEPS:
+            raise GuardError(
+                f"exact packing needs more than {MAX_PACKING_STEPS} DP steps; try --mode ls"
+            )
         memo[avail] = (value, action)
         return value
 
-    avail = (1 << ground_size) - 1
-    best(avail)
+    avail = (1 << pk.vertices) - 1
+    try:
+        best(avail)
+    finally:
+        del best  # a self-referencing closure: free the memo now, not at the next GC
     chosen = []
     while avail:
         value, action = memo[avail]
@@ -265,29 +281,7 @@ def _packing_dp(masks, ground_size: int) -> list[int]:
         else:
             chosen.append(action)
             avail ^= masks[action]
-    return sorted(chosen)
-
-
-def _packing_bnb(masks) -> list[int]:
-    n = len(masks)
-    best_set: list[int] = []
-
-    def recurse(idx: int, used: int, chosen: list[int]):
-        nonlocal best_set
-        if len(chosen) + (n - idx) <= len(best_set):
-            return
-        if idx == n:
-            if len(chosen) > len(best_set):
-                best_set = list(chosen)
-            return
-        if not masks[idx] & used:
-            chosen.append(idx)
-            recurse(idx + 1, used | masks[idx], chosen)
-            chosen.pop()
-        recurse(idx + 1, used, chosen)
-
-    recurse(0, 0, [])
-    return sorted(best_set)
+    return [masks[idx] for idx in sorted(chosen)]
 
 
 def _two_pointer_fill(inst: Instance, mask: int):
@@ -334,13 +328,14 @@ def solve_pfct_u(
     """Best balanced partition over k in {3, 4, 5}, plus its routed flow.
 
     The parts are vertex masks (source i is bit i, sink j is bit n + j);
-    the partition costs n + m - len(parts).  mode "exact" packs by brute
-    force (keeps the full 6/5 guarantee at desk scale); mode "ls" uses
-    bounded-swap local search with the given swap size.  The balanced sets
-    are enumerated once, for k = 5: the family is in (size, lex) order, so
-    the family for a smaller k is a prefix of it.  The remainder of the
-    residual after packing forms one extra part (split further if the
-    routing disconnects it; both only lower the cost).
+    the partition costs n + m - len(parts).  mode "exact" packs with the
+    subset DP of exact_packing (keeps the full 6/5 guarantee, refuses past
+    its state or step bound); mode "ls" uses bounded-swap local search with
+    the given swap size.  The balanced sets are enumerated once, for k = 5:
+    the family is in (size, lex) order, so the family for a smaller k is a
+    prefix of it.  The remainder of the residual after packing forms one
+    extra part (split further if the routing disconnects it; both only lower
+    the cost).
     """
     check_balanced(inst)
     if mode not in ("exact", "ls"):

@@ -233,6 +233,21 @@ def test_solve_refuses_large_swap_scan(tmp_path, capsys):
         assert "combinations > 10000000" in capsys.readouterr().err
 
 
+def test_solve_refuses_past_the_packing_bound(tmp_path, capsys, monkeypatch):
+    # The 3 x 17 residual of this 4 x 18 draw has 816 balanced sets of size
+    # <= 5; its exact packing takes 120 380 DP steps at k = 4.
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STEPS", 10_000)
+    path = tmp_path / "wide.fct"
+    path.write_text(serialize_instance(uniform_pure_instance((2, 3, 1, 12), (1,) * 18)))
+    out = tmp_path / "wide.sol"
+    code = main(["solve", "--variant", "pfct-u", "--input", str(path), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact packing needs more than 10000 DP steps; try --mode ls\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "supplies, demands, report",
     [((0, 3), (1, 2), "a_1 not positive"), ((2, 3), (1, 2), "sum(a) != sum(b)")],
@@ -477,6 +492,24 @@ def test_bench_records_guard_errors_per_row(tmp_path, capsys):
     big = next(r for r in rows if r["n"] == 9)
     assert small["error"] == "" and small["ratio"] != ""
     assert "guard" in big["error"]
+
+
+def test_bench_records_packing_guard_errors_per_row(tmp_path, monkeypatch):
+    # Seed 1's 4 x 18 draw needs more exact-packing steps than the lowered
+    # bound; the row records the refusal and the next row still runs.
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STEPS", 10_000)
+    config = tmp_path / "bench.json"
+    config.write_text(
+        json.dumps({"rows": [{"family": "pfct-u", "sizes": [[4, 18], [2, 3]], "seeds": [1]}]})
+    )
+    prefix = tmp_path / "packing"
+    assert main(["bench", "--config", str(config), "--out-prefix", str(prefix)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "packing.jsonl").read_text().splitlines()]
+    assert [(r["n"], r["error"]) for r in rows] == [
+        (2, ""),
+        (4, "exact packing needs more than 10000 DP steps; try --mode ls"),
+    ]
+    assert rows[0]["cost"] != "" and rows[1]["cost"] == ""
 
 
 def test_bench_empty_config(tmp_path):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,7 +169,7 @@ def test_exact_packing_examples():
 
 
 def _wide_packing(rng, sets):
-    """21 vertices, past the subset DP, and `sets` random balanced triples:
+    """21 vertices, more than 2^20 subsets, and `sets` random balanced triples:
     7 sources of supply 2 (bits 0 to 6) and 14 sinks of demand 1 (bits 7 to 20)."""
     triples = set()
     while len(triples) < sets:
@@ -185,7 +187,7 @@ def _disjoint(masks):
     return True
 
 
-def test_exact_packing_branch_and_bound_matches_brute_force():
+def test_exact_packing_above_20_vertices_matches_brute_force():
     rng = random.Random(47)
     for _ in range(5):
         pk = _wide_packing(rng, 12)
@@ -200,9 +202,87 @@ def test_exact_packing_branch_and_bound_matches_brute_force():
         assert len(chosen) == best
 
 
-def test_exact_packing_guard_past_the_subset_dp():
-    with pytest.raises(GuardError, match="too large for exact mode"):
-        exact_packing(_wide_packing(random.Random(53), 26))
+def test_exact_packing_solves_26_sets_on_21_vertices():
+    # More sets than brute force can check; the packing must still be
+    # disjoint, in family order, and no smaller than local search's.
+    pk = _wide_packing(random.Random(53), 26)
+    chosen = exact_packing(pk)
+    assert _disjoint(chosen)
+    assert chosen == [mask for mask in pk.family if mask in chosen]
+    assert len(chosen) >= len(local_search_packing(pk, 2))
+
+
+# Two 41-vertex residuals, packed at k = 4.  MANY_STATES has many sets of
+# small weight: few of them start at any one vertex, so the DP creates a
+# state for about every step and runs out of memory first.  MANY_STEPS has
+# 36 sources against 5 sinks: each state scans hundreds of sets that start
+# at its lowest source, so the DP runs out of time first.
+MANY_STATES = uniform_pure_instance((3,) * 13, (1,) * 17 + (2,) * 11)
+MANY_STEPS = uniform_pure_instance((1,) * 12 + (2,) * 12 + (3,) * 12, (5, 7, 8, 9, 43))
+
+
+def _refused_dp(refused):
+    """The memo and step count of the exact_packing call a GuardError left."""
+    frame = next(
+        entry.frame for entry in refused.traceback if entry.name == "exact_packing"
+    )
+    return frame.f_locals["memo"], frame.f_locals["steps"]
+
+
+@pytest.mark.parametrize(
+    "residual, message",
+    [(MANY_STATES, "more than 20000 DP states"), (MANY_STEPS, "more than 200000 DP steps")],
+)
+def test_exact_packing_guards_refuse_on_their_own(monkeypatch, residual, message):
+    # With both bounds lowered, each residual trips its own bound while the
+    # other still has room: neither bound stands in for the other.
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STATES", 20_000)
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STEPS", 200_000)
+    pk = enumerate_balanced_sets(residual, 4)
+    pattern = f"^exact packing needs {message}; try --mode ls$"
+    with pytest.raises(GuardError, match=pattern) as refused:
+        exact_packing(pk)
+    memo, steps = _refused_dp(refused)
+    assert (len(memo) == 20_000) != (steps > 200_000)
+
+
+def test_exact_packing_memo_stays_within_the_state_bound(monkeypatch):
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STATES", 20_000)
+    pk = enumerate_balanced_sets(MANY_STATES, 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(GuardError, match="more than 20000 DP states") as refused:
+            exact_packing(pk)
+        held, peak = tracemalloc.get_traced_memory()
+        # A model memo of twice as many states: 41-bit keys, (count, index) values.
+        model = {1 << 40 | key: (1, key) for key in range(2 * 20_000)}
+        model_bytes = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    memo, _ = _refused_dp(refused)
+    # The memo only grows, so its size at the refusal is the most it held.
+    assert len(memo) == 20_000
+    assert peak - before < model_bytes
+    del model
+
+
+def test_exact_packing_frees_its_memo_on_return():
+    # With the cyclic collector off, only reference counting frees the memo,
+    # so a DP closure left referring to itself would keep the memo alive.
+    _, residual = preprocess_matched_pairs(uniform_pure_instance((2, 3, 1, 12), (1,) * 18))
+    pk = enumerate_balanced_sets(residual, 5)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chosen = exact_packing(pk)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(chosen) == 2
+    assert held - before < (peak - before) // 10
 
 
 def test_local_search_vs_exact_quality():
@@ -285,6 +365,33 @@ def test_pfct_u_output_pinned():
             digest.update(repr([keys(p, inst.n) for p in parts]).encode() + b"\n")
             digest.update(serialize_solution(flow).encode())
     assert digest.hexdigest() == "78211d938d8ccbac3171f98b51e187ce832747501c1da5ee2fca4dd1b4e9b262"
+
+
+def _pfct_u_cases_above_20_vertices():
+    """24 seeded PFCT-U instances whose residuals have 21 to 26 vertices."""
+    rng = random.Random(2027)
+    count = 0
+    while count < 24:
+        inst = random_pfct_u(rng, rng.randint(21, 30), max_supply=rng.choice((50, 100, 200)))
+        _, residual = preprocess_matched_pairs(inst)
+        if 21 <= residual.n + residual.m <= 26:
+            count += 1
+            yield inst, residual
+
+
+def test_pfct_u_output_pinned_above_20_vertices():
+    # Recorded when exact mode became the subset DP alone: before, these
+    # residuals were packed by branch and bound, and 21 of the 24, whose
+    # families have more than 25 sets, were refused.
+    digest = hashlib.sha256()
+    refused_before = 0
+    for inst, residual in _pfct_u_cases_above_20_vertices():
+        refused_before += len(enumerate_balanced_sets(residual, 5).family) > 25
+        parts, flow = solve_pfct_u(inst, mode="exact")
+        digest.update(repr([keys(p, inst.n) for p in parts]).encode() + b"\n")
+        digest.update(serialize_solution(flow).encode())
+    assert refused_before == 21
+    assert digest.hexdigest() == "f79c40abffca644dc29f95d184d300b35b431b7703b78f95e078b2c17f96422c"
 
 
 def test_flow_within_balanced_sets_examples():
