@@ -40,8 +40,9 @@ MAX_ENUMERATED_SETS = 10**7
 # refuses with GuardError instead of running for minutes or hours.
 MAX_SWAP_COMBOS = 10**7
 
-# exact_packing's memo states (memory; never reached at <= 20 vertices, as
-# states are vertex subsets) and DP steps (time; a state may scan hundreds of sets).
+# exact_packing's memo states per call (memory; never reached at <= 20
+# vertices, as states are vertex subsets) and DP steps per solve_pfct_u
+# (time; a state may scan hundreds of sets).
 MAX_PACKING_STATES = 1 << 20
 MAX_PACKING_STEPS = 5 * 10**7
 
@@ -227,21 +228,23 @@ def local_search_packing(pk: PackingInstance, swap_size: int) -> list[int]:
     return [masks[idx] for idx in chosen]
 
 
-def exact_packing(pk: PackingInstance) -> list[int]:
+def exact_packing(pk: PackingInstance, spent: list[int] | None = None) -> list[int]:
     """Maximum-cardinality disjoint subfamily by a memoized subset DP over
     the available vertices; returns the chosen sets in family order.
 
     Each state is the set of vertices still free: its lowest vertex is left
     out, or covered by one of the sets whose lowest vertex it is.  Creating
     a state costs one step plus one per such set; above MAX_PACKING_STATES
-    states or MAX_PACKING_STEPS steps the DP refuses with GuardError.
+    states or MAX_PACKING_STEPS steps the DP refuses with GuardError.  Calls
+    that share one step budget pass one list spent = [steps so far]: the
+    DP counts on from spent[0] and leaves its total there.
     """
     masks = pk.family
     by_low: dict[int, list[int]] = {}
     for idx, mask in enumerate(masks):
         by_low.setdefault(mask & -mask, []).append(idx)
     memo: dict[int, tuple[int, int | None]] = {0: (0, None)}
-    steps = 0
+    steps = spent[0] if spent else 0
 
     def best(avail: int) -> int:
         nonlocal steps
@@ -273,6 +276,8 @@ def exact_packing(pk: PackingInstance) -> list[int]:
         best(avail)
     finally:
         del best  # a self-referencing closure: free the memo now, not at the next GC
+    if spent:
+        spent[0] = steps
     chosen = []
     while avail:
         value, action = memo[avail]
@@ -330,12 +335,12 @@ def solve_pfct_u(
     The parts are vertex masks (source i is bit i, sink j is bit n + j);
     the partition costs n + m - len(parts).  mode "exact" packs with the
     subset DP of exact_packing (keeps the full 6/5 guarantee, refuses past
-    its state or step bound); mode "ls" uses bounded-swap local search with
-    the given swap size.  The balanced sets are enumerated once, for k = 5:
-    the family is in (size, lex) order, so the family for a smaller k is a
-    prefix of it.  The remainder of the residual after packing forms one
-    extra part (split further if the routing disconnects it; both only lower
-    the cost).
+    its state bound at one k or its step bound over all three); mode "ls"
+    uses bounded-swap local search with the given swap size.  The balanced
+    sets are enumerated once, for k = 5: the family is in (size, lex) order,
+    so the family for a smaller k is a prefix of it.  The remainder of the
+    residual after packing forms one extra part (split further if the
+    routing disconnects it; both only lower the cost).
     """
     check_balanced(inst)
     if mode not in ("exact", "ls"):
@@ -346,11 +351,12 @@ def solve_pfct_u(
     if residual.n:
         full = enumerate_balanced_sets(residual, 5)
         everyone = (1 << full.vertices) - 1
+        spent = [0]  # the three exact packings share one step budget
         for k in (3, 4, 5):
             size = sum(1 for mask in full.family if mask.bit_count() <= k)
             pk = PackingInstance(vertices=full.vertices, family=full.family[:size])
             if mode == "exact":
-                chosen = exact_packing(pk)
+                chosen = exact_packing(pk, spent)
             else:
                 chosen = local_search_packing(pk, swap_size)
             # Packed sets are disjoint, so their sum is their union.

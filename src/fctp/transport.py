@@ -3,18 +3,31 @@
 Successive shortest paths with Dijkstra potentials on the bipartite network,
 run on the weights scaled to ints by one common denominator (exact, since it
 keeps every comparison), followed by cycle cancellation on the int flow so
-the returned support is always a forest (an extreme point).  Each Dijkstra
-round stops once it has settled every node up to the nearest sink with unmet
-demand, the classical early stop of successive shortest paths; the rest of
-the network cannot change that round's path or potential update.  Forbidden
+the returned support is always a forest (an extreme point).  Forbidden
 edges (weight INF) are excluded from the residual graph rather than given a
 big-M weight.
 
-A popped sink j scans only its backward arcs: used[j] is a bitmask of the
-sources with flow into j, set when an augmentation creates edge (i, j) and
-cleared when it empties it.  Its bits are read in ascending order, the
-order of a scan over every source, so pushes and ties, and the output,
-are those of that scan.
+Each Dijkstra round starts from the sources with supply left, which all
+hold one potential: potentials start at 0, every such source starts each
+round at distance 0 and so gets the same update, and a source never
+regains supply.  Popping them and relaxing their rows would leave sink j
+at that potential plus c_j less sink j's own, c_j being the cheapest
+weight into j from such a source, with the lowest such source as parent.
+So c_j and its source are kept per sink, built once per call, and a
+source that runs dry recomputes only the columns it led.  Each round
+heapifies one entry per reached sink in place of the relaxations, stamped
+i * m + j, the order in which the relaxations pushed them, so ties pop as
+they did.
+
+A round stops once it has settled every node up to the nearest sink with
+unmet demand, the classical early stop of successive shortest paths; the
+rest of the network cannot change that round's path or potential update.
+The target is the lowest sink with unmet demand popped at that distance,
+the one a scan over every sink would pick.  A popped sink j scans only its
+backward arcs: used[j] is a bitmask of the sources with flow into j, set
+when an augmentation creates edge (i, j) and cleared when it empties it.
+Its bits are read in ascending order, the order of a scan over every
+source, so pushes and ties, and the output, are those of that scan.
 
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away, the trees bicriteria rounds and the
@@ -54,16 +67,26 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     adj = [
         [(n + j, j, x) for j, x in enumerate(row) if x is not None] for row in iw
     ]  # source -> (sink node, j, weight)
+    # The first Dijkstra layer, per sink: best_w[j] is the cheapest weight
+    # into sink j from a source with supply left and best_i[j] the lowest
+    # such source, -1 when there is none.
+    best_w = [0] * m
+    best_i = [-1] * m
+    for i, row in enumerate(adj):
+        for _, j, x in row:
+            if best_i[j] < 0 or x < best_w[j]:
+                best_w[j] = x
+                best_i[j] = i
 
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapify = heapq.heappush, heapq.heappop, heapq.heapify
     rem_a = list(inst.supplies)
     rem_b = list(inst.demands)
+    live = list(range(n))  # the sources with supply left, ascending
     flow: dict[tuple[int, int], int] = {}
     used = [0] * m  # used[j]: bitmask of the sources with flow into sink j
     pot = [0] * (n + m)
-    total_left = sum(rem_a)
 
-    while total_left > 0:
+    while live:
         # Multi-source Dijkstra from every source with remaining supply,
         # over reduced costs (nonnegative by the potential invariant).  The
         # round ends at the first sink popped beyond the distance of the
@@ -77,14 +100,24 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
         # when v is sink par_j[v]; par_i[v] < 0 at a start source.
         par_i = [-1] * (n + m)
         par_j = [-1] * (n + m)
+        # The first layer, from the table; every later push stamps after
+        # the seeded stamps i * m + j.
+        shared = pot[live[0]]  # the potential of every source in live
+        for i in live:
+            dist[i] = 0
         heap = []
-        counter = 0
+        for j, i in enumerate(best_i):
+            if i >= 0:
+                v = n + j
+                d = shared + best_w[j] - pot[v]
+                dist[v] = d
+                par_i[v] = i
+                par_j[v] = j
+                heap.append((d, i * m + j, v))
+        heapify(heap)
+        counter = n * m
         reach = None  # distance of the first popped sink with unmet demand
-        for i in range(n):  # entries (0, k, i) in ascending order: already a heap
-            if rem_a[i] > 0:
-                dist[i] = 0
-                heap.append((0, counter, i))
-                counter += 1
+        target = -1  # the lowest sink with unmet demand popped at reach
         while heap:
             d, _, v = heappop(heap)
             if d > dist[v]:
@@ -104,9 +137,11 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                 j = v - n
                 if reach is None:
                     if rem_b[j] > 0:
-                        reach = d
+                        reach, target = d, v
                 elif d > reach:
                     break
+                elif rem_b[j] > 0 and v < target:
+                    target = v
                 base = d + pot[v]
                 sources = used[j]
                 while sources:
@@ -121,12 +156,6 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                         par_j[i] = j
                         heappush(heap, (nd, counter, i))
                         counter += 1
-        target = -1
-        for j in range(m):
-            v = n + j
-            if rem_b[j] > 0 and dist[v] is not None:
-                if target < 0 or dist[v] < dist[target]:
-                    target = v
         if target < 0:
             raise InfeasibleError("no feasible transportation")
 
@@ -159,7 +188,18 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                     used[j] ^= 1 << i
         rem_a[start] -= delta
         rem_b[target - n] -= delta
-        total_left -= delta
+        if not rem_a[start]:
+            # A source never regains supply: refill the columns it led.
+            live.remove(start)
+            for _, j, _ in adj[start]:
+                if best_i[j] == start:
+                    bi, bw = -1, 0
+                    for i in live:
+                        x = iw[i][j]
+                        if x is not None and (bi < 0 or x < bw):
+                            bi, bw = i, x
+                    best_i[j] = bi
+                    best_w[j] = bw
 
         # Standard potential update keeps reduced costs nonnegative.
         dt = dist[target]

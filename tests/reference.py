@@ -1,12 +1,21 @@
 """Reference computations the suite checks the package against, on its public API."""
 
+import heapq
 from fractions import Fraction
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
-from fctp.model import INF, VariantTag, classify_variant, evaluate_cost, signed_weights
+from fctp.model import (
+    INF,
+    FlowSolution,
+    VariantTag,
+    classify_variant,
+    evaluate_cost,
+    integer_scaled,
+    signed_weights,
+)
 from fctp.pfct_s import greedy_solve, pi, sorted_view
-from fctp.transport import solve_transportation
+from fctp.transport import cancel_cycles, solve_transportation
 
 
 def exact_dst_by_edge_subsets(dst, edge_guard=16):
@@ -146,3 +155,78 @@ def classify_variant_per_entry(inst):
         uniform=uniform,
         pure_modulo_forbidden=pure_mod,
     )
+
+
+def full_round_transportation(inst, weights):
+    """solve_transportation by successive shortest paths in full rounds.
+
+    Each round pushes every source with supply left at distance 0, in
+    ascending order, and each popped source relaxes its whole row; the heap
+    orders by (distance, push counter); a popped sink scans every source
+    for a backward arc; every reachable node is settled; and the target is
+    the sink with unmet demand of least distance, the lowest on ties, from
+    a scan over all sinks.  The int flow then goes through the package's
+    cancel_cycles.  Valid, balanced input only.
+    """
+    n, m = inst.n, inst.m
+    scale, (iw,) = integer_scaled(weights)
+    rem_a, rem_b = list(inst.supplies), list(inst.demands)
+    flow = {}
+    pot = [0] * (n + m)
+    while sum(rem_a):
+        dist = [None] * (n + m)
+        parent = [None] * (n + m)  # (i, j) of the arc into each reached node
+        heap = []
+        counter = 0
+        for i in range(n):
+            if rem_a[i] > 0:
+                dist[i] = 0
+                heapq.heappush(heap, (0, counter, i))
+                counter += 1
+        while heap:
+            d, _, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            if v < n:
+                arcs = [(n + j, v, j, x) for j, x in enumerate(iw[v]) if x is not None]
+            else:
+                j = v - n
+                arcs = [(i, i, j, -iw[i][j]) for i in range(n) if (i, j) in flow]
+            for u, i, j, x in arcs:
+                nd = d + pot[v] + x - pot[u]
+                if dist[u] is None or nd < dist[u]:
+                    dist[u] = nd
+                    parent[u] = (i, j)
+                    heapq.heappush(heap, (nd, counter, u))
+                    counter += 1
+        target = None
+        for v in range(n, n + m):
+            if rem_b[v - n] > 0 and dist[v] is not None:
+                if target is None or dist[v] < dist[target]:
+                    target = v
+        if target is None:
+            raise InfeasibleError("no feasible transportation")
+        path = []
+        v = target
+        while parent[v] is not None:
+            i, j = parent[v]
+            forward = v == n + j
+            path.append((i, j, forward))
+            v = i if forward else n + j
+        delta = min(
+            [rem_a[v], rem_b[target - n]]
+            + [flow[(i, j)] for i, j, forward in path if not forward]
+        )
+        for i, j, forward in path:
+            flow[(i, j)] = flow.get((i, j), 0) + (delta if forward else -delta)
+            if not flow[(i, j)]:
+                del flow[(i, j)]
+        rem_a[v] -= delta
+        rem_b[target - n] -= delta
+        dt = dist[target]
+        for u, du in enumerate(dist):
+            if du is not None and du < dt:
+                pot[u] += du - dt
+    sol = cancel_cycles(FlowSolution(entries=flow), iw)
+    value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
+    return sol, Fraction(value, scale)

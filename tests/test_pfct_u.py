@@ -267,6 +267,23 @@ def test_exact_packing_memo_stays_within_the_state_bound(monkeypatch):
     del model
 
 
+def test_solve_pfct_u_shares_one_step_budget_over_k(monkeypatch):
+    # The 3 x 17 residual of this 4 x 18 draw packs in 1228, 120 380 and
+    # 120 380 DP steps at k = 3, 4 and 5: each call fits under 150 000
+    # steps, their sum does not, and the solve is refused.
+    monkeypatch.setattr("fctp.pfct_u.MAX_PACKING_STEPS", 150_000)
+    inst = uniform_pure_instance((2, 3, 1, 12), (1,) * 18)
+    _, residual = preprocess_matched_pairs(inst)
+    full = enumerate_balanced_sets(residual, 5)
+    for k in (3, 4, 5):
+        size = sum(1 for mask in full.family if mask.bit_count() <= k)
+        spent = [0]
+        exact_packing(PackingInstance(vertices=full.vertices, family=full.family[:size]), spent)
+        assert spent[0] <= 150_000
+    with pytest.raises(GuardError, match="^exact packing needs more than 150000 DP steps"):
+        solve_pfct_u(inst)
+
+
 def test_exact_packing_frees_its_memo_on_return():
     # With the cyclic collector off, only reference counting frees the memo,
     # so a DP closure left referring to itself would keep the memo alive.

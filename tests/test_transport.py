@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from reference import bicriteria_weights
+from reference import bicriteria_weights, full_round_transportation
 from util import brute_force_min_linear, is_forest
 
 from fctp.errors import FctpError, InfeasibleError
@@ -255,6 +255,59 @@ def test_solution_bytes_pinned_on_rerouting_instances():
         digest.update(serialize_solution(sol).encode() + f"{value}\n".encode())
     assert infeasible == 25
     assert digest.hexdigest() == "7dc9ba8970fcae88f0c52855d0f190bd18c7a7ac86ea7a59e69cde716bbde071"
+
+
+def _differential_case(rng, k):
+    """Shapes 1 x m, n x 1 and up to 8 x 12; weights all zero (k % 4 == 0),
+    from {0, 1, 2}, fractional, or from a wide int range; forbidden cells at
+    a random rate up to 30%, so some cases are infeasible."""
+    shape = k % 5
+    n = 1 if shape == 0 else rng.randint(1, 8)
+    m = 1 if shape == 1 else rng.randint(1, 12)
+    supplies = [rng.randint(1, 9) for _ in range(n)]
+    total = sum(supplies)
+    if total < m:
+        supplies[rng.randrange(n)] += m - total
+        total = m
+    demands = split_total(rng, total, m)
+    forbid = rng.choice((0, 0.05, 0.15, 0.3))
+    kind = k % 4
+
+    def weight():
+        if rng.random() < forbid:
+            return INF
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(0, 2)
+        if kind == 2:
+            return Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4)))
+        return rng.randint(0, 10**6)
+
+    weights = [[weight() for _ in range(m)] for _ in range(n)]
+    return make_instance(supplies, demands, [[0] * m] * n, [[0] * m] * n), weights
+
+
+def _outcome(solve, inst, weights):
+    try:
+        sol, value = solve(inst, weights)
+    except InfeasibleError:
+        return None
+    return serialize_solution(sol), str(value)
+
+
+def test_matches_full_round_reference_byte_for_byte():
+    # The seeded first layer, the early stop and the bitmask backward arcs
+    # must leave every target, path and potential of full SSP rounds, and
+    # so their exact output.
+    rng = random.Random(19)
+    infeasible = 0
+    for k in range(450):
+        inst, weights = _differential_case(rng, k)
+        expected = _outcome(full_round_transportation, inst, weights)
+        assert _outcome(solve_transportation, inst, weights) == expected, (inst, weights)
+        infeasible += expected is None
+    assert infeasible == 125  # both sides raise InfeasibleError; 325 solve
 
 
 def test_optimal_on_all_small_instances():
