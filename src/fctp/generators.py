@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import random
 from fractions import Fraction
+from functools import cache, partial
 
 from .errors import FctpError
 from .model import INF, Instance, make_instance, pure_instance, uniform_pure_instance
@@ -41,7 +42,7 @@ def random_pfct_s(
     """Pure instance with sink-independent fixed costs."""
     supplies, demands = _balanced_sides(rng, n, m, max_supply)
     f = [rng.randint(1, max_fixed) for _ in range(n)]
-    fixed = [[Fraction(f[i])] * m for i in range(n)]
+    fixed = [[f[i]] * m for i in range(n)]
     return pure_instance(supplies, demands, fixed)
 
 
@@ -62,9 +63,7 @@ def random_pure(
 ) -> Instance:
     """Pure instance with a general fixed-cost matrix."""
     supplies, demands = _balanced_sides(rng, n, m, max_supply)
-    fixed = [
-        [Fraction(rng.randint(0, max_fixed)) for _ in range(m)] for _ in range(n)
-    ]
+    fixed = [[rng.randint(0, max_fixed) for _ in range(m)] for _ in range(n)]
     return pure_instance(supplies, demands, fixed)
 
 
@@ -80,14 +79,9 @@ def random_fct(
     """General instance; costs are integers or half-integers for texture."""
     supplies, demands = _balanced_sides(rng, n, m, max_supply)
     den = 2 if halves else 1
-    fixed = [
-        [Fraction(rng.randint(0, max_fixed * den), den) for _ in range(m)]
-        for _ in range(n)
-    ]
-    linear = [
-        [Fraction(rng.randint(0, max_linear * den), den) for _ in range(m)]
-        for _ in range(n)
-    ]
+    cost = cache(partial(Fraction, denominator=den))  # one object per distinct draw
+    fixed = [[cost(rng.randint(0, max_fixed * den)) for _ in range(m)] for _ in range(n)]
+    linear = [[cost(rng.randint(0, max_linear * den)) for _ in range(m)] for _ in range(n)]
     return make_instance(supplies, demands, fixed, linear)
 
 
@@ -106,7 +100,7 @@ def random_fct_u(
     passes via column 0 fallback: the first column is never forbidden).
     """
     supplies, demands = _balanced_sides(rng, n, m, max_supply)
-    fixed = [[Fraction(1)] * m for _ in range(n)]
+    fixed = [[1] * m for _ in range(n)]
     linear = []
     for i in range(n):
         row = []
@@ -114,7 +108,7 @@ def random_fct_u(
             if j > 0 and i > 0 and rng.random() < forbid_probability:
                 row.append(INF)
             else:
-                row.append(Fraction(rng.randint(0, max_linear)))
+                row.append(rng.randint(0, max_linear))
         linear.append(row)
     return make_instance(supplies, demands, fixed, linear)
 

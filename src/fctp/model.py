@@ -102,14 +102,20 @@ def two_pointer_steps(supplies, demands) -> list:
 
 
 def format_rational(value) -> str:
-    """Render a cost as ``p``, ``p/q``, or ``inf``; inverse of parsing."""
+    """Render a cost as ``p``, ``p/q``, or ``inf``; inverse of parsing.
+
+    A Fraction, such as each entry of an Instance (shared, immutable
+    Fractions), is printed from its own numerator and denominator, with no
+    new object built; an int or any other value is converted with Fraction()
+    first.
+    """
     if value is INF:
         return "inf"
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # more digits than Python converts to a string
         raise FctpError("rational too long to print") from None
 
@@ -154,17 +160,61 @@ class Instance:
                     yield (i, j)
 
 
-def make_instance(supplies, demands, fixed, linear) -> Instance:
-    """Build an Instance, coercing plain ints to Fractions."""
+def _is_int(x) -> bool:
+    """An int that is not a bool, as check_epsilon reads them."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    def cost(x):
-        return INF if x is INF else Fraction(x)
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    for x in values:
+        if not _is_int(x):
+            raise FctpError(f"{what} must be ints, not {type(x).__name__}")
+    return tuple(map(int, values))
+
+
+class _SharedFractions(dict):
+    """int -> Fraction(int), each built on first use."""
+
+    def __missing__(self, x):
+        value = self[x] = Fraction(x)
+        return value
+
+
+def make_instance(supplies, demands, fixed, linear) -> Instance:
+    """Build an Instance from int supplies and demands and int or Fraction
+    costs; linear costs may also be INF.
+
+    Each entry equals Fraction(x) and is shared: a Fraction is kept as the
+    same object, and equal ints become one Fraction, as parse_instance keeps
+    one object per distinct token.  Instances are immutable, so sharing is
+    safe.  Raises FctpError for any other type, bools included; a negative
+    cost still constructs, and validate_instance reports it.
+    """
+    shared = _SharedFractions()
+
+    def entry(x, allow_inf):
+        # Off the fast path: INF, subclasses of Fraction and int, refusals.
+        if isinstance(x, Fraction) or (allow_inf and x is INF):
+            return x
+        if _is_int(x):
+            return shared[int(x)]
+        want = "ints, Fractions or inf" if allow_inf else "ints or Fractions"
+        got = "inf" if x is INF else type(x).__name__
+        raise FctpError(f"{'linear' if allow_inf else 'fixed'} costs must be {want}, not {got}")
+
+    def matrix(rows, allow_inf):
+        return tuple(
+            tuple([x if type(x) is Fraction else shared[x] if type(x) is int
+                   else entry(x, allow_inf) for x in row])
+            for row in rows
+        )
 
     return Instance(
-        supplies=tuple(int(a) for a in supplies),
-        demands=tuple(int(b) for b in demands),
-        fixed=tuple(tuple(Fraction(x) for x in row) for row in fixed),
-        linear=tuple(tuple(cost(x) for x in row) for row in linear),
+        supplies=_ints(supplies, "supplies"),
+        demands=_ints(demands, "demands"),
+        fixed=matrix(fixed, False),
+        linear=matrix(linear, True),
     )
 
 
@@ -247,7 +297,7 @@ def check_instance(inst: Instance) -> None:
 def check_epsilon(eps) -> Fraction:
     """eps as a Fraction; FctpError unless it is an int (not a bool) or a
     Fraction, so a float's binary expansion never becomes an exact eps."""
-    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+    if not (_is_int(eps) or isinstance(eps, Fraction)):
         raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
     return Fraction(eps)
 
@@ -281,11 +331,11 @@ def classify_variant(inst: Instance) -> VariantTag:
     A row whose last entry is its first object, as in a parsed row, where
     one object stands for each distinct token, is tested as a whole with
     row.count(row[0]) == len(row): exact, since count compares with ==, and
-    at C speed, since it compares by identity first.  Other rows, such as
-    the fresh Fractions of make_instance, are read entry by entry: comparing
-    numerators and denominators costs less than the Fraction.__eq__ that
-    count would call on each entry.  A row that settles a tag ends the scan
-    for that tag.
+    at C speed, since it compares by identity first.  make_instance maps
+    equal ints to one object, so a constant row it built from ints takes
+    this path too.  Other rows are read entry by entry: comparing numerators
+    and denominators costs less than the Fraction.__eq__ that count would
+    call on each entry.  A row that settles a tag ends the scan for that tag.
     """
     pure = pure_mod = sink_independent = uniform = True
     for frow, crow in zip(inst.fixed, inst.linear):
@@ -342,11 +392,17 @@ class FlowSolution:
 
 
 def make_flow(entries, relaxation=None) -> FlowSolution:
-    """Build a FlowSolution, dropping explicit zeros and coercing values; the
-    relaxation tag goes through check_epsilon, so a float is refused."""
+    """Build a FlowSolution from int index pairs and int or Fraction flows,
+    dropping explicit zeros; FctpError for any other type, bools included.
+    The relaxation tag goes through check_epsilon, so a float is refused."""
     flows = {}
     for (i, j), x in dict(entries).items():
-        x = Fraction(x)
+        if not (_is_int(i) and _is_int(j)):
+            raise FctpError(f"flow indices must be ints, not ({i!r}, {j!r})")
+        if not isinstance(x, Fraction):
+            if not _is_int(x):
+                raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}")
+            x = Fraction(x)
         if x < 0:
             raise FctpError(f"negative flow on edge ({i + 1}, {j + 1})")
         if x > 0:
@@ -409,13 +465,20 @@ def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
 
 
 def serialize_instance(inst: Instance) -> str:
+    """The FCT v1 text; each distinct cost object is formatted once per call,
+    keyed by id, which is stable while inst holds the object."""
     lines = ["FCT v1", f"{inst.n} {inst.m}"]
     lines.append(" ".join(str(a) for a in inst.supplies))
     lines.append(" ".join(str(b) for b in inst.demands))
-    for row in inst.fixed:
-        lines.append(" ".join(format_rational(f) for f in row))
-    for row in inst.linear:
-        lines.append(" ".join(format_rational(c) for c in row))
+    texts = {}
+    for row in inst.fixed + inst.linear:
+        out = []
+        for x in row:
+            text = texts.get(id(x))
+            if text is None:
+                text = texts[id(x)] = format_rational(x)
+            out.append(text)
+        lines.append(" ".join(out))
     return "\n".join(lines) + "\n"
 
 

@@ -296,6 +296,78 @@ def test_parse_integer_tokens_accept_only_ascii_digits():
         parse_solution("SOL v1\n+1 1 2\n")
 
 
+def test_make_instance_shares_each_rational():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    inst = make_instance((2, 1), (1, 2), [[half, 7], [7, 10**30]], [[INF, 0], [third, 0]])
+    assert inst.fixed[0][0] is half and inst.linear[1][0] is third
+    assert inst.fixed[0][1] is inst.fixed[1][0] and inst.linear[0][1] is inst.linear[1][1]
+    assert inst.linear[0][0] is INF
+    given = ((half, 7), (7, 10**30), (INF, 0), (third, 0))
+    for row, want in zip(inst.fixed + inst.linear, given):
+        for x, w in zip(row, want):
+            assert type(x) is Fraction or x is INF
+            assert x is INF if w is INF else x == Fraction(w)
+    zeros = pure_instance((1, 1), (1, 1), [[1, 2], [3, 4]]).linear
+    assert len({id(c) for row in zeros for c in row}) == 1
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((1.9,), (1,), [[1]], [[0]]), "supplies must be ints, not float"),
+        (((True,), (1,), [[1]], [[0]]), "supplies must be ints, not bool"),
+        ((("x",), (1,), [[1]], [[0]]), "supplies must be ints, not str"),
+        (((1,), (Fraction(3, 2),), [[1]], [[0]]), "demands must be ints, not Fraction"),
+        (((1,), (1,), [[0.1]], [[0]]), "fixed costs must be ints or Fractions, not float"),
+        (((1,), (1,), [[INF]], [[0]]), "fixed costs must be ints or Fractions, not inf"),
+        (((1,), (1,), [[True]], [[0]]), "fixed costs must be ints or Fractions, not bool"),
+        (((1,), (1,), [[1]], [["1"]]), "linear costs must be ints, Fractions or inf, not str"),
+        (((1,), (1,), [[1]], [[float("inf")]]), "linear costs must be ints, Fractions or inf"),
+    ],
+)
+def test_make_instance_refuses_other_types(args, message):
+    with pytest.raises(FctpError, match=message):
+        make_instance(*args)
+
+
+def test_make_instance_keeps_negative_costs_and_shape_errors():
+    inst = make_instance((1,), (1,), [[-1]], [[Fraction(-1, 2)]])
+    assert validate_instance(inst) == "f_1,1 negative"
+    with pytest.raises(ValueError, match="one column per sink"):
+        make_instance((1,), (1, 1), [[1]], [[0]])
+
+
+def test_make_flow_refuses_other_types():
+    for entries, message in [
+        ({(0.0, 1.7): 1}, "flow indices must be ints"),
+        ({(0, True): 1}, "flow indices must be ints"),
+        ({(0, 0): 0.1}, "flows must be ints or Fractions, not float"),
+        ({(0, 0): True}, "flows must be ints or Fractions, not bool"),
+        ({(0, 0): "1"}, "flows must be ints or Fractions, not str"),
+    ]:
+        with pytest.raises(FctpError, match=message):
+            make_flow(entries)
+    half = Fraction(1, 2)
+    assert make_flow({(0, 0): half, (0, 1): 0, (1, 0): 2}).entries == {(0, 0): half, (1, 0): 2}
+    assert make_flow({(0, 0): half}).entries[(0, 0)] is half
+
+
+def _rendered_by_fraction(value):
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def test_format_rational_matches_fraction_rendering():
+    big = 10**99 + 7
+    values = [0, 1, 12, -5, True, False, Fraction(0), Fraction(6, 4), Fraction(-7, 3),
+              Fraction(4, 1), big, -big, Fraction(big, 10**99 + 9), Fraction(-big, 3), 0.5]
+    for value in values:
+        assert format_rational(value) == _rendered_by_fraction(value)
+    assert format_rational(INF) == "inf"
+
+
 def test_format_rational_refuses_unprintable_value():
     assert format_rational(Fraction(10**4000 + 1, 3)) == f"{10**4000 + 1}/3"
     with pytest.raises(FctpError, match="too long to print"):
