@@ -166,7 +166,10 @@ def _is_int(x) -> bool:
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise FctpError(f"{what} must be a sequence of ints, not {type(values).__name__}") from None
     for x in values:
         if not _is_int(x):
             raise FctpError(f"{what} must be ints, not {type(x).__name__}")
@@ -188,8 +191,10 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
     Each entry equals Fraction(x) and is shared: a Fraction is kept as the
     same object, and equal ints become one Fraction, as parse_instance keeps
     one object per distinct token.  Instances are immutable, so sharing is
-    safe.  Raises FctpError for any other type, bools included; a negative
-    cost still constructs, and validate_instance reports it.
+    safe.  Raises FctpError for any other type, bools included, and for a
+    side or a matrix that is not a sequence (of rows); a negative cost still
+    constructs, and validate_instance reports it, as Instance reports a
+    matrix of the wrong shape with ValueError.
     """
     shared = _SharedFractions()
 
@@ -204,11 +209,15 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
         raise FctpError(f"{'linear' if allow_inf else 'fixed'} costs must be {want}, not {got}")
 
     def matrix(rows, allow_inf):
-        return tuple(
-            tuple([x if type(x) is Fraction else shared[x] if type(x) is int
-                   else entry(x, allow_inf) for x in row])
-            for row in rows
-        )
+        try:
+            return tuple(
+                tuple([x if type(x) is Fraction else shared[x] if type(x) is int
+                       else entry(x, allow_inf) for x in row])
+                for row in rows
+            )
+        except TypeError:
+            what = "linear" if allow_inf else "fixed"
+            raise FctpError(f"{what} costs must be a sequence of rows") from None
 
     return Instance(
         supplies=_ints(supplies, "supplies"),
@@ -392,13 +401,24 @@ class FlowSolution:
 
 
 def make_flow(entries, relaxation=None) -> FlowSolution:
-    """Build a FlowSolution from int index pairs and int or Fraction flows,
-    dropping explicit zeros; FctpError for any other type, bools included.
-    The relaxation tag goes through check_epsilon, so a float is refused."""
+    """Build a FlowSolution from pairs of nonnegative int indices and int or
+    Fraction flows, dropping explicit zeros; FctpError for any other key or
+    type, bools included.  The relaxation tag goes through check_epsilon, so
+    a float is refused."""
     flows = {}
-    for (i, j), x in dict(entries).items():
+    try:
+        items = dict(entries).items()
+    except (TypeError, ValueError):
+        raise FctpError("flow entries must map (source, sink) pairs to flows") from None
+    for edge, x in items:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            raise FctpError(f"flow keys must be (source, sink) pairs, not {edge!r}") from None
         if not (_is_int(i) and _is_int(j)):
             raise FctpError(f"flow indices must be ints, not ({i!r}, {j!r})")
+        if i < 0 or j < 0:
+            raise FctpError(f"edge ({i + 1}, {j + 1}) out of range")
         if not isinstance(x, Fraction):
             if not _is_int(x):
                 raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}")
@@ -449,15 +469,39 @@ def validate_solution(inst: Instance, sol: FlowSolution) -> str | None:
 def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
     """Total cost sum(f_ij + c_ij * x_ij) over the support, exact.
 
-    Raises FctpError when the support touches a forbidden (c = inf) edge.
+    Sums int numerators per denominator, f as (f.num, f.den) and c * x as
+    (c.num * x.num, c.den * x.den), and builds one Fraction per distinct
+    denominator at the end; the support is read in its own order.  Raises
+    FctpError for an edge out of range, for a flow or cost that is not an
+    int or a Fraction, and when the support touches a forbidden (c = inf)
+    edge, naming the lowest such edge.
     """
-    total = Fraction(0)
-    for (i, j), x in sorted(sol.entries.items()):
-        c = inst.linear[i][j]
-        if c is INF:
-            raise FctpError(f"infeasible edge used: ({i + 1}, {j + 1})")
-        total += inst.fixed[i][j] + c * x
-    return total
+    n, m = inst.n, inst.m
+    fixed, linear = inst.fixed, inst.linear
+    entries = sol.entries.items()
+    sums: dict[int, int] = {}
+    forbidden = []
+    try:
+        for (i, j), x in entries:
+            if not (0 <= i < n and 0 <= j < m):
+                raise FctpError(f"edge ({i + 1}, {j + 1}) out of range")
+            c = linear[i][j]
+            if c is INF:
+                forbidden.append((i, j))
+                continue
+            f = fixed[i][j]
+            den = f.denominator
+            sums[den] = sums.get(den, 0) + f.numerator
+            den = c.denominator * x.denominator
+            sums[den] = sums.get(den, 0) + c.numerator * x.numerator
+    except AttributeError:
+        if not isinstance(x, (int, Fraction)):
+            raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}") from None
+        raise FctpError("cost entries must be ints, Fractions or inf") from None
+    if forbidden:
+        i, j = min(forbidden)
+        raise FctpError(f"infeasible edge used: ({i + 1}, {j + 1})")
+    return sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +536,15 @@ class LineReader:
         if not self.lines or self.lines[0].strip() != header:
             raise ParseError(1, f"expected header {header!r}")
 
-    def fields(self, lineno: int, what: str, expected: int | None = None) -> list[str]:
-        """Line `lineno` (1-based) split on whitespace; exactly `expected` fields if given."""
+    def line(self, lineno: int, what: str) -> str:
+        """Line `lineno` (1-based) as written."""
         if lineno > len(self.lines):
             raise ParseError(lineno, f"missing {what} line")
-        parts = self.lines[lineno - 1].split()
+        return self.lines[lineno - 1]
+
+    def fields(self, lineno: int, what: str, expected: int | None = None) -> list[str]:
+        """Line `lineno` (1-based) split on whitespace; exactly `expected` fields if given."""
+        parts = self.line(lineno, what).split()
         if expected is not None and len(parts) != expected:
             raise ParseError(lineno, f"expected {expected} {what} fields, got {len(parts)}")
         return parts
@@ -564,16 +612,27 @@ def parse_instance(text: str) -> Instance:
 
 
 def _parse_cost_matrix(reader, first: int, n: int, m: int, what: str, allow_inf: bool):
-    """Rows first .. first + n - 1 as costs; a token repeated in them is parsed once."""
+    """Rows first .. first + n - 1 as costs, each distinct line parsed once.
+
+    A line whose text appeared earlier in the matrix reuses the row tuple
+    built for it, so equal lines share one object.  A new line is split
+    once, and of its distinct tokens only those new to the matrix are
+    parsed, so each distinct token becomes one object.  A line that fails
+    ends the parse before it is recorded, so every error names its own line.
+    """
     values: dict[str, Cost] = {}
+    parsed: dict[str, tuple[Cost, ...]] = {}
     rows = []
     for lineno in range(first, first + n):
-        row = []
-        for tok in reader.fields(lineno, what, m):
-            if tok not in values:
-                values[tok] = _parse_cost(tok, lineno, allow_inf)
-            row.append(values[tok])
-        rows.append(tuple(row))
+        text = reader.line(lineno, what)
+        row = parsed.get(text)
+        if row is None:
+            tokens = reader.fields(lineno, what, m)
+            for tok in dict.fromkeys(tokens):
+                if tok not in values:
+                    values[tok] = _parse_cost(tok, lineno, allow_inf)
+            row = parsed[text] = tuple(map(values.__getitem__, tokens))
+        rows.append(row)
     return tuple(rows)
 
 

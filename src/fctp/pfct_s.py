@@ -38,7 +38,8 @@ class SortedView:
     position p (ties keep original index order), and ``source_rank`` is the
     inverse map; same for sinks.  ``fixed_sorted``/``demand_sorted`` are the
     reordered vectors and ``supply_prefix[p]`` is the supply of the first
-    p + 1 sorted sources.
+    p + 1 sorted sources.  ``fixed_scaled`` is ``fixed_sorted`` times
+    ``fixed_scale``, the lcm of its denominators, as ints.
     """
 
     source_order: tuple[int, ...]
@@ -48,6 +49,8 @@ class SortedView:
     fixed_sorted: tuple[Fraction, ...]
     demand_sorted: tuple[int, ...]
     supply_prefix: tuple[int, ...]
+    fixed_scale: int
+    fixed_scaled: tuple[int, ...]
 
 
 def _source_costs(inst: Instance) -> list[Fraction]:
@@ -56,13 +59,14 @@ def _source_costs(inst: Instance) -> list[Fraction]:
 
 
 def sorted_view(inst: Instance) -> SortedView:
+    """Sources sorted by their fixed costs scaled to ints, sinks by demand.
+
+    A sort with reverse=True is stable, so ties keep original index order.
+    """
     f = _source_costs(inst)
-    source_order = tuple(
-        sorted(range(inst.n), key=lambda i: (-f[i], i))
-    )
-    sink_order = tuple(
-        sorted(range(inst.m), key=lambda j: (-inst.demands[j], j))
-    )
+    scale, [[scaled]] = integer_scaled([f])
+    source_order = tuple(sorted(range(inst.n), key=scaled.__getitem__, reverse=True))
+    sink_order = tuple(sorted(range(inst.m), key=inst.demands.__getitem__, reverse=True))
     source_rank = [0] * inst.n
     for pos, i in enumerate(source_order):
         source_rank[i] = pos
@@ -77,6 +81,8 @@ def sorted_view(inst: Instance) -> SortedView:
         fixed_sorted=tuple(f[i] for i in source_order),
         demand_sorted=tuple(inst.demands[j] for j in sink_order),
         supply_prefix=tuple(accumulate(inst.supplies[i] for i in source_order)),
+        fixed_scale=scale,
+        fixed_scaled=tuple(scaled[i] for i in source_order),
     )
 
 
@@ -97,8 +103,7 @@ def solve_pfct_s(inst: Instance) -> tuple[FlowSolution, Fraction, Fraction]:
     cost matrices once.
     """
     view = _require_pfct_s(inst)
-    lower = _lower_bound(view)
-    return _greedy(inst, view), lower, lower + sum(view.fixed_sorted[1:], Fraction(0))
+    return (_greedy(inst, view), *_bounds(view))
 
 
 def _greedy(inst: Instance, view: SortedView) -> FlowSolution:
@@ -150,27 +155,27 @@ def pi(inst: Instance, t) -> int:
     return _cover_counts(sorted(inst.demands, reverse=True), [t])[0]
 
 
-def _lower_bound(view: SortedView) -> Fraction:
-    """sum_p (f_p - f_{p+1}) pi(a([p])) with f_{n+1} = 0, exactly.
+def _bounds(view: SortedView) -> tuple[Fraction, Fraction]:
+    """(lower, upper): lower = sum_p (f_p - f_{p+1}) pi(a([p])) with
+    f_{n+1} = 0, and upper = lower + sum_{p>=2} f_p, exactly.
 
     Summed by parts, as sum_p f_p (pi(a([p])) - pi(a([p-1]))) with
-    pi(a([0])) = 0, over the fixed costs scaled to ints.
+    pi(a([0])) = 0, in the fixed costs scaled to ints.
     """
-    scale, [[f]] = integer_scaled([view.fixed_sorted])
     counts = _cover_counts(view.demand_sorted, view.supply_prefix)
-    total = sum(fp * (k - prev) for fp, k, prev in zip(f, counts, [0] + counts))
-    return Fraction(total, scale)
+    lower = sum(fp * (k - prev) for fp, k, prev in zip(view.fixed_scaled, counts, [0] + counts))
+    upper = lower + sum(view.fixed_scaled[1:])
+    return Fraction(lower, view.fixed_scale), Fraction(upper, view.fixed_scale)
 
 
 def opt_lower_bound(inst: Instance) -> Fraction:
     """Every solution costs at least sum_i (f_i - f_{i+1}) * pi(a([i]))."""
-    return _lower_bound(_require_pfct_s(inst))
+    return _bounds(_require_pfct_s(inst))[0]
 
 
 def greedy_upper_bound(inst: Instance) -> Fraction:
     """The greedy solution costs at most the lower bound plus sum_{i>=2} f_i."""
-    view = _require_pfct_s(inst)
-    return _lower_bound(view) + sum(view.fixed_sorted[1:], Fraction(0))
+    return _bounds(_require_pfct_s(inst))[1]
 
 
 def no_crossing_check(inst: Instance, sol: FlowSolution) -> bool:

@@ -230,3 +230,20 @@ def full_round_transportation(inst, weights):
     sol = cancel_cycles(FlowSolution(entries=flow), iw)
     value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
     return sol, Fraction(value, scale)
+
+
+def evaluate_cost_by_fractions(inst, sol):
+    """evaluate_cost as one running Fraction sum over the sorted support."""
+    total = Fraction(0)
+    for (i, j), x in sorted(sol.entries.items()):
+        c = inst.linear[i][j]
+        if c is INF:
+            raise FctpError(f"infeasible edge used: ({i + 1}, {j + 1})")
+        total += inst.fixed[i][j] + c * x
+    return total
+
+
+def source_order_by_fractions(inst):
+    """The PFCT-S source order with Fraction keys: f nonincreasing, ties by index."""
+    f = [row[0] for row in inst.fixed]
+    return tuple(sorted(range(inst.n), key=lambda i: (-f[i], i)))

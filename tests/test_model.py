@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import classify_variant_per_entry
+from reference import classify_variant_per_entry, evaluate_cost_by_fractions
+
+from fctp import generators
+from fctp.bicriteria import solve_bicriteria
+from fctp.fct_u import solve_fct_u
 
 from fctp.errors import FctpError, ParseError
 from fctp.model import (
@@ -90,6 +94,83 @@ def test_evaluate_cost_forbidden_edge():
     sol = make_flow({(0, 0): 1})
     with pytest.raises(FctpError, match="infeasible edge used"):
         evaluate_cost(inst, sol)
+
+
+def test_evaluate_cost_names_the_lowest_forbidden_edge():
+    inst = make_instance((3, 3, 3), (3, 3, 3), [[1] * 3] * 3, [[0, 0, INF], [0, INF, 0], [INF, 0, 0]])
+    sol = make_flow({(2, 0): 1, (1, 1): 1, (0, 0): 1, (0, 2): 1})
+    with pytest.raises(FctpError, match=r"^infeasible edge used: \(1, 3\)$"):
+        evaluate_cost(inst, sol)
+    with pytest.raises(FctpError, match=r"^infeasible edge used: \(2, 2\)$"):
+        evaluate_cost(inst, make_flow({(2, 0): 1, (1, 1): 2}))
+
+
+def test_evaluate_cost_refuses_edges_out_of_range_and_float_flows(e1):
+    for edge in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        sol = FlowSolution(entries={(0, 0): Fraction(1), edge: Fraction(1)})
+        with pytest.raises(FctpError, match=r"edge \(-?\d+, -?\d+\) out of range"):
+            evaluate_cost(e1, sol)
+    with pytest.raises(FctpError, match="flows must be ints or Fractions, not float"):
+        evaluate_cost(e1, FlowSolution(entries={(0, 0): 1.0}))
+    assert evaluate_cost(e1, FlowSolution(entries={(0, 0): 4, (1, 1): Fraction(1, 2)})) == 14
+
+
+def _random_flows(rng, inst, count):
+    """Flows on random supports, forbidden edges included, with int and
+    Fraction values; not feasible in general, which evaluate_cost does not need."""
+    edges = [(i, j) for i in range(inst.n) for j in range(inst.m)]
+    for _ in range(count):
+        support = rng.sample(edges, rng.randint(0, len(edges)))
+        yield make_flow({
+            e: rng.choice((rng.randint(1, 9), Fraction(rng.randint(1, 30), rng.randint(1, 7))))
+            for e in support
+        })
+
+
+def _fractional_instance(rng, n, m):
+    def cost():
+        return Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 4, 6, 9)))
+
+    linear = [[INF if rng.random() < 0.2 else cost() for _ in range(m)] for _ in range(n)]
+    return make_instance([1] * n, [1] * m, [[cost() for _ in range(m)] for _ in range(n)], linear)
+
+
+def _agrees_with_reference(inst, sol):
+    try:
+        want = evaluate_cost_by_fractions(inst, sol)
+    except FctpError as exc:
+        with pytest.raises(FctpError) as info:
+            evaluate_cost(inst, sol)
+        assert str(info.value) == str(exc)
+        return False
+    got = evaluate_cost(inst, sol)
+    assert type(got) is Fraction and got == want
+    return True
+
+
+def test_evaluate_cost_matches_the_fraction_sum():
+    rng = random.Random(2024)
+    pairs = priced = relaxed = 0
+    for seed in range(12):
+        for family in generators.FAMILIES:
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            options = {"forbid_probability": 0.3} if family == "fct-u" else {}
+            inst = generators.generate(family, n, m, seed, **options)
+            flows = [make_flow({})] + list(_random_flows(rng, inst, 4))
+            if family == "fct":
+                flows.append(solve_bicriteria(inst, Fraction(1, 4))[0])
+                relaxed += 1
+            if family == "fct-u":
+                flows.append(solve_fct_u(inst))
+            for sol in flows:
+                priced += _agrees_with_reference(inst, sol)
+                pairs += 1
+        inst = _fractional_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
+        for sol in [make_flow({})] + list(_random_flows(rng, inst, 15)):
+            priced += _agrees_with_reference(inst, sol)
+            pairs += 1
+    assert pairs >= 500 and relaxed >= 12
+    assert 0 < priced < pairs
 
 
 def test_evaluate_cost_ignores_removed_zero_entries(e1):
@@ -337,6 +418,27 @@ def test_make_instance_keeps_negative_costs_and_shape_errors():
         make_instance((1,), (1, 1), [[1]], [[0]])
 
 
+def test_constructors_refuse_inputs_of_the_wrong_shape():
+    for args, message in [
+        (((1,), (1,), [1], [[0]]), "fixed costs must be a sequence of rows"),
+        (((1,), (1,), [[1]], 0), "linear costs must be a sequence of rows"),
+        ((1, (1,), [[1]], [[0]]), "supplies must be a sequence of ints, not int"),
+        (((1,), None, [[1]], [[0]]), "demands must be a sequence of ints, not NoneType"),
+    ]:
+        with pytest.raises(FctpError, match=message):
+            make_instance(*args)
+    for entries, message in [
+        ({0: 1}, r"flow keys must be \(source, sink\) pairs, not 0"),
+        ({(0, 0, 1): 1}, r"flow keys must be \(source, sink\) pairs, not \(0, 0, 1\)"),
+        ({(-1, 0): 1}, r"edge \(0, 1\) out of range"),
+        ({(0, -3): 1}, r"edge \(1, -2\) out of range"),
+        (5, "flow entries must map"),
+        ([(1, 2, 3)], "flow entries must map"),
+    ]:
+        with pytest.raises(FctpError, match=message):
+            make_flow(entries)
+
+
 def test_make_flow_refuses_other_types():
     for entries, message in [
         ({(0.0, 1.7): 1}, "flow indices must be ints"),
@@ -397,6 +499,51 @@ def test_parse_reports_line_numbers():
         parse_instance("FCT v2\n")
     with pytest.raises(ParseError, match="negative"):
         parse_instance("FCT v1\n1 1\n1\n1\n-2\n0\n")
+
+
+def test_parse_round_trips_every_generator_family():
+    for family in generators.FAMILIES:
+        for seed, (n, m) in enumerate([(1, 1), (3, 5), (8, 4), (12, 30)]):
+            inst = generators.generate(family, n, m, seed)
+            assert parse_instance(serialize_instance(inst)) == inst
+    inst = generators.generate("fct-u", 6, 9, 3, forbid_probability=0.4)
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_parse_shares_each_repeated_line():
+    inst = parse_instance("FCT v1\n3 2\n1 1 1\n1 2\n1 2\n3 4\n1 2\n0 0\ninf 0\n0 0\n")
+    assert inst.fixed == ((1, 2), (3, 4), (1, 2)) and inst.fixed[0] is inst.fixed[2]
+    assert inst.linear[0] is inst.linear[2] and inst.linear[1] == (INF, 0)
+    assert inst.linear[1][1] is inst.linear[0][0]
+    pure = parse_instance(serialize_instance(generators.generate("pfct-s", 20, 40, 1)))
+    assert len({id(row) for row in pure.linear}) == 1
+    assert all(row.count(row[0]) == len(row) for row in pure.fixed)
+
+
+def test_parse_reads_lines_that_differ_only_in_spacing_as_equal_rows():
+    inst = parse_instance("FCT v1\n3 2\n1 1 1\n1 2\n1/2 3\n  1/2\t3 \n1/2  3\n0 0\n0 0\n0 0\n")
+    assert inst.fixed[0] == inst.fixed[1] == inst.fixed[2] == (Fraction(1, 2), 3)
+    assert inst.fixed[0] is not inst.fixed[1]
+    assert all(row[0] is inst.fixed[0][0] for row in inst.fixed)
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (["1 2", "1 2", "1 x"], 7, "malformed rational 'x'"),
+        (["1 2", "1 2", "1 -2"], 7, "negative cost '-2'"),
+        (["1 2", "1 2", "1 inf"], 7, "Infinity not allowed in f"),
+        (["1 2", "1 2", "1 2 2"], 7, "expected 2 fixed cost fields, got 3"),
+        (["1 2", "1 2"], 7, "missing fixed cost line"),
+        (["1 2", "1 2", "1 2", "0 0", "0 0", "0 1/0"], 10, "zero denominator in '1/0'"),
+        (["1 2", "1 2", "1 2", "inf 0", "inf 0", "inf"], 10, "expected 2 linear cost fields"),
+    ],
+)
+def test_parse_reports_the_line_of_a_bad_row_after_a_repeated_line(rows, line, message):
+    text = "FCT v1\n3 2\n1 1 1\n1 2\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError, match=f"line {line}: {message}") as info:
+        parse_instance(text)
+    assert info.value.line == line
 
 
 def test_round_trip_e1(e1):

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from reference import compare_residual_bound
+from reference import compare_residual_bound, source_order_by_fractions
 from util import is_forest
 
 from fctp import oracle
@@ -149,6 +149,27 @@ def test_bounds_match_pi_formula():
         for t in view.supply_prefix:
             assert pi(inst, t) == reference_pi(inst, t)
     assert exact_hits >= 100
+
+
+def test_sorted_view_orders_sources_as_fraction_keys_do():
+    # Few distinct costs on many sources, so most sources tie with another.
+    rng = random.Random(31)
+    costs = [Fraction(1, 2), Fraction(2, 4), 1, Fraction(3, 2), Fraction(10, 3), 0, 7]
+    ties = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 12), rng.randint(1, 6)
+        supplies = [rng.randint(1, 5) for _ in range(n)]
+        supplies[0] += max(0, m - sum(supplies))
+        demands = [1] * m
+        demands[0] += sum(supplies) - m
+        f = [rng.choice(costs) for _ in range(n)]
+        inst = pure_instance(supplies, demands, [[fi] * m for fi in f])
+        view = sorted_view(inst)
+        assert view.source_order == source_order_by_fractions(inst)
+        assert view.sink_order == tuple(sorted(range(m), key=lambda j: (-demands[j], j)))
+        assert [Fraction(x, view.fixed_scale) for x in view.fixed_scaled] == list(view.fixed_sorted)
+        ties += n - len(set(f))
+    assert ties >= 500
 
 
 @pytest.mark.parametrize("supplies, demands", [((3,), (1, 1)), ((1,), (2, 1))])
