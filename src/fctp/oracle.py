@@ -27,11 +27,21 @@ hangs from its sinks) or close a block (its net is not zero), and a tree
 that extends it stays below the window.  Sinks are the mirror image, so the
 window changes no cost and no choice.
 
+The windows bound the split walk too: a child block hung from v must have
+the attaching sign and leave the rest in v's window, so net[sub] lies in
+[net[mask] - a_v, 0] at a source and [0, net[mask] + b_v] at a sink.  The
+walk reads only those blocks, from _subsets_by_net's tables of submasks
+sorted by net, and the partition DP reads its net-zero blocks the same way.
+Both DPs keep the largest block among equal totals, so the walk's order
+changes no choice.  A block's attach cells are written only for parents
+whose window admits -net[mask], the only parents that read them.
+
 Guards are hard errors, never silent truncation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,7 +61,8 @@ from .transport import feasible, walk_support
 
 # Largest n + m the subset DPs accept, whatever guard a caller passes:
 # exact_fct allocates (n + m) * 2^(n + m) slots per table, about 170 MB
-# each at 20.
+# each at 20, and its submasks sorted by net take at most as many entries,
+# 2 * 3^14 (about 9.6 M against 21 M slots) at 20.
 MAX_SUBSET_VERTICES = 20
 
 # Most vertices exact_dst and most sets exact_min_dominating accept.
@@ -68,6 +79,39 @@ def _check_subset_guard(name: str, total_vertices: int, guard: int) -> None:
         )
 
 
+def _subsets_by_net(net: list[int], total_vertices: int):
+    """Submasks sorted by net, for walks over the blocks whose net lies in a
+    range.
+
+    Returns (shift, tables, fill).  The vertices from shift up are the high
+    part, the sink end of the numbering; fill(s) sets tables[s], None until
+    then, to the submasks of s << shift in order of net and their nets.  A
+    walk joins each submask of a block's low part with the slice of its
+    high part's table that bisecting the nets picks.  The high part leaves
+    four vertices low, since at n + m <= 12 larger tables cost more to fill
+    than their bisects save, and keeps all tables, 3^high submasks and as
+    many nets, within the (n + m) * 2^(n + m) entries of one exact_fct table.
+    """
+    high = 0
+    while high < total_vertices - 4 and 2 * 3 ** (high + 1) <= total_vertices << total_vertices:
+        high += 1
+    shift = total_vertices - high
+    # One int per high submask, which every table holding it shares.
+    masks = [s << shift for s in range(1 << high)]
+    tables: list = [None] * (1 << high)
+    tables[0] = ([0], [0])
+
+    def fill(s: int) -> tuple[list[int], list[int]]:
+        top = 1 << s.bit_length() - 1
+        below = (tables[s ^ top] or fill(s ^ top))[0]
+        # Two runs in order of net, which sorted merges in one pass.
+        subs = sorted(below + [masks[x >> shift | top] for x in below], key=net.__getitem__)
+        tables[s] = subs, list(map(net.__getitem__, subs))
+        return tables[s]
+
+    return shift, tables, fill
+
+
 def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     """Exact optimum cost and an optimal solution; guard bounds n + m."""
     check_instance(inst)
@@ -81,10 +125,16 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     size = 1 << total_vertices
     net = subset_sums(values)
     src_mask = (1 << n) - 1
-    # The window of nets a tree rooted at v can use: [0, a_v] at a source,
-    # [-b_v, 0] at a sink.
-    low_net = [0 if v < n else values[v] for v in range(total_vertices)]
-    high_net = [values[v] if v < n else 0 for v in range(total_vertices)]
+    subsets = _subsets_by_net(net, total_vertices)
+    shift, tables, fill = subsets
+    low_part = (1 << shift) - 1
+    # windows[x]: the vertices whose window admits net x, [0, a_v] at a
+    # source and [-b_v, 0] at a sink.
+    nets_seen = sorted(set(net))
+    windows = dict.fromkeys(nets_seen, 0)
+    for v, w in enumerate(values):
+        for x in nets_seen[bisect_left(nets_seen, min(w, 0)) : bisect_right(nets_seen, max(w, 0))]:
+            windows[x] |= 1 << v
 
     adj = [0] * total_vertices
     allowed = []
@@ -120,50 +170,65 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
 
     for mask in range(1, size):
         nets = net[mask]
-        rooted = 0
-        probe = mask
-        while probe:
-            v_bit = probe & -probe
-            probe ^= v_bit
-            v = v_bit.bit_length() - 1
-            if mask == v_bit:
-                h[v][mask] = 0
-                rooted |= v_bit
-                continue
-            if mask & ~comp[v] or not low_net[v] <= nets <= high_net[v]:
-                continue
-            rest = mask ^ v_bit
-            if not adj[v] & rest:
-                continue
-            # Only sub-blocks holding rest's lowest vertex: each split of
-            # rest into child subtrees is then reached once.
-            low = rest & -rest
-            others = rest ^ low
-            h_v = h[v]
-            best = None
-            best_sub = None
-            part = others
-            while True:
-                sub = part | low
-                attach = h_v[sub]
-                if attach is not None:
-                    remainder = h_v[mask ^ sub]
-                    if remainder is not None:
-                        total = remainder + attach
-                        if best is None or total < best:
-                            best = total
-                            best_sub = sub
-                if not part:
-                    break
-                part = (part - 1) & others
-            if best is not None:
-                h_v[mask] = best
-                choice[v][mask] = best_sub
-                rooted |= v_bit
+        if not mask & (mask - 1):
+            h[mask.bit_length() - 1][mask] = 0
+            rooted = mask
+        elif mask & ~comp[(mask & -mask).bit_length() - 1]:
+            continue
+        else:
+            rooted = 0
+            probe = mask & windows[nets]
+            while probe:
+                v_bit = probe & -probe
+                probe ^= v_bit
+                v = v_bit.bit_length() - 1
+                rest = mask ^ v_bit
+                if not adj[v] & rest:
+                    continue
+                # A child block hangs from a source by its deficit and from a
+                # sink by its surplus, and leaves the rest in v's window.
+                if v < n:
+                    lo, hi = nets - values[v], 0
+                else:
+                    lo, hi = 0, nets - values[v]
+                # Only blocks holding rest's lowest vertex: each split of
+                # rest into child subtrees is then reached once.
+                low = rest & -rest
+                others = rest ^ low
+                high_subs, high_nets = tables[others >> shift] or fill(others >> shift)
+                low_others = others & low_part
+                part = low_others
+                h_v = h[v]
+                best = None
+                best_sub = None
+                while True:
+                    low_sub = part | low
+                    base = net[low_sub]
+                    for sub in high_subs[
+                        bisect_left(high_nets, lo - base) : bisect_right(high_nets, hi - base)
+                    ]:
+                        sub |= low_sub
+                        attach = h_v[sub]
+                        if attach is not None:
+                            remainder = h_v[mask ^ sub]
+                            if remainder is not None:
+                                total = remainder + attach
+                                # Among equal totals the largest block wins.
+                                if best is None or total < best or total == best and sub > best_sub:
+                                    best = total
+                                    best_sub = sub
+                    if not part:
+                        break
+                    part = (part - 1) & low_others
+                if best is not None:
+                    h_v[mask] = best
+                    choice[v][mask] = best_sub
+                    rooted |= v_bit
 
         # Attaching costs of the finished block: edge (v, u) carries
         # |net[mask]| out of a surplus block, so u must then be a source,
-        # and into a deficit block, so u must then be a sink.
+        # and into a deficit block, so u must then be a sink.  Only a
+        # parent v whose window admits -net[mask] ever reads the cell.
         if nets > 0:
             roots = rooted & src_mask
             amount = nets
@@ -179,7 +244,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
             u_bit = probe & -probe
             probe ^= u_bit
             outside |= adj[u_bit.bit_length() - 1]
-        outside &= ~mask
+        outside &= windows[-nets] & ~mask
         while outside:
             v_bit = outside & -outside
             outside ^= v_bit
@@ -213,7 +278,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
                     g_val[mask] = cand
                     g_root[mask] = v
 
-    cost, blocks = _partition_dp(net, g_val)
+    cost, blocks = _partition_dp(net, g_val, subsets)
     if cost is None:
         raise InfeasibleError("no feasible transportation")
 
@@ -235,14 +300,17 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     return Fraction(cost, scale), FlowSolution(entries=entries)
 
 
-def _partition_dp(net: list[int], block_cost: list) -> tuple[int | None, list[int]]:
+def _partition_dp(net: list[int], block_cost: list, subsets) -> tuple[int | None, list[int]]:
     """Cheapest split of all vertices into net-zero blocks, by subset DP.
 
-    block_cost[sub] is the cost of block sub, None where it cannot be used.
-    Returns the least total cost and its blocks, in the order the DP picked
-    them, or (None, []) when no split exists.  Every net-zero mask is split
-    at its lowest vertex, and among equal totals the first block met wins.
+    block_cost[sub] is the cost of block sub, None where it cannot be used;
+    subsets is _subsets_by_net of net.  Returns the least total cost and its
+    blocks, in the order the DP picked them, or (None, []) when no split
+    exists.  Every net-zero mask is split at its lowest vertex, and among
+    equal totals the largest block wins.
     """
+    shift, tables, fill = subsets
+    low_part = (1 << shift) - 1
     size = len(net)
     dp = [None] * size
     pick = [None] * size
@@ -252,22 +320,27 @@ def _partition_dp(net: list[int], block_cost: list) -> tuple[int | None, list[in
             continue
         low = mask & -mask
         others = mask ^ low
+        high_subs, high_nets = tables[others >> shift] or fill(others >> shift)
+        low_others = others & low_part
+        part = low_others
         best = None
         best_sub = None
-        part = others
         while True:
-            sub = part | low
-            cost = block_cost[sub]
-            if cost is not None:
-                remainder = dp[mask ^ sub]
-                if remainder is not None:
-                    total = cost + remainder
-                    if best is None or total < best:
-                        best = total
-                        best_sub = sub
+            low_sub = part | low
+            base = -net[low_sub]
+            for sub in high_subs[bisect_left(high_nets, base) : bisect_right(high_nets, base)]:
+                sub |= low_sub
+                cost = block_cost[sub]
+                if cost is not None:
+                    remainder = dp[mask ^ sub]
+                    if remainder is not None:
+                        total = cost + remainder
+                        if best is None or total < best or total == best and sub > best_sub:
+                            best = total
+                            best_sub = sub
             if not part:
                 break
-            part = (part - 1) & others
+            part = (part - 1) & low_others
         dp[mask] = best
         pick[mask] = best_sub
     full = size - 1
@@ -286,7 +359,8 @@ def exact_balanced_partition(inst: Instance, guard: int = 16) -> tuple[int, list
     _check_subset_guard("partition", inst.n + inst.m, guard)
     net = subset_sums(signed_weights(inst))
     # Each part costs -1, so the cheapest split has the most parts.
-    cost, blocks = _partition_dp(net, [-1 if x == 0 else None for x in net])
+    block_cost = [-1 if x == 0 else None for x in net]
+    cost, blocks = _partition_dp(net, block_cost, _subsets_by_net(net, inst.n + inst.m))
     return -cost, blocks
 
 

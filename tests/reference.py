@@ -9,13 +9,15 @@ from fctp.model import (
     INF,
     FlowSolution,
     VariantTag,
+    check_instance,
     classify_variant,
     evaluate_cost,
     integer_scaled,
     signed_weights,
+    subset_sums,
 )
 from fctp.pfct_s import greedy_solve, pi, sorted_view
-from fctp.transport import cancel_cycles, solve_transportation
+from fctp.transport import cancel_cycles, solve_transportation, walk_support
 
 
 def exact_dst_by_edge_subsets(dst, edge_guard=16):
@@ -247,3 +249,141 @@ def source_order_by_fractions(inst):
     """The PFCT-S source order with Fraction keys: f nonincreasing, ties by index."""
     f = [row[0] for row in inst.fixed]
     return tuple(sorted(range(inst.n), key=lambda i: (-f[i], i)))
+
+
+def exact_fct_by_all_submasks(inst):
+    """oracle.exact_fct with every split walk over all submasks.
+
+    The same rooted-subtree DP, attach cells, windows and components, but a
+    rooted cell walks every sub-block of its rest holding the rest's lowest
+    vertex, a block's attach cells go to every neighbour of its roots, and
+    the partition DP walks every sub-block of a net-zero mask; both walks
+    go by descending sub-block with a strict <, so the largest sub-block
+    wins among equal totals.  Small valid instances only: no guard.
+    """
+    check_instance(inst)
+    n, m = inst.n, inst.m
+    total_vertices = n + m
+    scale, (fix, lin) = integer_scaled(inst.fixed, inst.linear)
+    values = signed_weights(inst)
+    size = 1 << total_vertices
+    net = subset_sums(values)
+    low_net = [0 if v < n else values[v] for v in range(total_vertices)]
+    high_net = [values[v] if v < n else 0 for v in range(total_vertices)]
+    adj = [0] * total_vertices
+    allowed = []
+    for i in range(n):
+        for j in range(m):
+            if lin[i][j] is not None:
+                adj[i] |= 1 << (n + j)
+                adj[n + j] |= 1 << i
+                allowed.append((i, j))
+    parents, _ = walk_support(n, allowed)
+    roots = {}
+    comp = [1 << v for v in range(total_vertices)]
+    for v, parent in parents.items():
+        roots[v] = v if parent is None else roots[parent]
+        comp[roots[v]] |= 1 << v
+    for v, root in roots.items():
+        comp[v] = comp[root]
+
+    h = [[None] * size for _ in range(total_vertices)]
+    choice = [[None] * size for _ in range(total_vertices)]
+    g_val = [None] * size
+    g_root = [None] * size
+    for mask in range(1, size):
+        nets = net[mask]
+        rooted = 0
+        for v in range(total_vertices):
+            v_bit = 1 << v
+            if not mask & v_bit:
+                continue
+            if mask == v_bit:
+                h[v][mask] = 0
+                rooted |= v_bit
+                continue
+            if mask & ~comp[v] or not low_net[v] <= nets <= high_net[v]:
+                continue
+            rest = mask ^ v_bit
+            low = rest & -rest
+            others = rest ^ low
+            best = best_sub = None
+            part = others
+            while True:
+                sub = part | low
+                attach = h[v][sub]
+                remainder = h[v][mask ^ sub]
+                if attach is not None and remainder is not None:
+                    total = remainder + attach
+                    if best is None or total < best:
+                        best, best_sub = total, sub
+                if not part:
+                    break
+                part = (part - 1) & others
+            if best is not None:
+                h[v][mask] = best
+                choice[v][mask] = best_sub
+                rooted |= v_bit
+        if nets > 0:
+            tree_roots, amount = rooted & ((1 << n) - 1), nets
+        elif nets < 0:
+            tree_roots, amount = rooted >> n << n, -nets
+        else:
+            tree_roots, amount = rooted, 0
+        for v in range(total_vertices):
+            if mask >> v & 1:
+                continue
+            best = best_u = None
+            for u in range(total_vertices):
+                if tree_roots >> u & 1 and adj[v] >> u & 1:
+                    i, j = (u, v - n) if u < n else (v, u - n)
+                    total = h[u][mask] + fix[i][j] + lin[i][j] * amount
+                    if best is None or total < best:
+                        best, best_u = total, u
+            h[v][mask] = best
+            choice[v][mask] = best_u
+        if nets == 0:
+            for v in range(total_vertices):
+                if rooted >> v & 1:
+                    cand = h[v][mask]
+                    if g_val[mask] is None or cand < g_val[mask]:
+                        g_val[mask], g_root[mask] = cand, v
+
+    dp = [None] * size
+    pick = [None] * size
+    dp[0] = 0
+    for mask in range(1, size):
+        if net[mask] != 0:
+            continue
+        low = mask & -mask
+        others = mask ^ low
+        part = others
+        while True:
+            sub = part | low
+            if g_val[sub] is not None and dp[mask ^ sub] is not None:
+                total = g_val[sub] + dp[mask ^ sub]
+                if dp[mask] is None or total < dp[mask]:
+                    dp[mask], pick[mask] = total, sub
+            if not part:
+                break
+            part = (part - 1) & others
+    if dp[size - 1] is None:
+        raise InfeasibleError("no feasible transportation")
+
+    entries = {}
+
+    def emit(v, mask):
+        while mask != 1 << v:
+            sub = choice[v][mask]
+            u = choice[v][sub]
+            if net[sub]:
+                edge = (u, v - n) if u < n else (v, u - n)
+                entries[edge] = Fraction(abs(net[sub]))
+            emit(u, sub)
+            mask ^= sub
+
+    mask = size - 1
+    while mask:
+        emit(g_root[pick[mask]], pick[mask])
+        mask ^= pick[mask]
+    return Fraction(dp[size - 1], scale), FlowSolution(entries=entries)

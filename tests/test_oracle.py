@@ -1,17 +1,20 @@
 import ast
 import hashlib
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from reference import exact_dst_by_edge_subsets, validate_partition
+from reference import exact_dst_by_edge_subsets, exact_fct_by_all_submasks, validate_partition
 from util import brute_force_opt, is_forest
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError
 from fctp.generators import (
+    FAMILIES,
     random_fct,
     random_fct_u,
     random_pfct_s,
@@ -25,6 +28,8 @@ from fctp.model import (
     format_rational,
     make_instance,
     serialize_solution,
+    signed_weights,
+    subset_sums,
     uniform_pure_instance,
     validate_solution,
 )
@@ -94,21 +99,22 @@ def _pinned_instances():
     for k in range(150):
         total = 2 + k % 11
         n = rng.randint(1, total - 1)
-        m = total - n
-        family = k % 4
-        if family == 0:
-            yield random_pfct_s(rng, n, m, max_supply=4, max_fixed=3)
-        elif family == 1:
-            base = random_fct(rng, n, m, max_supply=4, max_fixed=3, max_linear=2)
-            linear = [
-                [INF if i and j and rng.random() < 0.25 else c / 3 for j, c in enumerate(row)]
-                for i, row in enumerate(base.linear)
-            ]
-            yield make_instance(base.supplies, base.demands, base.fixed, linear)
-        elif family == 2:
-            yield random_fct_u(rng, n, m, max_supply=4, max_linear=2, forbid_probability=0.3)
-        else:
-            yield random_pure(rng, n, m, max_supply=4, max_fixed=2)
+        yield _pinned_instance(rng, k % 4, n, total - n)
+
+
+def _pinned_instance(rng, family, n, m):
+    if family == 0:
+        return random_pfct_s(rng, n, m, max_supply=4, max_fixed=3)
+    if family == 1:
+        base = random_fct(rng, n, m, max_supply=4, max_fixed=3, max_linear=2)
+        linear = [
+            [INF if i and j and rng.random() < 0.25 else c / 3 for j, c in enumerate(row)]
+            for i, row in enumerate(base.linear)
+        ]
+        return make_instance(base.supplies, base.demands, base.fixed, linear)
+    if family == 2:
+        return random_fct_u(rng, n, m, max_supply=4, max_linear=2, forbid_probability=0.3)
+    return random_pure(rng, n, m, max_supply=4, max_fixed=2)
 
 
 def test_exact_fct_output_pinned():
@@ -126,6 +132,80 @@ def test_exact_fct_output_pinned():
         digest.update(serialize_solution(flow).encode())
         digest.update(repr(list(flow.entries)).encode() + b"\n")
     assert digest.hexdigest() == "dca9a78dbd7233cd95dc090d5d3987687068f3511f2e7703e01d24facc2ab4f1"
+    # Recorded before blocks were read from subset tables sorted by net, on
+    # eight instances at n + m = 14 to 16.
+    wide = hashlib.sha256()
+    for inst in _wide_instances():
+        cost, flow = oracle.exact_fct(inst)
+        wide.update(format_rational(cost).encode() + b"\n")
+        wide.update(serialize_solution(flow).encode())
+        wide.update(repr(list(flow.entries)).encode() + b"\n")
+    assert wide.hexdigest() == "5348e5332a55184cb77f929b6819fc6689323110c1b5f001de2798e8fcf49a68"
+
+
+def _wide_instances():
+    """Eight seeded instances at n + m = 14 to 16, 1 x m and n x 1 shapes
+    among them, in the four families of _pinned_instance."""
+    rng = random.Random(2050)
+    shapes = ((1, 13), (13, 1), (2, 12), (3, 11), (4, 10), (7, 7), (1, 15), (15, 1))
+    for k, (n, m) in enumerate(shapes):
+        yield _pinned_instance(rng, k % 4, n, m)
+
+
+def _differential_instances():
+    """Seeded instances at n + m <= 10 from every generator family: 1 x m
+    and n x 1 shapes, forbidden edges, allowed graphs split in two
+    components, and all-zero or all-one fixed costs, which tie many
+    forests."""
+    rng = random.Random(2052)
+    families = [FAMILIES[name] for name in sorted(FAMILIES)]
+    for k in range(360):
+        total = 2 + k % 9
+        n = (1, total - 1, rng.randint(1, total - 1))[k // 9 % 3]
+        m = total - n
+        family = families[k % len(families)]
+        variant = k // 27 % 4
+        if variant == 2 and n > 1 and m > 1:
+            # Two instances side by side, no allowed edge between them.
+            n1, m1 = rng.randint(1, n - 1), rng.randint(1, m - 1)
+            a = family(rng, n1, m1, max_supply=4)
+            b = family(rng, n - n1, m - m1, max_supply=4)
+            yield make_instance(
+                a.supplies + b.supplies,
+                a.demands + b.demands,
+                [row + (0,) * b.m for row in a.fixed] + [(0,) * a.m + row for row in b.fixed],
+                [row + (INF,) * b.m for row in a.linear]
+                + [(INF,) * a.m + row for row in b.linear],
+            )
+            continue
+        inst = family(rng, n, m, max_supply=4)
+        if variant == 1:
+            linear = [[INF if rng.random() < 0.2 else c for c in row] for row in inst.linear]
+            inst = make_instance(inst.supplies, inst.demands, inst.fixed, linear)
+        elif variant == 3:
+            fixed = [[k % 2] * inst.m for _ in range(inst.n)]
+            inst = make_instance(inst.supplies, inst.demands, fixed, inst.linear)
+        yield inst
+
+
+def test_exact_fct_matches_all_submask_walk():
+    # The all-submask walk visits every split of a block's rest and every
+    # attach cell; reading blocks by net must pick the same optimum, the
+    # same forest among ties, and emit its edges in the same order.
+    solved = refused = 0
+    for inst in _differential_instances():
+        try:
+            expected_cost, expected = exact_fct_by_all_submasks(inst)
+        except InfeasibleError:
+            refused += 1
+            with pytest.raises(InfeasibleError):
+                oracle.exact_fct(inst)
+            continue
+        solved += 1
+        cost, flow = oracle.exact_fct(inst)
+        assert cost == expected_cost, inst
+        assert list(flow.entries.items()) == list(expected.entries.items()), inst
+    assert solved >= 250 and refused >= 20, (solved, refused)
 
 
 def _window_instances():
@@ -180,6 +260,47 @@ def test_exact_fct_window_output_pinned():
         digest.update(serialize_solution(flow).encode())
         digest.update(repr(list(flow.entries)).encode() + b"\n")
     assert digest.hexdigest() == "54d6052d2977ccbb09683f6dbdeda33c702f88cca195d10eb9afdfb8450a540c"
+
+
+def test_sorted_subset_tables_stay_within_one_exact_fct_table():
+    # The high part is sized before any table is filled: its 3^high
+    # submasks and their nets fit in (n + m) * 2^(n + m) entries at every
+    # n + m the subset DPs accept, and at least four vertices stay low.
+    for total in range(2, oracle.MAX_SUBSET_VERTICES + 1):
+        shift, tables, _ = oracle._subsets_by_net([], total)
+        high = total - shift
+        assert len(tables) == 1 << high
+        assert 2 * 3**high <= total << total, total
+        assert shift >= min(4, total), total
+
+
+def test_exact_fct_memory_bounded_on_wide_shape():
+    # 1 x 15 at guard 16, where tables over all sink subsets would hold 3^15
+    # entries.  Every sorted table, filled in full, takes less memory than
+    # one of the h and choice tables exact_fct allocates beside them.  (A
+    # whole exact_fct run under tracemalloc takes about 50 times as long as
+    # without, too long for this suite.)
+    inst = random_pfct_s(random.Random(3), 1, 15, max_supply=6, max_fixed=5)
+    total = inst.n + inst.m
+    net = subset_sums(signed_weights(inst))
+    h_table = sys.getsizeof([None] * (total << total))
+    tracemalloc.start()
+    try:
+        shift, tables, fill = oracle._subsets_by_net(net, total)
+        assert 2 * 3 ** (total - shift) <= total << total
+        entries = 0
+        for s in range(len(tables)):
+            subs, nets = tables[s] or fill(s)
+            entries += len(subs) + len(nets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entries == 2 * 3 ** (total - shift)
+    assert peak < h_table, (peak, h_table)
+    for s in (0, 1, len(tables) - 1):
+        subs, nets = tables[s]
+        assert nets == sorted(nets) == [net[x] for x in subs]
+        assert sorted(subs) == [x << shift for x in range(s + 1) if x & s == x]
 
 
 def test_balanced_partition_examples():
