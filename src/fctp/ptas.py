@@ -31,15 +31,17 @@ transport core.  Two kinds are skipped, each without changing the result:
   A guess whose bound, the larger sum, is at least the best cost so far
   cannot win the strict comparison.
 
-Costs are compared as ints, the fixed costs scaled by one common
-denominator, and transport gets the relaxation weights f_ij / b_j as ints,
-scaled once more by lcm(b): one positive factor for every weight, so every
-comparison transport makes, and so its flow, is that of the rational
-weights.  The per-threshold tables are O(nm) each, so no state grows with
-the number of guesses.  An instance with a source or sink that has no
-allowed edge is refused before any table is built; otherwise the guesses
-reach size n, so MAX_CANDIDATES bounds the 2^n subset sums, and the cover
-tables too: each nonempty set of a sink's allowed sources is one guess.
+Costs are compared as ints, the fixed costs scaled by one common denominator,
+and transport gets the relaxation weights f_ij / b_j as ints, scaled once more
+by lcm(b): one positive factor for every weight, so every comparison transport
+makes, and so its flow, is that of the rational weights.  Guesses call
+transport's unchecked int core, so ptas_solve checks the instance up front, a
+negative fixed cost included, and only the winner becomes a FlowSolution.  The
+per-threshold tables are O(nm) each, so no state grows with the number of
+guesses.  An instance with a source or sink that has no allowed edge is
+refused before any table is built; otherwise the guesses reach size n, so
+MAX_CANDIDATES bounds the 2^n subset sums, and the cover tables too: each
+nonempty set of a sink's allowed sources is one guess.
 """
 
 from __future__ import annotations
@@ -50,19 +52,19 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import FctpError, GuardError, InfeasibleError, VariantError
-# evaluate_cost is unused here; perfbench/tracing.py wraps fctp.ptas.evaluate_cost by name.
+# evaluate_cost and solve_transportation are unused here (guesses call
+# int_transportation); perfbench/tracing.py wraps both by name in fctp.ptas.
 from .model import (  # noqa: F401
-    INF,
     FlowSolution,
     Instance,
-    check_balanced,
     check_epsilon,
+    check_instance,
     classify_variant,
     evaluate_cost,
     integer_scaled,
     subset_sums,
 )
-from .transport import feasible, solve_transportation
+from .transport import feasible, int_transportation, solve_transportation  # noqa: F401
 
 
 # Most guesses ptas_solve enumerates, counted before its loop as every edge
@@ -115,7 +117,7 @@ def forest_combinations(edges, n: int, size: int):
 
 def ptas_solve(inst: Instance, eps) -> FlowSolution:
     """Best-of-all-guesses solution; cost at most (1 + eps) times optimal."""
-    check_balanced(inst)
+    check_instance(inst)
     tag = classify_variant(inst)
     if not (tag.pure or tag.pure_modulo_forbidden):
         raise VariantError("requires PFCT")
@@ -133,7 +135,7 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
     guesses = _Guesses(inst)
     fixed = guesses.fixed
     best_cost: int | None = None
-    best_flow: FlowSolution | None = None
+    best_flow: dict | None = None
     for size in sizes:
         for combo in forest_combinations(edges, inst.n, size):
             threshold = min((fixed[i][j] for i, j in combo), default=None)
@@ -142,14 +144,14 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
                 continue
             if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
                 continue
-            sol, _ = solve_transportation(inst, guesses.weights(level, combo))
-            cost = sum(fixed[i][j] for i, j in sol.entries)
+            flow = int_transportation(inst.supplies, inst.demands, guesses.weights(level, combo))
+            cost = sum(fixed[i][j] for i, j in flow)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
-                best_flow = sol
+                best_flow = flow
     if best_flow is None:
         raise InfeasibleError("no feasible transportation")
-    return best_flow
+    return FlowSolution(entries={e: Fraction(x) for e, x in sorted(best_flow.items())})
 
 
 def _least_covers(sets, costs, supply_sums, demand) -> dict:
@@ -177,7 +179,7 @@ class _Level:
     sources, ``feasible`` says whether these edges alone can carry the
     flow, ``source_min`` holds each source's cheapest scaled fixed cost
     among them (None for one they leave unreached), and ``weights`` is the
-    relaxation with no edge guessed, in scaled ints.
+    relaxation with no edge guessed, in scaled ints, None on a forbidden edge.
     """
 
     masks: tuple[int, ...]
@@ -222,7 +224,7 @@ class _Guesses:
         masks = [0] * inst.n
         cols = [0] * inst.m
         source_min = [None] * inst.n
-        weights = [[INF] * inst.m for _ in range(inst.n)]
+        weights = [[None] * inst.m for _ in range(inst.n)]
         for i, j in inst.edges():
             c = fixed[i][j]
             if threshold is not None and c > threshold:
@@ -264,11 +266,11 @@ class _Guesses:
                 sources[i] = c
         return max(sum(map(dict.__getitem__, self.cover, cols)), sum(sources))
 
-    def weights(self, level: _Level, combo) -> tuple[tuple, ...]:
+    def weights(self, level: _Level, combo) -> list[list]:
         """Relaxation weights under a guess: guessed edges are free (their
         fixed costs are sunk), the level's other edges pay f/b fractionally,
         the rest are forbidden."""
         rows = [list(row) for row in level.weights]
         for i, j in combo:
             rows[i][j] = 0
-        return tuple(map(tuple, rows))
+        return rows

@@ -1,11 +1,17 @@
 """Exact minimization of linear objectives over the transportation polytope.
 
-Successive shortest paths with Dijkstra potentials on the bipartite network,
-run on the weights scaled to ints by one common denominator (exact, since it
-keeps every comparison), followed by cycle cancellation on the int flow so
-the returned support is always a forest (an extreme point).  Forbidden
-edges (weight INF) are excluded from the residual graph rather than given a
-big-M weight.
+solve_transportation is the exact-rational boundary.  It refuses an
+unbalanced instance, a weight matrix of the wrong shape, a weight that is
+not an int, a Fraction or INF, and a negative weight; scales the weights to
+ints by one common denominator (exact, since it keeps every comparison);
+and returns Fraction flows and objective.  int_transportation is the int
+core beneath it and checks nothing: it takes positive int supplies and
+demands with equal sums and rows of non-negative ints, None on a forbidden
+edge, and returns the same flow as {(i, j): int}.  Both run successive
+shortest paths with Dijkstra potentials on the bipartite network, forbidden
+edges left out of the residual graph rather than given a big-M weight, and
+then cancel cycles on the int flow, so the support is a forest (an extreme
+point).
 
 Each Dijkstra round starts from the sources with supply left, which all
 hold one potential: potentials start at 0, every such source starts each
@@ -56,13 +62,24 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
     cannot carry any feasible flow.
     """
     check_balanced(inst)
-    n, m = inst.n, inst.m
-    if len(weights) != n or any(len(row) != m for row in weights):
+    if len(weights) != inst.n or any(len(row) != inst.m for row in weights):
         raise FctpError("weight matrix shape must match the instance")
     scale, (iw,) = integer_scaled(weights)
     if any(x is not None and x < 0 for row in iw for x in row):
         raise FctpError("negative weights are not supported")
+    sol = cancel_cycles(FlowSolution(entries=_shortest_paths(inst.supplies, inst.demands, iw)), iw)
+    value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
+    return sol, Fraction(value, scale)
 
+
+def int_transportation(supplies, demands, weights) -> dict:
+    """The unchecked int core (module docstring); InfeasibleError as there."""
+    return _rotate_cycles(_shortest_paths(supplies, demands, weights), weights)
+
+
+def _shortest_paths(supplies, demands, iw) -> dict:
+    """A min-cost int flow {(i, j): x} by SSP; its support may hold cycles."""
+    n, m = len(supplies), len(demands)
     # Node ids: sources 0..n-1, sinks n..n+m-1.
     adj = [
         [(n + j, j, x) for j, x in enumerate(row) if x is not None] for row in iw
@@ -79,8 +96,8 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
                 best_i[j] = i
 
     heappush, heappop, heapify = heapq.heappush, heapq.heappop, heapq.heapify
-    rem_a = list(inst.supplies)
-    rem_b = list(inst.demands)
+    rem_a = list(supplies)
+    rem_b = list(demands)
     live = list(range(n))  # the sources with supply left, ascending
     flow: dict[tuple[int, int], int] = {}
     used = [0] * m  # used[j]: bitmask of the sources with flow into sink j
@@ -207,9 +224,7 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
             if dv is not None and dv < dt:
                 pot[v] += dv - dt
 
-    sol = cancel_cycles(FlowSolution(entries=flow), iw)
-    value = sum(iw[i][j] * x.numerator for (i, j), x in sol.entries.items())
-    return sol, Fraction(value, scale)
+    return flow
 
 
 def feasible(supply_sums, demands, sink_masks) -> bool:
@@ -244,11 +259,19 @@ def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
     off the support are never read; solve_transportation passes its int
     flow and int-scaled weights, with None for forbidden edges.
     """
-    flow = dict(sol.entries)
+    flow = _rotate_cycles(dict(sol.entries), weights)
+    return FlowSolution(
+        entries={e: Fraction(x) for e, x in sorted(flow.items())},
+        relaxation=sol.relaxation,
+    )
+
+
+def _rotate_cycles(flow: dict, weights) -> dict:
+    """cancel_cycles on a flow dict, in place; returns it."""
     while True:
         _, cycle = walk_support(len(weights), flow)
         if cycle is None:
-            break
+            return flow
         # cycle: edge list (i, j, forward) alternating around the cycle;
         # direction A increases "forward" edges and decreases the others.
         inc = [(i, j) for i, j, fwd in cycle if fwd]
@@ -267,10 +290,6 @@ def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
             flow[e] -= bottleneck
             if flow[e] == 0:
                 del flow[e]
-    return FlowSolution(
-        entries={e: Fraction(x) for e, x in sorted(flow.items())},
-        relaxation=sol.relaxation,
-    )
 
 
 def walk_support(n: int, edges) -> tuple[dict, list | None]:

@@ -21,7 +21,7 @@ from fctp.model import (
     validate_solution,
 )
 from fctp.ptas import _Guesses, candidate_sizes, forest_combinations, ptas_solve
-from fctp.transport import solve_transportation
+from fctp.transport import int_transportation
 
 
 def test_single_source_forced_support():
@@ -103,6 +103,20 @@ def test_unbalanced_instance_rejected():
         ptas_solve(inst, Fraction(1, 2))
 
 
+def test_negative_fixed_cost_refused_before_guard_and_guesses(monkeypatch):
+    # Guesses bypass solve_transportation's sign check, so ptas_solve makes
+    # its own: a zero guard and a core that must not run show it comes first.
+    inst = make_instance([2, 2], [2, 2], [[-1, 3], [2, 1]], [[0, 0], [0, 0]])
+
+    def no_transport(*args):
+        raise AssertionError("a refused instance reached transport")
+
+    monkeypatch.setattr("fctp.ptas.int_transportation", no_transport)
+    monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 0)
+    with pytest.raises(FctpError, match="invalid instance: f_1,1 negative"):
+        ptas_solve(inst, Fraction(1, 2))
+
+
 def test_blocked_instance_is_infeasible():
     # Balanced and every node has an edge, but source 1 ships 2 and reaches
     # only sink 1, which takes 1.
@@ -125,9 +139,10 @@ def _cheapest_edge_bound(guesses, edges, combo):
 
 def test_pruning_predicates_agree_with_transport():
     # Random guesses on random allowed-edge sets, with n <= m and n > m: the
-    # Hall check says infeasible exactly when transport raises, and the lower
-    # bound never exceeds the cost of the flow transport returns, nor falls
-    # below the cheapest-edge bound it replaced.
+    # Hall check says infeasible exactly when the transport core raises on
+    # the level's weights (None on a forbidden edge), and the lower bound
+    # never exceeds the cost of the flow it returns, nor falls below the
+    # cheapest-edge bound it replaced.
     rng = random.Random(83)
     seen = {True: 0, False: 0}
     tighter = 0
@@ -150,12 +165,14 @@ def test_pruning_predicates_agree_with_transport():
             assert feasible == guesses.fits(level, combo)
             seen[feasible] += 1
             try:
-                sol, _ = solve_transportation(inst, guesses.weights(level, combo))
+                flow = int_transportation(
+                    inst.supplies, inst.demands, guesses.weights(level, combo)
+                )
             except InfeasibleError:
                 assert not feasible
                 continue
             assert feasible
-            cost = sum(guesses.fixed[i][j] for i, j in sol.entries)
+            cost = sum(guesses.fixed[i][j] for i, j in flow)
             old_bound = _cheapest_edge_bound(guesses, edges, combo)
             bound = guesses.lower_bound(level, combo)
             assert old_bound <= bound <= cost
@@ -242,7 +259,7 @@ def test_guard_counts_cyclic_subsets_before_any_transport_call(monkeypatch):
     def no_transport(*args):
         raise AssertionError("a refused instance reached transport")
 
-    monkeypatch.setattr("fctp.ptas.solve_transportation", no_transport)
+    monkeypatch.setattr("fctp.ptas.int_transportation", no_transport)
     monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 381)
     with pytest.raises(GuardError, match="too large"):
         ptas_solve(inst, Fraction(1, 2))
@@ -345,9 +362,9 @@ def test_transport_calls_pinned(monkeypatch):
     def counting(*args):
         nonlocal calls
         calls += 1
-        return solve_transportation(*args)
+        return int_transportation(*args)
 
-    monkeypatch.setattr("fctp.ptas.solve_transportation", counting)
+    monkeypatch.setattr("fctp.ptas.int_transportation", counting)
     for inst, eps in _pinned_cases():
         try:
             ptas_solve(inst, eps)

@@ -8,17 +8,25 @@ import pytest
 from reference import bicriteria_weights, full_round_transportation
 from util import brute_force_min_linear, is_forest
 
+from fctp import transport
 from fctp.errors import FctpError, InfeasibleError
 from fctp.generators import generate, random_fct, split_total
 from fctp.model import (
     INF,
+    integer_scaled,
     make_flow,
     make_instance,
     serialize_solution,
     subset_sums,
     validate_solution,
 )
-from fctp.transport import cancel_cycles, feasible, solve_transportation, walk_support
+from fctp.transport import (
+    cancel_cycles,
+    feasible,
+    int_transportation,
+    solve_transportation,
+    walk_support,
+)
 
 
 def weighted_cost(weights, entries):
@@ -308,6 +316,47 @@ def test_matches_full_round_reference_byte_for_byte():
         assert _outcome(solve_transportation, inst, weights) == expected, (inst, weights)
         infeasible += expected is None
     assert infeasible == 125  # both sides raise InfeasibleError; 325 solve
+
+
+def test_int_core_matches_reference_and_public_solver(monkeypatch):
+    # The int core on the int-scaled weights, None on a forbidden edge, as
+    # the PTAS calls it: the same entries as full SSP rounds and as
+    # solve_transportation, and the same refusals.  Zero and tied weights
+    # make degenerate flows, and 7 of the 450 SSP flows hold a cycle for the
+    # int cancel loop to rotate away (a rotation always empties an edge).
+    rotate = transport._rotate_cycles
+    rotated = 0
+
+    def counting(flow, weights):
+        nonlocal rotated
+        before = len(flow)
+        out = rotate(flow, weights)
+        rotated += len(out) < before
+        return out
+
+    monkeypatch.setattr(transport, "_rotate_cycles", counting)
+    rng = random.Random(23)
+    infeasible = core_rotated = 0
+    for k in range(450):
+        inst, weights = _differential_case(rng, k)
+        _, (iw,) = integer_scaled(weights)
+        before = rotated
+        try:
+            flow = int_transportation(inst.supplies, inst.demands, iw)
+        except InfeasibleError:
+            infeasible += 1
+            for solve in (full_round_transportation, solve_transportation):
+                with pytest.raises(InfeasibleError):
+                    solve(inst, weights)
+            continue
+        core_rotated += rotated - before
+        assert all(type(x) is int for x in flow.values())
+        for solve in (full_round_transportation, solve_transportation):
+            sol, _ = solve(inst, weights)
+            assert sorted(flow.items()) == list(sol.entries.items()), (inst, weights)
+    assert infeasible == 126
+    assert core_rotated == 7
+    assert rotated == 3 * 7  # the other two solvers rotate the same flows
 
 
 def test_optimal_on_all_small_instances():
