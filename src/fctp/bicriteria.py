@@ -27,6 +27,7 @@ from .model import (
     Instance,
     check_balanced,
     check_epsilon,
+    check_instance,
     evaluate_cost,
     integer_scaled,
 )
@@ -64,23 +65,32 @@ def _lp_weights(inst: Instance) -> tuple[int, list]:
     Each weight is (C p + F) / (s p) in lowest terms, with C = c s and F = f s
     scaled to ints by one s, and common is the lcm of those denominators: the
     matrix integer_scaled makes of the weights as Fractions, entry for entry.
+    A cost that validate_instance refuses (negative, INF in f, not a
+    rational) raises its FctpError.
     """
-    scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
     nums, dens = [], []
-    for a, f_row, c_row in zip(inst.supplies, fixed, linear):
-        num_row, den_row = [], []
-        for b, f, c in zip(inst.demands, f_row, c_row):
-            if c is None:
-                num_row.append(None)
-                den_row.append(1)
-                continue
-            p = a if a < b else b
-            num, den = c * p + f, scale * p
-            g = gcd(num, den)
-            num_row.append(num // g)
-            den_row.append(den // g)
-        nums.append(num_row)
-        dens.append(den_row)
+    try:
+        scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
+        for a, f_row, c_row in zip(inst.supplies, fixed, linear):
+            num_row, den_row = [], []
+            for b, f, c in zip(inst.demands, f_row, c_row):
+                # An INF f is None here, so f < 0 raises TypeError.
+                if f < 0 or c is not None and c < 0:
+                    raise FctpError("negative cost")  # reworded below
+                if c is None:
+                    num_row.append(None)
+                    den_row.append(1)
+                    continue
+                p = a if a < b else b
+                num, den = c * p + f, scale * p
+                g = gcd(num, den)
+                num_row.append(num // g)
+                den_row.append(den // g)
+            nums.append(num_row)
+            dens.append(den_row)
+    except (FctpError, TypeError):
+        check_instance(inst)
+        raise
     common = lcm(*{den for row in dens for den in row})
     weights = [
         [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]

@@ -11,43 +11,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from math import lcm
 
 from .errors import FctpError, ParseError
 
 
-class _Infinity:
-    """Forbidden-edge marker, permitted only in linear costs.
+class _Infinity(Enum):
+    """Forbidden-edge marker, permitted only in linear costs: one object, also
+    through copy.deepcopy and pickle, that refuses arithmetic and ordering,
+    so accidental use in a cost sum or a comparison fails loudly."""
 
-    A singleton that compares greater than every rational and supports no
-    arithmetic, so accidental use in a cost sum fails loudly.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INF = "inf"
 
     def __repr__(self):
         return "inf"
 
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
+    __str__ = __repr__  # print(INF) shows inf, not Enum's _Infinity.INF
 
 
-INF = _Infinity()
+INF = _Infinity.INF
 
 # A linear cost: a finite nonnegative Fraction or the INF marker.
 Cost = Fraction | _Infinity
@@ -345,29 +329,35 @@ def classify_variant(inst: Instance) -> VariantTag:
     this path too.  Other rows are read entry by entry: comparing numerators
     and denominators costs less than the Fraction.__eq__ that count would
     call on each entry.  A row that settles a tag ends the scan for that tag.
+    An entry without a numerator, such as INF in f or a float, raises
+    validate_instance's FctpError.
     """
     pure = pure_mod = sink_independent = uniform = True
-    for frow, crow in zip(inst.fixed, inst.linear):
-        if sink_independent and frow:
-            first = frow[0]
-            num, den = first.numerator, first.denominator
-            if frow[-1] is first:
-                sink_independent = frow.count(first) == len(frow)
-            else:
-                for f in frow:
-                    if f is not first and (f.numerator != num or f.denominator != den):
-                        sink_independent = False
+    try:
+        for frow, crow in zip(inst.fixed, inst.linear):
+            if sink_independent and frow:
+                first = frow[0]
+                num, den = first.numerator, first.denominator
+                if frow[-1] is first:
+                    sink_independent = frow.count(first) == len(frow)
+                else:
+                    for f in frow:
+                        if f is not first and (f.numerator != num or f.denominator != den):
+                            sink_independent = False
+                            break
+                uniform = uniform and sink_independent and num == 1 and den == 1
+            if pure_mod:
+                if crow and crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
+                    crow = crow[:1]
+                for c in crow:
+                    if c is INF:
+                        pure = False
+                    elif c.numerator:
+                        pure = pure_mod = False
                         break
-            uniform = uniform and sink_independent and num == 1 and den == 1
-        if pure_mod:
-            if crow and crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
-                crow = crow[:1]
-            for c in crow:
-                if c is INF:
-                    pure = False
-                elif c.numerator:
-                    pure = pure_mod = False
-                    break
+    except AttributeError:
+        check_instance(inst)
+        raise
     return VariantTag(
         pure=pure,
         sink_independent=sink_independent,

@@ -24,6 +24,7 @@ from .model import (
     FlowSolution,
     Instance,
     check_balanced,
+    check_instance,
     classify_variant,
     integer_scaled,
     two_pointer_steps,
@@ -35,18 +36,15 @@ class SortedView:
     """Renaming of sources by nonincreasing f and sinks by nonincreasing b.
 
     ``source_order[p]`` is the original index of the source at sorted
-    position p (ties keep original index order), and ``source_rank`` is the
-    inverse map; same for sinks.  ``fixed_sorted``/``demand_sorted`` are the
-    reordered vectors and ``supply_prefix[p]`` is the supply of the first
-    p + 1 sorted sources.  ``fixed_scaled`` is ``fixed_sorted`` times
-    ``fixed_scale``, the lcm of its denominators, as ints.
+    position p (ties keep original index order); same for sinks.
+    ``demand_sorted`` is the reordered demands, ``supply_prefix[p]`` the
+    supply of the first p + 1 sorted sources, and ``fixed_scaled`` the
+    sorted, so nonincreasing, fixed costs times ``fixed_scale``, the lcm of
+    their denominators, as ints.
     """
 
     source_order: tuple[int, ...]
     sink_order: tuple[int, ...]
-    source_rank: tuple[int, ...]
-    sink_rank: tuple[int, ...]
-    fixed_sorted: tuple[Fraction, ...]
     demand_sorted: tuple[int, ...]
     supply_prefix: tuple[int, ...]
     fixed_scale: int
@@ -63,22 +61,12 @@ def sorted_view(inst: Instance) -> SortedView:
 
     A sort with reverse=True is stable, so ties keep original index order.
     """
-    f = _source_costs(inst)
-    scale, [[scaled]] = integer_scaled([f])
+    scale, [[scaled]] = integer_scaled([_source_costs(inst)])
     source_order = tuple(sorted(range(inst.n), key=scaled.__getitem__, reverse=True))
     sink_order = tuple(sorted(range(inst.m), key=inst.demands.__getitem__, reverse=True))
-    source_rank = [0] * inst.n
-    for pos, i in enumerate(source_order):
-        source_rank[i] = pos
-    sink_rank = [0] * inst.m
-    for pos, j in enumerate(sink_order):
-        sink_rank[j] = pos
     return SortedView(
         source_order=source_order,
         sink_order=sink_order,
-        source_rank=tuple(source_rank),
-        sink_rank=tuple(sink_rank),
-        fixed_sorted=tuple(f[i] for i in source_order),
         demand_sorted=tuple(inst.demands[j] for j in sink_order),
         supply_prefix=tuple(accumulate(inst.supplies[i] for i in source_order)),
         fixed_scale=scale,
@@ -87,12 +75,17 @@ def sorted_view(inst: Instance) -> SortedView:
 
 
 def _require_pfct_s(inst: Instance) -> SortedView:
-    """Balance and variant checks, then the sorted view: once per public call."""
+    """Balance, variant and sign checks, then the sorted view: once per public
+    call.  The view's fixed costs are nonincreasing, so a negative one is the
+    last; validate_instance then names it."""
     check_balanced(inst)
     tag = classify_variant(inst)
     if not (tag.pure and tag.sink_independent):
         raise VariantError("requires PFCT-S")
-    return sorted_view(inst)
+    view = sorted_view(inst)
+    if view.fixed_scaled[-1] < 0:
+        check_instance(inst)
+    return view
 
 
 def solve_pfct_s(inst: Instance) -> tuple[FlowSolution, Fraction, Fraction]:
@@ -185,9 +178,9 @@ def no_crossing_check(inst: Instance, sol: FlowSolution) -> bool:
     order and j before j' in the sink order.
     """
     view = sorted_view(inst)
-    ranked = [
-        (view.source_rank[i], view.sink_rank[j]) for (i, j) in sol.entries
-    ]
+    source_rank = {i: pos for pos, i in enumerate(view.source_order)}
+    sink_rank = {j: pos for pos, j in enumerate(view.sink_order)}
+    ranked = [(source_rank[i], sink_rank[j]) for (i, j) in sol.entries]
     for a, (ri, rj) in enumerate(ranked):
         for ri2, rj2 in ranked[a + 1 :]:
             if (ri < ri2 and rj > rj2) or (ri2 < ri and rj2 > rj):

@@ -71,7 +71,7 @@ def compare_residual_bound(inst1, inst2, delta):
         raise FctpError("pi shift exceeds delta")
     greedy_cost = evaluate_cost(inst2, greedy_solve(inst2))
     opt1, _ = oracle.exact_fct(inst1)
-    f = view.fixed_sorted
+    f = [inst1.fixed[i][0] for i in view.source_order]
     return greedy_cost <= opt1 + delta * f[0] + sum(f[1:], Fraction(0))
 
 

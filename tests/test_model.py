@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -76,6 +79,33 @@ def test_validate_negative_cost_and_shape():
     assert "negative" in validate_instance(inst)
     with pytest.raises(ValueError):
         make_instance((1, 1), (2,), [[0]], [[0], [0]])
+
+
+@pytest.mark.parametrize(
+    "fixed, linear, report",
+    [
+        (((Fraction(1), INF),), ((Fraction(0), Fraction(0)),), "f_1,2 must be a finite rational"),
+        (((Fraction(1), Fraction(1)),), ((Fraction(0), 2.5),), "c_1,2 must be a rational or inf"),
+        (((Fraction(1), Fraction(1)),), ((INF, Fraction(-1, 2)),), "c_1,2 negative"),
+    ],
+)
+def test_validate_instance_reports_each_bad_cost(fixed, linear, report):
+    inst = Instance(supplies=(2,), demands=(1, 1), fixed=fixed, linear=linear)
+    assert validate_instance(inst) == report
+
+
+def test_inf_survives_copy_and_pickle_and_refuses_ordering():
+    inst = make_instance((1, 1), (2,), [[1], [2]], [[0], [INF]])
+    for clone in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert clone == inst
+        assert clone.linear[1][0] is INF
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((INF, 0), (0, INF), (INF, INF)):
+            with pytest.raises(TypeError):
+                compare(left, right)
+    with pytest.raises(TypeError):
+        INF + 1
+    assert repr(INF) == str(INF) == format_rational(INF) == "inf"
 
 
 def test_evaluate_cost_counts_support_edges_in_pure_uniform():

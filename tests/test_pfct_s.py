@@ -119,7 +119,7 @@ def reference_pi(inst, t):
 
 def reference_lower_bound(inst):
     view = sorted_view(inst)
-    f = list(view.fixed_sorted) + [Fraction(0)]
+    f = [inst.fixed[i][0] for i in view.source_order] + [Fraction(0)]
     return sum(
         ((f[p] - f[p + 1]) * reference_pi(inst, view.supply_prefix[p]) for p in range(inst.n)),
         Fraction(0),
@@ -145,7 +145,7 @@ def test_bounds_match_pi_formula():
         exact_hits += sum(t in reach for t in view.supply_prefix[:-1])
         lower = reference_lower_bound(inst)
         assert opt_lower_bound(inst) == lower
-        assert greedy_upper_bound(inst) == lower + sum(view.fixed_sorted[1:], Fraction(0))
+        assert greedy_upper_bound(inst) == lower + sum([inst.fixed[i][0] for i in view.source_order][1:], Fraction(0))
         for t in view.supply_prefix:
             assert pi(inst, t) == reference_pi(inst, t)
     assert exact_hits >= 100
@@ -167,7 +167,7 @@ def test_sorted_view_orders_sources_as_fraction_keys_do():
         view = sorted_view(inst)
         assert view.source_order == source_order_by_fractions(inst)
         assert view.sink_order == tuple(sorted(range(m), key=lambda j: (-demands[j], j)))
-        assert [Fraction(x, view.fixed_scale) for x in view.fixed_scaled] == list(view.fixed_sorted)
+        assert [Fraction(x, view.fixed_scale) for x in view.fixed_scaled] == [inst.fixed[i][0] for i in view.source_order]
         ties += n - len(set(f))
     assert ties >= 500
 
@@ -221,7 +221,7 @@ def test_sandwich_and_ratio_on_random_instances():
         opt, _ = oracle.exact_fct(inst)
         assert opt_lower_bound(inst) <= opt <= cost <= greedy_upper_bound(inst)
         assert greedy_upper_bound(inst) <= opt_lower_bound(inst) + sum(
-            sorted_view(inst).fixed_sorted[1:], Fraction(0)
+            [inst.fixed[i][0] for i in sorted_view(inst).source_order][1:], Fraction(0)
         )
         assert cost <= 2 * opt
         assert no_crossing_check(inst, sol)

@@ -37,6 +37,15 @@ def keys(mask, n):
     ]
 
 
+def test_local_search_three_swap_finds_what_smaller_swaps_miss():
+    # The first two sets block three disjoint sets, two of them each: only
+    # a 3-for-2 swap reaches the maximum packing.
+    sets = ({0, 1, 2}, {3, 4, 5}, {0, 3, 6}, {1, 4, 7}, {2, 5, 8})
+    pk = PackingInstance(vertices=9, family=tuple(sum(1 << v for v in s) for s in sets))
+    assert local_search_packing(pk, 1) == local_search_packing(pk, 2) == list(pk.family[:2])
+    assert local_search_packing(pk, 3) == list(pk.family[2:]) == exact_packing(pk)
+
+
 def test_validate_partition_rejects_bad_parts():
     # Vertices: source 0 (3), source 1 (5), sink 0 (1), sink 1 (2), sink 2 (5).
     inst = uniform_pure_instance((3, 5), (1, 2, 5))

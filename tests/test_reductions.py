@@ -93,6 +93,38 @@ def test_digraph_source_equals_sink_rejected():
             make_dst(["a", "b"], edges, "a", ["b"])
 
 
+TRIPLES = make_threedm(2, [(0, 0, 0), (1, 1, 1), (0, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_digraph(["a", "a"], [], {}, {}), "duplicate vertex ids"),
+        (lambda: make_digraph(["a", "b"], [], {"a": 0}, {"b": 0}), "must be positive"),
+        (lambda: make_digraph(["a", "b"], [], {"c": 1}, {"b": 1}), "sources and sinks must be vertices"),
+        (lambda: make_digraph(["a", "b"], [], {"a": 2}, {"b": 1}), "total supply must equal total demand"),
+        (lambda: make_dst(["r", "t"], [], "x", ["t"]), "root must be a vertex"),
+        (lambda: make_dst(["r", "t"], [], "r", []), "need at least one terminal"),
+        (lambda: make_dst(["r", "t"], [], "r", ["t", "t"]), "duplicate terminals"),
+        (lambda: make_dst(["r", "t"], [], "r", ["r"]), "root cannot be a terminal"),
+        (lambda: make_dst(["r", "t"], [], "r", ["x"]), "terminals must be vertices"),
+        (lambda: make_setcover(0, [[0]]), "need at least one element"),
+        (lambda: make_setcover(2, [[0, 2]]), "set member out of range"),
+        (lambda: make_setcover(2, []), "need at least one set"),
+        (lambda: make_threedm(0, []), "need n >= 1"),
+        (lambda: make_threedm(2, [(0, 2, 0)]), "triple coordinate out of range"),
+        (lambda: make_threedm(2, [(0, 1, 0), (0, 1, 0)]), "duplicate triples"),
+        (lambda: threedm_to_pfct_u(TRIPLES, b_prime=0), "b_prime must be between 1 and 6"),
+        (lambda: threedm_to_pfct_u(TRIPLES, delta=0), "delta must be positive"),
+        # Every demand is 2, so no draw passes the independence check.
+        (lambda: threedm_to_pfct_u(TRIPLES, delta=1), "could not draw independent demands"),
+    ],
+)
+def test_constructors_and_arguments_refused(build, message):
+    with pytest.raises(FctpError, match=message):
+        build()
+
+
 def test_dst_star():
     dst = make_dst(
         ["r", "t1", "t2"], [("r", "t1", 1), ("r", "t2", 1)], "r", ["t1", "t2"]
