@@ -60,10 +60,9 @@ def integer_scaled(*matrices):
 
 def subset_sums(values) -> list:
     """sums[mask] = the sum of values[k] over the set bits k of mask."""
-    sums = [0] * (1 << len(values))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
     return sums
 
 

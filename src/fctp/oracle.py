@@ -4,11 +4,10 @@ exact_fct minimizes over all forest supports: optimal solutions live at
 extreme points of the transportation polytope (cycle rotation never raises
 the cost), every forest decomposes into trees spanning balanced blocks, and
 the flow on a tree is forced by the marginals.  The search is organized as a
-rooted-subtree DP over vertex subsets, restricted to blocks inside one
-connected component of the allowed edges (found by transport.walk_support),
-with a partition DP on top that exact_balanced_partition shares; costs are
-integer-scaled internally (exact common-denominator scaling) to keep the hot
-loop off Fraction arithmetic.
+rooted-subtree DP over vertex subsets, restricted to blocks that are
+connected in the allowed-edge graph, with a partition DP on top that
+exact_balanced_partition shares; costs are integer-scaled internally (exact
+common-denominator scaling) to keep the hot loop off Fraction arithmetic.
 
 A tree on block mask rooted at v is a child subtree on sub, hung from v by
 one edge, plus a smaller tree on mask ^ sub still rooted at v.  The cheapest
@@ -18,6 +17,16 @@ not in the block; each split then costs two lookups.  Every split walk, here
 and in exact_balanced_partition, visits only the sub-blocks holding the
 block's lowest remaining vertex, so each unordered split is seen once.  Both
 subset DPs refuse n + m above MAX_SUBSET_VERTICES whatever their guard.
+
+A tree spans a connected vertex set, so a block that is not connected gets
+no rooted cell and no attach cell, and a child block holding the rest's
+lowest vertex lies inside that vertex's component of the rest; the walk
+reads only the sub-blocks of that component.  A block is marked connected
+when some vertex joins a connected smaller block by an edge, which the top
+vertex does for nearly every block of a dense shape; otherwise its lowest
+vertex's component is grown over the table of neighbourhoods, the union of
+the allowed neighbours of each vertex set.  These cells stay empty in any
+case, so the skip changes no cost and no choice.
 
 A tree on mask rooted at v is computed only when net[mask] lies in v's
 window, [0, a_v] at a source and [-b_v, 0] at a sink.  Above a source's
@@ -56,13 +65,15 @@ from .model import (
     subset_sums,
 )
 from .reductions import DigraphInstance, DstInstance, SetCoverInstance, reachable
-from .transport import feasible, walk_support
+from .transport import feasible
 
 
 # Largest n + m the subset DPs accept, whatever guard a caller passes:
 # exact_fct allocates (n + m) * 2^(n + m) slots per table, about 170 MB
 # each at 20, and its submasks sorted by net take at most as many entries,
-# 2 * 3^14 (about 9.6 M against 21 M slots) at 20.
+# 2 * 3^14 (about 9.6 M against 21 M slots) at 20.  Its neighbourhood table
+# holds 2^(n + m) ints, about 42 MB at 20, and its connectivity flags one
+# byte per vertex set, 1 MB.
 MAX_SUBSET_VERTICES = 20
 
 # Most vertices exact_dst and most sets exact_min_dominating accept.
@@ -112,6 +123,14 @@ def _subsets_by_net(net: list[int], total_vertices: int):
     return shift, tables, fill
 
 
+def _neighbourhoods(adj: list[int]) -> list[int]:
+    """nbr[mask] = the union of adj[v] over the set bits v of mask."""
+    nbr = [0]
+    for a in adj:
+        nbr += [x | a for x in nbr]
+    return nbr
+
+
 def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     """Exact optimum cost and an optimal solution; guard bounds n + m."""
     check_instance(inst)
@@ -137,25 +156,22 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
             windows[x] |= 1 << v
 
     adj = [0] * total_vertices
-    allowed = []
     for i in range(n):
         for j in range(m):
             if lin[i][j] is not None:
                 adj[i] |= 1 << (n + j)
                 adj[n + j] |= 1 << i
-                allowed.append((i, j))
 
-    # Connected component of each vertex in the allowed-edge graph, one per
-    # root of the walk; a block spanning two components can never carry a
-    # tree.
-    parents, _ = walk_support(n, allowed)
-    roots: dict[int, int] = {}
-    comp = [1 << v for v in range(total_vertices)]
-    for v, parent in parents.items():
-        roots[v] = v if parent is None else roots[parent]
-        comp[roots[v]] |= 1 << v
-    for v, root in roots.items():
-        comp[v] = comp[root]
+    nbr = _neighbourhoods(adj)
+
+    def component(bit: int, within: int) -> int:
+        """The vertices of within that bit reaches over allowed edges."""
+        comp = bit
+        while True:
+            grown = comp | nbr[comp] & within
+            if grown == comp:
+                return comp
+            comp = grown
 
     # h[v][mask] and choice[v][mask] hold two kinds of cell, told apart by
     # whether v is in mask.  For v in mask: the cheapest tree spanning mask
@@ -167,15 +183,24 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     choice = [[None] * size for _ in range(total_vertices)]
     g_val = [None] * size
     g_root = [None] * size
+    # connected[mask] is 1 when mask is connected in the allowed-edge graph;
+    # only such a block can carry a tree.
+    connected = bytearray(size)
 
     for mask in range(1, size):
         nets = net[mask]
         if not mask & (mask - 1):
+            connected[mask] = 1
             h[mask.bit_length() - 1][mask] = 0
             rooted = mask
-        elif mask & ~comp[(mask & -mask).bit_length() - 1]:
-            continue
         else:
+            # mask is connected when some vertex t joins a connected
+            # mask ^ t by an edge, as a leaf of any spanning tree does.
+            top = mask.bit_length() - 1
+            rest = mask ^ 1 << top
+            if not (connected[rest] and adj[top] & rest) and component(mask & -mask, mask) != mask:
+                continue
+            connected[mask] = 1
             rooted = 0
             probe = mask & windows[nets]
             while probe:
@@ -183,8 +208,6 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
                 probe ^= v_bit
                 v = v_bit.bit_length() - 1
                 rest = mask ^ v_bit
-                if not adj[v] & rest:
-                    continue
                 # A child block hangs from a source by its deficit and from a
                 # sink by its surplus, and leaves the rest in v's window.
                 if v < n:
@@ -192,9 +215,10 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
                 else:
                     lo, hi = 0, nets - values[v]
                 # Only blocks holding rest's lowest vertex: each split of
-                # rest into child subtrees is then reached once.
+                # rest into child subtrees is then reached once.  Such a
+                # block, being connected, lies in low's component of rest.
                 low = rest & -rest
-                others = rest ^ low
+                others = (rest if connected[rest] else component(low, rest)) ^ low
                 high_subs, high_nets = tables[others >> shift] or fill(others >> shift)
                 low_others = others & low_part
                 part = low_others
@@ -238,13 +262,7 @@ def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
         else:
             roots = rooted
             amount = 0
-        outside = 0
-        probe = roots
-        while probe:
-            u_bit = probe & -probe
-            probe ^= u_bit
-            outside |= adj[u_bit.bit_length() - 1]
-        outside &= windows[-nets] & ~mask
+        outside = nbr[roots] & windows[-nets] & ~mask
         while outside:
             v_bit = outside & -outside
             outside ^= v_bit

@@ -36,9 +36,9 @@ Its bits are read in ascending order, the order of a scan over every
 source, so pushes and ties, and the output, are those of that scan.
 
 walk_support is the package's one walk of a bipartite support: it finds the
-cycles cancel_cycles rotates away, the trees bicriteria rounds and the
-connected components the exact oracle splits blocks by.  feasible is the
-package's one flow-feasibility test, used by the PTAS and the digraph oracle.
+cycles cancel_cycles rotates away and the trees bicriteria rounds.  feasible
+is the package's one flow-feasibility test, used by the PTAS and the digraph
+oracle.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from fctp.model import (
     pure_instance,
     serialize_instance,
     serialize_solution,
+    subset_sums,
     validate_instance,
     validate_solution,
 )
@@ -66,6 +67,18 @@ def test_check_balanced_reports_what_validate_instance_reports_first(supplies, d
     assert str(info.value) == f"invalid instance: {validate_instance(inst)}"
     # Cost entries are validate_instance's alone.
     check_balanced(make_instance((3, 1), (2, 2), [[-1] * 2] * 2, [[0] * 2] * 2))
+
+
+def test_subset_sums_match_the_per_mask_definition():
+    rng = random.Random(2073)
+    for count in range(9):
+        values = [rng.randint(-9, 9) for _ in range(count)]
+        sums = subset_sums(values)
+        assert len(sums) == 1 << count
+        for mask, total in enumerate(sums):
+            assert total == sum(values[k] for k in range(count) if mask >> k & 1)
+    assert subset_sums([]) == [0]
+    assert subset_sums([Fraction(1, 2), 3]) == [0, Fraction(1, 2), 3, Fraction(7, 2)]
 
 
 def test_two_pointer_steps_ships_min_and_advances_the_emptied_side():

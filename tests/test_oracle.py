@@ -33,7 +33,14 @@ from fctp.model import (
     uniform_pure_instance,
     validate_solution,
 )
-from fctp.reductions import make_digraph, make_dst, make_setcover, split_digraph_to_bipartite
+from fctp.reductions import (
+    dst_to_pfct_digraph,
+    make_digraph,
+    make_dst,
+    make_setcover,
+    setcover_to_fct_s,
+    split_digraph_to_bipartite,
+)
 
 
 def test_exact_fct_e1(e1):
@@ -208,6 +215,76 @@ def test_exact_fct_matches_all_submask_walk():
     assert solved >= 250 and refused >= 20, (solved, refused)
 
 
+def _sparse_instances():
+    """Seeded instances at n + m <= 12 whose allowed-edge graph leaves most
+    vertex sets unconnected: set cover chains from 3 x 4 and 4 x 2 set
+    systems, DST chains, and 1 x m and n x 1 shapes, where a set of two or
+    more vertices of one side is never connected."""
+    rng = random.Random(2071)
+    for k in range(30):
+        num_sets, num_elements = ((3, 4), (4, 2))[k % 2]
+        while True:
+            sets = [
+                tuple(u for u in range(num_elements) if rng.random() < 0.5) for _ in range(num_sets)
+            ]
+            if all(sets) and {u for s in sets for u in s} == set(range(num_elements)):
+                break
+        yield setcover_to_fct_s(make_setcover(num_elements, sets))
+    produced = 0
+    while produced < 30:
+        nv = rng.randint(3, 6)
+        edges = [
+            (u, v, Fraction(rng.randint(0, 5)))
+            for u in range(nv)
+            for v in range(1, nv)
+            if u != v and rng.random() < 0.5
+        ]
+        reach = {0}
+        for _ in range(nv):
+            reach |= {v for u, v, _ in edges if u in reach}
+        candidates = sorted(reach - {0})
+        if not candidates:
+            continue
+        terminals = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
+        inst = split_digraph_to_bipartite(dst_to_pfct_digraph(make_dst(range(nv), edges, 0, terminals)))
+        if inst.n + inst.m <= 12:
+            produced += 1
+            yield inst
+    for total in range(3, 13):
+        for family in range(4):
+            yield _pinned_instance(rng, family, 1, total - 1)
+            yield _pinned_instance(rng, family, total - 1, 1)
+
+
+def test_exact_fct_matches_all_submask_walk_on_sparse_shapes():
+    # Only connected blocks carry a tree, and a child block holding the
+    # rest's lowest vertex lies in that vertex's component of the rest: on
+    # these shapes most blocks are skipped by that rule, and the optimum,
+    # the forest picked among ties and its edge order must not change.
+    sizes = set()
+    for inst in _sparse_instances():
+        expected_cost, expected = exact_fct_by_all_submasks(inst)
+        cost, flow = oracle.exact_fct(inst)
+        assert cost == expected_cost, inst
+        assert list(flow.entries.items()) == list(expected.entries.items()), inst
+        sizes.add((inst.n, inst.m))
+    assert {(4, 7), (5, 6), (1, 11), (11, 1)} <= sizes, sizes
+
+
+def test_neighbourhoods_are_unions_of_adjacency():
+    rng = random.Random(2072)
+    for count in range(7):
+        adj = [rng.randrange(1 << 8) for _ in range(count)]
+        nbr = oracle._neighbourhoods(adj)
+        assert len(nbr) == 1 << count
+        for mask, union in enumerate(nbr):
+            expected = 0
+            for v in range(count):
+                if mask >> v & 1:
+                    expected |= adj[v]
+            assert union == expected
+
+
 def _window_instances():
     """200 seeded instances, n + m from 2 to 12: 1 x m and n x 1 shapes, one
     source holding most of the supply in every other instance, zero fixed or
@@ -276,13 +353,16 @@ def test_sorted_subset_tables_stay_within_one_exact_fct_table():
 
 def test_exact_fct_memory_bounded_on_wide_shape():
     # 1 x 15 at guard 16, where tables over all sink subsets would hold 3^15
-    # entries.  Every sorted table, filled in full, takes less memory than
-    # one of the h and choice tables exact_fct allocates beside them.  (A
-    # whole exact_fct run under tracemalloc takes about 50 times as long as
-    # without, too long for this suite.)
+    # entries.  Every sorted table, filled in full, and the neighbourhood
+    # table together take less memory than one of the h and choice tables
+    # exact_fct allocates beside them.  (A whole exact_fct run under
+    # tracemalloc takes about 50 times as long as without, too long for
+    # this suite.)
     inst = random_pfct_s(random.Random(3), 1, 15, max_supply=6, max_fixed=5)
     total = inst.n + inst.m
     net = subset_sums(signed_weights(inst))
+    # The source reaches every sink, as in exact_fct's adjacency masks.
+    adj = [(1 << total) - 2] + [1] * inst.m
     h_table = sys.getsizeof([None] * (total << total))
     tracemalloc.start()
     try:
@@ -292,9 +372,11 @@ def test_exact_fct_memory_bounded_on_wide_shape():
         for s in range(len(tables)):
             subs, nets = tables[s] or fill(s)
             entries += len(subs) + len(nets)
+        nbr = oracle._neighbourhoods(adj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(nbr) == 1 << total
     assert entries == 2 * 3 ** (total - shift)
     assert peak < h_table, (peak, h_table)
     for s in (0, 1, len(tables) - 1):

@@ -92,6 +92,17 @@ NEGATIVE_C = make_instance((3, 2), (2, 3), [[1, 1], [1, 1]], [[Fraction(-1, 2), 
 NEGATIVE_HALF_F = make_instance((3, 2), (2, 3), [[Fraction(-1, 2), 1], [1, 1]], [[1, 1], [1, 1]])
 
 
+def _fct_u_second_row(c):
+    # Uniform f and a first row of c that is not all zero, so the variant
+    # check reads no further and c_2,1 is first met by the transport solve.
+    return Instance(
+        supplies=(1, 1),
+        demands=(1, 1),
+        fixed=((Fraction(1),) * 2,) * 2,
+        linear=((Fraction(1), Fraction(0)), (c, Fraction(0))),
+    )
+
+
 @pytest.mark.parametrize(
     "solve, inst",
     [
@@ -106,6 +117,10 @@ NEGATIVE_HALF_F = make_instance((3, 2), (2, 3), [[Fraction(-1, 2), 1], [1, 1]], 
         pytest.param(solve, _one_cell(f), id=f"{solve.__name__}-{f!r} in f")
         for f in (INF, 2.5)
         for solve in (solve_pfct_s, solve_pfct_u, solve_fct_u, _bicriteria)
+    ]
+    + [
+        pytest.param(solve_fct_u, _fct_u_second_row(c), id=f"solve_fct_u-{c!r} in c row 2")
+        for c in (2.5, Fraction(-1))
     ],
 )
 def test_refusal_carries_the_validate_instance_report(solve, inst):
