@@ -2,7 +2,8 @@
 
 Pipeline: solve the linear relaxation with capacity-normalized weights
 c_ij + f_ij / p_ij where p_ij = min(a_i, b_j), handed to the transport core
-as ints over their least common denominator; walk the LP's forest once,
+as ints over their least common denominator by transport.balinski_weights,
+the builder the PTAS's lower bound shares; walk the LP's forest once,
 each tree rooted at its lowest vertex, and at every vertex round the child
 edges carrying less than eps' p_e to 0 or eps' p_e without raising the cost;
 rescale each source's outgoing flow so supplies are met exactly.  Each sink
@@ -18,20 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import FctpError
-from .model import (
-    INF,
-    FlowSolution,
-    Instance,
-    check_balanced,
-    check_epsilon,
-    check_instance,
-    evaluate_cost,
-    integer_scaled,
-)
-from .transport import solve_transportation, walk_support
+from .model import FlowSolution, Instance, check_balanced, check_epsilon, evaluate_cost
+from .transport import balinski_weights, solve_transportation, walk_support
 
 
 def capacity(inst: Instance, i: int, j: int) -> int:
@@ -56,47 +47,6 @@ def cost_factor(internal_eps: Fraction) -> Fraction:
 def _unit_rate(inst: Instance, i: int, j: int) -> Fraction:
     # (c p + f) per unit of p-mass: the LP weight c + f/p.
     return inst.linear[i][j] + inst.fixed[i][j] / capacity(inst, i, j)
-
-
-def _lp_weights(inst: Instance) -> tuple[int, list]:
-    """(common, weights): the LP weights c + f/p as ints over common, INF where
-    c is INF.
-
-    Each weight is (C p + F) / (s p) in lowest terms, with C = c s and F = f s
-    scaled to ints by one s, and common is the lcm of those denominators: the
-    matrix integer_scaled makes of the weights as Fractions, entry for entry.
-    A cost that validate_instance refuses (negative, INF in f, not a
-    rational) raises its FctpError.
-    """
-    nums, dens = [], []
-    try:
-        scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
-        for a, f_row, c_row in zip(inst.supplies, fixed, linear):
-            num_row, den_row = [], []
-            for b, f, c in zip(inst.demands, f_row, c_row):
-                # An INF f is None here, so f < 0 raises TypeError.
-                if f < 0 or c is not None and c < 0:
-                    raise FctpError("negative cost")  # reworded below
-                if c is None:
-                    num_row.append(None)
-                    den_row.append(1)
-                    continue
-                p = a if a < b else b
-                num, den = c * p + f, scale * p
-                g = gcd(num, den)
-                num_row.append(num // g)
-                den_row.append(den // g)
-            nums.append(num_row)
-            dens.append(den_row)
-    except (FctpError, TypeError):
-        check_instance(inst)
-        raise
-    common = lcm(*{den for row in dens for den in row})
-    weights = [
-        [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]
-        for num_row, den_row in zip(nums, dens)
-    ]
-    return common, weights
 
 
 def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
@@ -155,7 +105,7 @@ def solve_bicriteria(
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")
     internal = eps / 4
-    common, weights = _lp_weights(inst)
+    common, weights = balinski_weights(inst)
     lp_sol, objective = solve_transportation(inst, weights)
     lp_value = objective / common
 

@@ -504,6 +504,11 @@ def main(argv=None) -> int:
     except (FctpError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # The last resort for an input that passes its guard but not the
+        # process's memory limit.
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,17 @@ transport core.  Two kinds are skipped, each without changing the result:
   A guess whose bound, the larger sum, is at least the best cost so far
   cannot win the strict comparison.
 
+The walk stops once the best cost meets a floor L on every flow's cost: the
+cover bound above with every allowed edge and no guess, raised to Balinski's
+LP (transport.balinski_weights) rounded up when the first candidate costs
+more than the cover bound.  Every candidate is a feasible flow, costing at
+least OPT >= L, so once the best cost is <= L no later guess wins the strict
+comparison and the output is the full walk's.  When every allowed edge fails
+Gale's test, no guess fits, and the instance is refused before the walk.
+The stop narrows the gap to the paper's EPAS in practice, where an optimum
+often meets L at the first guesses, but not in the worst case, where the
+floor stays below OPT and the walk runs to the end.
+
 Costs are compared as ints, the fixed costs scaled by one common denominator,
 and transport gets the relaxation weights f_ij / b_j as ints, scaled once more
 by lcm(b): one positive factor for every weight, so every comparison transport
@@ -64,7 +75,7 @@ from .model import (  # noqa: F401
     integer_scaled,
     subset_sums,
 )
-from .transport import feasible, int_transportation, solve_transportation  # noqa: F401
+from .transport import balinski_weights, feasible, int_transportation, solve_transportation  # noqa: F401
 
 
 # Most guesses ptas_solve enumerates, counted before its loop as every edge
@@ -134,23 +145,32 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
 
     guesses = _Guesses(inst)
     fixed = guesses.fixed
+    top = guesses.level(None)
+    if not top.feasible:  # every guess lies inside these edges
+        raise InfeasibleError("no feasible transportation")
+    # floor <= every flow's scaled cost; the LP part is solved only when the
+    # first candidate, the empty guess's, is not already down to the cover part.
+    floor = guesses.lower_bound(top, ())
     best_cost: int | None = None
     best_flow: dict | None = None
-    for size in sizes:
-        for combo in forest_combinations(edges, inst.n, size):
-            threshold = min((fixed[i][j] for i, j in combo), default=None)
-            level = guesses.level(threshold)
-            if not level.feasible and not guesses.fits(level, combo):
-                continue
-            if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
-                continue
-            flow = int_transportation(inst.supplies, inst.demands, guesses.weights(level, combo))
-            cost = sum(fixed[i][j] for i, j in flow)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_flow = flow
-    if best_flow is None:
-        raise InfeasibleError("no feasible transportation")
+    for combo in itertools.chain.from_iterable(
+        forest_combinations(edges, inst.n, size) for size in sizes
+    ):
+        threshold = min((fixed[i][j] for i, j in combo), default=None)
+        level = guesses.level(threshold)
+        if not level.feasible and not guesses.fits(level, combo):
+            continue
+        if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
+            continue
+        flow = int_transportation(inst.supplies, inst.demands, guesses.weights(level, combo))
+        cost = sum(fixed[i][j] for i, j in flow)
+        if best_cost is None or cost < best_cost:
+            if best_cost is None and cost > floor:
+                floor = max(floor, guesses.lp_floor())
+            best_cost = cost
+            best_flow = flow
+            if best_cost <= floor:  # no later guess can cost strictly less
+                break
     return FlowSolution(entries={e: Fraction(x) for e, x in sorted(best_flow.items())})
 
 
@@ -194,7 +214,7 @@ class _Guesses:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        _, (self.fixed,) = integer_scaled(inst.fixed)
+        self.scale, (self.fixed,) = integer_scaled(inst.fixed)
         # Weight f_ij / b_j is fixed[i][j] * per_unit[j], up to one positive
         # factor common to every weight; demands are positive.
         demand_lcm = lcm(*inst.demands)
@@ -265,6 +285,16 @@ class _Guesses:
             if sources[i] is None or c < sources[i]:
                 sources[i] = c
         return max(sum(map(dict.__getitem__, self.cover, cols)), sum(sources))
+
+    def lp_floor(self) -> int:
+        """Balinski's LP value in scaled cost, rounded up: a scaled cost floor
+        of every flow, since scaled costs are ints."""
+        inst = self.inst
+        common, weights = balinski_weights(inst)
+        _, (rows,) = integer_scaled(weights)  # INF becomes None, ints stay
+        flow = int_transportation(inst.supplies, inst.demands, rows)
+        value = sum(rows[i][j] * x for (i, j), x in flow.items())
+        return -(-self.scale * value // common)
 
     def weights(self, level: _Level, combo) -> list[list]:
         """Relaxation weights under a guess: guessed edges are free (their

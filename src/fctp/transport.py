@@ -38,16 +38,19 @@ source, so pushes and ties, and the output, are those of that scan.
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away and the trees bicriteria rounds.  feasible
 is the package's one flow-feasibility test, used by the PTAS and the digraph
-oracle.
+oracle.  balinski_weights is the package's one builder of Balinski's (1961)
+relaxation weights: bicriteria rounds that LP's flow, and the PTAS reads its
+value as a lower bound on every flow's cost.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FctpError, InfeasibleError
-from .model import FlowSolution, Instance, check_balanced, integer_scaled
+from .model import INF, FlowSolution, Instance, check_balanced, check_instance, integer_scaled
 
 
 def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fraction]:
@@ -225,6 +228,48 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                 pot[v] += dv - dt
 
     return flow
+
+
+def balinski_weights(inst: Instance) -> tuple[int, list]:
+    """(common, weights): Balinski's LP weights c + f/p, p = min(a, b) being
+    the most flow an edge can carry, as ints over common, INF where c is INF.
+
+    As x <= p forces y >= x/p, the LP over these weights is at most the cost
+    of every flow.  Each weight is (C p + F) / (s p) in lowest terms, with
+    C = c s and F = f s scaled to ints by one s, and common is the lcm of
+    those denominators: the matrix integer_scaled makes of the weights as
+    Fractions, entry for entry.  A cost that validate_instance refuses
+    (negative, INF in f, not a rational) raises its FctpError.
+    """
+    nums, dens = [], []
+    try:
+        scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
+        for a, f_row, c_row in zip(inst.supplies, fixed, linear):
+            num_row, den_row = [], []
+            for b, f, c in zip(inst.demands, f_row, c_row):
+                # An INF f is None here, so f < 0 raises TypeError.
+                if f < 0 or c is not None and c < 0:
+                    raise FctpError("negative cost")  # reworded below
+                if c is None:
+                    num_row.append(None)
+                    den_row.append(1)
+                    continue
+                p = a if a < b else b
+                num, den = c * p + f, scale * p
+                g = gcd(num, den)
+                num_row.append(num // g)
+                den_row.append(den // g)
+            nums.append(num_row)
+            dens.append(den_row)
+    except (FctpError, TypeError):
+        check_instance(inst)
+        raise
+    common = lcm(*{den for row in dens for den in row})
+    weights = [
+        [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]
+        for num_row, den_row in zip(nums, dens)
+    ]
+    return common, weights
 
 
 def feasible(supply_sums, demands, sink_masks) -> bool:

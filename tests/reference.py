@@ -1,14 +1,17 @@
 """Reference computations the suite checks the package against, on its public API."""
 
 import heapq
+import itertools
 from fractions import Fraction
+from math import comb
 
-from fctp import oracle
+from fctp import oracle, ptas
 from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
 from fctp.model import (
     INF,
     FlowSolution,
     VariantTag,
+    check_epsilon,
     check_instance,
     classify_variant,
     evaluate_cost,
@@ -17,7 +20,7 @@ from fctp.model import (
     subset_sums,
 )
 from fctp.pfct_s import greedy_solve, pi, sorted_view
-from fctp.transport import cancel_cycles, solve_transportation, walk_support
+from fctp.transport import cancel_cycles, int_transportation, solve_transportation, walk_support
 
 
 def exact_dst_by_edge_subsets(dst, edge_guard=16):
@@ -157,6 +160,49 @@ def classify_variant_per_entry(inst):
         uniform=uniform,
         pure_modulo_forbidden=pure_mod,
     )
+
+
+def ptas_full_walk(inst, eps):
+    """ptas_solve without its floor stop: every guess up to the largest size
+    is walked, and the walk alone finds an instance infeasible.
+
+    The refusals before the walk, their order and messages, and the two
+    skips inside it are ptas_solve's; the winner is the first cheapest
+    candidate walked.
+    """
+    check_instance(inst)
+    tag = classify_variant(inst)
+    if not (tag.pure or tag.pure_modulo_forbidden):
+        raise VariantError("requires PFCT")
+    eps = check_epsilon(eps)
+    if eps <= 0:
+        raise FctpError("epsilon must be positive")
+    sizes = ptas.candidate_sizes(inst, eps)
+    edges = sorted(inst.edges())
+    if len({i for i, _ in edges}) < inst.n or len({j for _, j in edges}) < inst.m:
+        raise InfeasibleError("no feasible transportation")
+    if sum(comb(len(edges), s) for s in sizes) > ptas.MAX_CANDIDATES:
+        raise GuardError("instance too large for PTAS enumeration")
+    guesses = ptas._Guesses(inst)
+    fixed = guesses.fixed
+    best_cost = best_flow = None
+    for combo in itertools.chain.from_iterable(
+        ptas.forest_combinations(edges, inst.n, size) for size in sizes
+    ):
+        threshold = min((fixed[i][j] for i, j in combo), default=None)
+        level = guesses.level(threshold)
+        if not level.feasible and not guesses.fits(level, combo):
+            continue
+        if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
+            continue
+        weights = guesses.weights(level, combo)
+        flow = int_transportation(inst.supplies, inst.demands, weights)
+        cost = sum(fixed[i][j] for i, j in flow)
+        if best_cost is None or cost < best_cost:
+            best_cost, best_flow = cost, flow
+    if best_flow is None:
+        raise InfeasibleError("no feasible transportation")
+    return FlowSolution(entries={e: Fraction(x) for e, x in sorted(best_flow.items())})
 
 
 def full_round_transportation(inst, weights):

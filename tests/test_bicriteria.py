@@ -20,7 +20,7 @@ from fctp.model import (
     serialize_solution,
     validate_solution,
 )
-from fctp.transport import solve_transportation
+from fctp.transport import balinski_weights, solve_transportation
 
 
 def group_mass(flow, edges):
@@ -321,6 +321,7 @@ def test_lp_weights_are_the_scaled_fraction_weights(inst):
         except InfeasibleError:
             report = None
     (weights,) = passed
+    assert balinski_weights(inst)[1] == weights
     scale, (scaled,) = integer_scaled(weights)
     assert scale == 1
     assert all(type(x) is int for row in weights for x in row if x is not INF)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from fctp.cli import (
     parse_threedm_file,
 )
 from fctp.errors import FctpError
+from fctp.generators import generate
 from fctp.model import (
     INF,
     make_instance,
@@ -111,6 +113,29 @@ def test_parser_is_built_once_and_not_at_import():
     )
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == b"0\n"
+
+
+def test_oracle_out_of_memory_exits_2_with_one_line(tmp_path):
+    # The guard accepts n + m = 20, whose DP tables need about 566 MB.  Under
+    # a 300 MB address-space limit (or a lower inherited one) the oracle runs
+    # out of memory within a second: exit code 2 and one line, no traceback.
+    path = tmp_path / "pfct-s.fct"
+    path.write_text(serialize_instance(generate("pfct-s", 10, 10, 1)))
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 300 * 2**20 if hard == resource.RLIM_INFINITY else min(300 * 2**20, hard)
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "fctp.cli", "oracle", "--input", str(path), "--guard", "20"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == 2, run.stderr.decode()
+    assert run.stderr == b"error: out of memory\n"
+    assert run.stdout == b""
 
 
 def test_shared_parser_is_unchanged_by_refused_calls(tmp_path, capsys):

@@ -1,17 +1,18 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from reference import restricted_lp_value
+from reference import bicriteria_weights, ptas_full_walk, restricted_lp_value
 from util import is_forest
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
-from fctp.generators import random_pure
+from fctp.generators import generate, random_pure
 from fctp.model import (
     INF,
     evaluate_cost,
@@ -21,7 +22,7 @@ from fctp.model import (
     validate_solution,
 )
 from fctp.ptas import _Guesses, candidate_sizes, forest_combinations, ptas_solve
-from fctp.transport import int_transportation
+from fctp.transport import int_transportation, solve_transportation
 
 
 def test_single_source_forced_support():
@@ -356,18 +357,129 @@ def test_ptas_output_pinned():
 def test_transport_calls_pinned(monkeypatch):
     # Guesses that reach transport over the pinned cases.  The cheapest-edge
     # bound (per sink, the cheapest allowed edge) let 3707 through; the exact
-    # per-sink cover bound lets 2913 through, with the same output.
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return int_transportation(*args)
-
-    monkeypatch.setattr("fctp.ptas.int_transportation", counting)
+    # per-sink cover bound lets 2913 through; the floor stop, which ends the
+    # walk once the best cost meets a lower bound, lets 1767 through, each
+    # floor's LP counted, all with the same output.
+    calls = _counting_transport(monkeypatch)
     for inst, eps in _pinned_cases():
         try:
             ptas_solve(inst, eps)
         except InfeasibleError:
             pass
-    assert calls == 2913
+    assert calls[0] == 1767
+
+
+def _counting_transport(monkeypatch):
+    """Count the int core calls ptas_solve makes; returns the counter."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return int_transportation(*args)
+
+    monkeypatch.setattr("fctp.ptas.int_transportation", counting)
+    return calls
+
+
+def _walk_cases():
+    """Seeded (instance, eps) pairs: pure shapes up to 3 x 4 at eps 1 and 1/2,
+    and 1 x 4 and 2 x 5 at eps 1, where 2n/eps < n + m - 1 caps the guesses;
+    each drawn plain, with forbidden edges, and with forbidden edges and
+    Fraction fixed costs.  The forbidden edges leave some draws infeasible."""
+    rng = random.Random(4409)
+    shapes = [(n, m, eps) for n in (1, 2, 3) for m in (1, 2, 3, 4) for eps in (1, Fraction(1, 2))]
+    shapes += [(1, 4, 1), (2, 5, 1)] * 3
+    for n, m, eps in shapes:
+        for _ in range(2):
+            base = random_pure(rng, n, m, max_supply=6, max_fixed=6)
+            yield base, eps
+            linear = [[INF if rng.random() < 0.25 else 0 for _ in range(m)] for _ in range(n)]
+            yield make_instance(base.supplies, base.demands, base.fixed, linear), eps
+            fixed = [[Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(m)]
+                     for _ in range(n)]
+            yield make_instance(base.supplies, base.demands, fixed, linear), eps
+
+
+def test_floor_stop_keeps_the_full_walk_output(monkeypatch):
+    # The floor stop ends the walk once the best cost meets a lower bound on
+    # every flow's cost, so no later guess could have won: the flow, its
+    # entry order, and every refusal and its message are the full walk's.
+    # Both walks read fctp.ptas.forest_combinations, so one wrapper counts
+    # the guesses each walks.
+    walked = [0]
+
+    def counting(*args):
+        for combo in forest_combinations(*args):
+            walked[0] += 1
+            yield combo
+
+    monkeypatch.setattr("fctp.ptas.forest_combinations", counting)
+    # Outcomes: refused before the walk (an isolated vertex), found
+    # infeasible by walking, stopped early, or walked to the end.
+    outcomes = {"refused": 0, "infeasible": 0, "stopped": 0, "walked": 0}
+    for inst, eps in _walk_cases():
+        walked[0] = 0
+        try:
+            want = ptas_full_walk(inst, eps)
+        except FctpError as exc:
+            outcomes["infeasible" if walked[0] else "refused"] += 1
+            with pytest.raises(type(exc)) as got:
+                ptas_solve(inst, eps)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        full = walked[0]
+        flow = ptas_solve(inst, eps)
+        assert serialize_solution(flow) == serialize_solution(want)
+        assert list(flow.entries) == list(want.entries)
+        outcomes["stopped" if walked[0] < 2 * full else "walked"] += 1
+    assert sum(outcomes.values()) >= 150
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_floor_never_exceeds_the_optimum():
+    # Both parts of the floor, the cover bound with no guess and Balinski's
+    # LP rounded up in scaled cost, on pure and forbidden-edge instances with
+    # n + m <= 10.  The LP part equals the Fraction reference's, and each
+    # part is the larger one on some draws.
+    rng = random.Random(4421)
+    tight, larger = {"cover": 0, "lp": 0}, {"cover": 0, "lp": 0}
+    for k in range(90):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, min(6, 10 - n))
+        base = random_pure(rng, n, m, max_supply=6, max_fixed=9)
+        if k % 2:
+            linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
+            base = make_instance(base.supplies, base.demands, base.fixed, linear)
+        guesses = _Guesses(base)
+        top = guesses.level(None)
+        if not top.feasible:
+            with pytest.raises(InfeasibleError):
+                oracle.exact_fct(base)
+            continue
+        opt, _ = oracle.exact_fct(base)
+        bounds = {"cover": guesses.lower_bound(top, ()), "lp": guesses.lp_floor()}
+        _, value = solve_transportation(base, bicriteria_weights(base))
+        assert bounds["lp"] == math.ceil(guesses.scale * value)
+        for name, bound in bounds.items():
+            assert bound <= guesses.scale * opt, (k, name)
+            tight[name] += bound == guesses.scale * opt
+        if bounds["cover"] != bounds["lp"]:
+            larger[max(bounds, key=bounds.get)] += 1
+    assert min(tight.values()) >= 5 and min(larger.values()) >= 5, (tight, larger)
+
+
+def test_floor_stops_the_2x12_walk_at_once(monkeypatch):
+    # At eps 1/2 these walks hold 936 885 guesses and took 5-18 s each; the
+    # empty guess's flow meets the floor, so a solve makes at most two
+    # transport calls, that guess's and the floor's LP.  The digest was
+    # recorded on the full walk, before the stop.
+    calls = _counting_transport(monkeypatch)
+    digest = hashlib.sha256()
+    for family in ("pure", "pfct-s"):
+        for seed in range(3):
+            before = calls[0]
+            flow = ptas_solve(generate(family, 2, 12, seed), Fraction(1, 2))
+            assert calls[0] - before <= 2, (family, seed)
+            digest.update(serialize_solution(flow).encode())
+            digest.update(repr(list(flow.entries)).encode() + b"\n")
+    assert digest.hexdigest() == "f57fb6e7e123265896f8aa1e3efe9b3a792372f988a451e2688614f69033b5fb"
