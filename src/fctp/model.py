@@ -617,10 +617,14 @@ def _parse_cost_matrix(reader, first: int, n: int, m: int, what: str, allow_inf:
         row = parsed.get(text)
         if row is None:
             tokens = reader.fields(lineno, what, m)
-            for tok in dict.fromkeys(tokens):
-                if tok not in values:
-                    values[tok] = _parse_cost(tok, lineno, allow_inf)
-            row = parsed[text] = tuple(map(values.__getitem__, tokens))
+            try:
+                row = tuple(map(values.__getitem__, tokens))
+            except KeyError:
+                for tok in dict.fromkeys(tokens):
+                    if tok not in values:
+                        values[tok] = _parse_cost(tok, lineno, allow_inf)
+                row = tuple(map(values.__getitem__, tokens))
+            parsed[text] = row
         rows.append(row)
     return tuple(rows)
 

@@ -19,10 +19,10 @@ transport core.  Two kinds are skipped, each without changing the result:
 
 - Infeasible: no flow fits inside A(P).  On a balanced instance a flow
   exists exactly when a(S) <= b(N(S)) for every set S of sources, N(S) being
-  the sinks A(P) joins to S (Gale 1957, transport.feasible).  That is 2^n
-  subsets, n being the scheme's parameter, checked on per-source sink
-  bitmasks, and not at all when the edges with f <= t pass it alone.
-  These are the guesses transport would reject.
+  the sinks A(P) joins to S (Gale 1957, transport.gale_deficits).  The 2^n
+  sets, n being the scheme's parameter, are tested once per threshold t on
+  the edges with f <= t, and P must add sinks to each set that fails there
+  to cover its deficit: the guesses transport would reject.
 - Dominated: each sink j receives b_j inside A(P) from a set T of sources
   with a(T) >= b_j, and each edge has one sink, so the flow costs at least
   the sum over sinks of the least such sum of f_ij over T (read from a
@@ -48,8 +48,8 @@ by lcm(b): one positive factor for every weight, so every comparison transport
 makes, and so its flow, is that of the rational weights.  Guesses call
 transport's unchecked int core, so ptas_solve checks the instance up front, a
 negative fixed cost included, and only the winner becomes a FlowSolution.  The
-per-threshold tables are O(nm) each, so no state grows with the number of
-guesses.  An instance with a source or sink that has no allowed edge is
+per-threshold tables are O(nm + 2^n) each, so no state grows with the number
+of guesses.  An instance with a source or sink that has no allowed edge is
 refused before any table is built; otherwise the guesses reach size n, so
 MAX_CANDIDATES bounds the 2^n subset sums, and the cover tables too: each
 nonempty set of a sink's allowed sources is one guess.
@@ -75,7 +75,8 @@ from .model import (  # noqa: F401
     integer_scaled,
     subset_sums,
 )
-from .transport import balinski_weights, feasible, int_transportation, solve_transportation  # noqa: F401
+from .transport import balinski_weights, gale_deficits, int_transportation, unmet
+from .transport import solve_transportation  # noqa: F401
 
 
 # Most guesses ptas_solve enumerates, counted before its loop as every edge
@@ -144,9 +145,9 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
         raise GuardError("instance too large for PTAS enumeration")
 
     guesses = _Guesses(inst)
-    fixed = guesses.fixed
+    edge_fixed = {(i, j): guesses.fixed[i][j] for i, j in edges}.__getitem__
     top = guesses.level(None)
-    if not top.feasible:  # every guess lies inside these edges
+    if top.deficits:  # every guess lies inside these edges
         raise InfeasibleError("no feasible transportation")
     # floor <= every flow's scaled cost; the LP part is solved only when the
     # first candidate, the empty guess's, is not already down to the cover part.
@@ -156,14 +157,13 @@ def ptas_solve(inst: Instance, eps) -> FlowSolution:
     for combo in itertools.chain.from_iterable(
         forest_combinations(edges, inst.n, size) for size in sizes
     ):
-        threshold = min((fixed[i][j] for i, j in combo), default=None)
-        level = guesses.level(threshold)
-        if not level.feasible and not guesses.fits(level, combo):
+        level = guesses.level(min(map(edge_fixed, combo), default=None))
+        if level.deficits and not guesses.fits(level, combo):
             continue
         if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
             continue
         flow = int_transportation(inst.supplies, inst.demands, guesses.weights(level, combo))
-        cost = sum(fixed[i][j] for i, j in flow)
+        cost = sum(map(edge_fixed, flow))
         if best_cost is None or cost < best_cost:
             if best_cost is None and cost > floor:
                 floor = max(floor, guesses.lp_floor())
@@ -195,16 +195,16 @@ def _least_covers(sets, costs, supply_sums, demand) -> dict:
 class _Level:
     """The edges with scaled fixed cost <= t (every edge when t is None).
 
-    ``masks`` hold each source's sinks as a bitmask and ``cols`` each sink's
-    sources, ``feasible`` says whether these edges alone can carry the
-    flow, ``source_min`` holds each source's cheapest scaled fixed cost
-    among them (None for one they leave unreached), and ``weights`` is the
-    relaxation with no edge guessed, in scaled ints, None on a forbidden edge.
+    ``cols`` hold each sink's sources as a bitmask, ``deficits`` the
+    (S, N(S), a(S) - b(N(S))) of each set S of sources that fails Gale's
+    test on these edges, none when they alone can carry the flow,
+    ``source_min`` each source's cheapest scaled fixed cost among them
+    (None for one they leave unreached), and ``weights`` the relaxation
+    with no edge guessed, in scaled ints, None on a forbidden edge.
     """
 
-    masks: tuple[int, ...]
     cols: tuple[int, ...]
-    feasible: bool
+    deficits: tuple[tuple[int, int, int], ...]
     source_min: tuple
     weights: tuple[tuple, ...]
 
@@ -255,19 +255,23 @@ class _Guesses:
                 source_min[i] = c
             weights[i][j] = c * per_unit[j]
         return _Level(
-            masks=tuple(masks),
             cols=tuple(cols),
-            feasible=feasible(self.supply_sums, inst.demands, masks),
+            deficits=tuple(gale_deficits(self.supply_sums, inst.demands, masks)),
             source_min=tuple(source_min),
             weights=tuple(tuple(row) for row in weights),
         )
 
     def fits(self, level: _Level, combo) -> bool:
-        """Whether any flow fits inside the level's edges plus ``combo``."""
-        masks = list(level.masks)
-        for i, j in combo:
-            masks[i] |= 1 << j
-        return feasible(self.supply_sums, self.inst.demands, masks)
+        """Whether any flow fits inside the level's edges plus ``combo``:
+        only the level's deficit sets can fail, as edges only grow N(S)."""
+        for s, reach, short in level.deficits:
+            grown = reach
+            for i, j in combo:
+                if s >> i & 1:
+                    grown |= 1 << j
+            if grown == reach or unmet(short, self.inst.demands, grown ^ reach) > 0:
+                return False
+        return True
 
     def lower_bound(self, level: _Level, combo) -> int:
         """Scaled cost floor of any flow inside the level's edges plus ``combo``:

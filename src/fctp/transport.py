@@ -11,7 +11,8 @@ edge, and returns the same flow as {(i, j): int}.  Both run successive
 shortest paths with Dijkstra potentials on the bipartite network, forbidden
 edges left out of the residual graph rather than given a big-M weight, and
 then cancel cycles on the int flow, so the support is a forest (an extreme
-point).
+point).  A union-find forest test, the module's one acyclicity test, runs
+first, and the support walk runs only to find a cycle that test has seen.
 
 Each Dijkstra round starts from the sources with supply left, which all
 hold one potential: potentials start at 0, every such source starts each
@@ -29,18 +30,22 @@ A round stops once it has settled every node up to the nearest sink with
 unmet demand, the classical early stop of successive shortest paths; the
 rest of the network cannot change that round's path or potential update.
 The target is the lowest sink with unmet demand popped at that distance,
-the one a scan over every sink would pick.  A popped sink j scans only its
-backward arcs: used[j] is a bitmask of the sources with flow into j, set
-when an augmentation creates edge (i, j) and cleared when it empties it.
-Its bits are read in ascending order, the order of a scan over every
-source, so pushes and ties, and the output, are those of that scan.
+the one a scan over every sink would pick.  It stops sooner once the target
+is the lowest sink with unmet demand of all: every node below its distance
+is settled, and a later pop could only pick a lower one.  A popped sink j
+scans only its backward arcs: used[j] is a bitmask of the sources with flow
+into j, set when an augmentation creates edge (i, j) and cleared when it
+empties it.  Its bits are read in ascending order, the order of a scan over
+every source, so pushes and ties, and the output, are those of that scan.
 
 walk_support is the package's one walk of a bipartite support: it finds the
-cycles cancel_cycles rotates away and the trees bicriteria rounds.  feasible
-is the package's one flow-feasibility test, used by the PTAS and the digraph
-oracle.  balinski_weights is the package's one builder of Balinski's (1961)
-relaxation weights: bicriteria rounds that LP's flow, and the PTAS reads its
-value as a lower bound on every flow's cost.
+cycles cancel_cycles rotates away and the trees bicriteria rounds.
+gale_deficits is the package's one loop of Gale's flow-feasibility test:
+the PTAS keeps the source sets it yields per threshold, and feasible, used
+by the digraph oracle, asks whether it yields any.  balinski_weights is the
+package's one builder of Balinski's (1961) relaxation weights: bicriteria
+rounds that LP's flow, and the PTAS reads its value as a lower bound on
+every flow's cost.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ def _shortest_paths(supplies, demands, iw) -> dict:
     rem_a = list(supplies)
     rem_b = list(demands)
     live = list(range(n))  # the sources with supply left, ascending
+    lowest = 0  # the lowest sink with unmet demand
     flow: dict[tuple[int, int], int] = {}
     used = [0] * m  # used[j]: bitmask of the sources with flow into sink j
     pot = [0] * (n + m)
@@ -110,11 +116,12 @@ def _shortest_paths(supplies, demands, iw) -> dict:
         # Multi-source Dijkstra from every source with remaining supply,
         # over reduced costs (nonnegative by the potential invariant).  The
         # round ends at the first sink popped beyond the distance of the
-        # first popped sink with unmet demand.  Every node at or below that
-        # distance is settled by then and parents change only on a strict
-        # <, so the target, its path and the potential update below, which
-        # reads only distances under the target's, are those of a run that
-        # settles every reachable node.
+        # first popped sink with unmet demand, or once the target is the
+        # lowest sink with unmet demand of all.  Every node below the
+        # target's distance is settled by then and parents change only on a
+        # strict <, so the target, its path and the potential update below,
+        # which reads only distances under the target's, are those of a run
+        # that settles every reachable node.
         dist: list[int | None] = [None] * (n + m)
         # The arc into each reached node: (par_i[v], par_j[v]), forward
         # when v is sink par_j[v]; par_i[v] < 0 at a start source.
@@ -136,8 +143,7 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                 heap.append((d, i * m + j, v))
         heapify(heap)
         counter = n * m
-        reach = None  # distance of the first popped sink with unmet demand
-        target = -1  # the lowest sink with unmet demand popped at reach
+        target = -1  # the lowest sink with unmet demand at the first one's distance
         while heap:
             d, _, v = heappop(heap)
             if d > dist[v]:
@@ -155,13 +161,12 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                         counter += 1
             else:
                 j = v - n
-                if reach is None:
-                    if rem_b[j] > 0:
-                        reach, target = d, v
-                elif d > reach:
+                if target >= 0 and d > dist[target]:
                     break
-                elif rem_b[j] > 0 and v < target:
+                if rem_b[j] > 0 and (target < 0 or v < target):
                     target = v
+                    if j == lowest:
+                        break
                 base = d + pot[v]
                 sources = used[j]
                 while sources:
@@ -208,6 +213,8 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                     used[j] ^= 1 << i
         rem_a[start] -= delta
         rem_b[target - n] -= delta
+        while lowest < m and not rem_b[lowest]:
+            lowest += 1
         if not rem_a[start]:
             # A source never regains supply: refill the columns it led.
             live.remove(start)
@@ -272,9 +279,10 @@ def balinski_weights(inst: Instance) -> tuple[int, list]:
     return common, weights
 
 
-def feasible(supply_sums, demands, sink_masks) -> bool:
+def gale_deficits(supply_sums, demands, sink_masks):
     """Gale (1957): every supply can be shipped iff a(S) <= b(N(S)) for all S.
 
+    Yields (s, N(S), a(S) - b(N(S))) for each S that fails, by increasing s.
     S runs over the nonempty sets of sources, supply_sums[s] = a(S) with s
     the bitmask of S (model.subset_sums), and N(S) is the union of S's
     sink_masks, bitmasks over the positions of demands.  The edges have no
@@ -285,14 +293,23 @@ def feasible(supply_sums, demands, sink_masks) -> bool:
     for s in range(1, len(supply_sums)):
         low = s & -s
         reach[s] = reach[s ^ low] | sink_masks[low.bit_length() - 1]
-        need, rest = supply_sums[s], reach[s]
-        while rest and need > 0:
-            bit = rest & -rest
-            need -= demands[bit.bit_length() - 1]
-            rest ^= bit
-        if need > 0:
-            return False
-    return True
+        short = unmet(supply_sums[s], demands, reach[s])
+        if short > 0:
+            yield s, reach[s], short
+
+
+def unmet(need, demands, sinks) -> int:
+    """need less b(sinks), sinks a bitmask over demands; exact while > 0."""
+    while sinks and need > 0:
+        bit = sinks & -sinks
+        need -= demands[bit.bit_length() - 1]
+        sinks ^= bit
+    return need
+
+
+def feasible(supply_sums, demands, sink_masks) -> bool:
+    """Whether no set of sources fails Gale's test (gale_deficits)."""
+    return next(gale_deficits(supply_sums, demands, sink_masks), None) is None
 
 
 def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
@@ -313,10 +330,9 @@ def cancel_cycles(sol: FlowSolution, weights) -> FlowSolution:
 
 def _rotate_cycles(flow: dict, weights) -> dict:
     """cancel_cycles on a flow dict, in place; returns it."""
-    while True:
-        _, cycle = walk_support(len(weights), flow)
-        if cycle is None:
-            return flow
+    n, m = len(weights), len(weights[0])
+    while not _is_forest(n, m, flow):
+        _, cycle = walk_support(n, flow)
         # cycle: edge list (i, j, forward) alternating around the cycle;
         # direction A increases "forward" edges and decreases the others.
         inc = [(i, j) for i, j, fwd in cycle if fwd]
@@ -335,6 +351,22 @@ def _rotate_cycles(flow: dict, weights) -> dict:
             flow[e] -= bottleneck
             if flow[e] == 0:
                 del flow[e]
+    return flow
+
+
+def _is_forest(n: int, m: int, edges) -> bool:
+    """Union-find acyclicity test; source i is vertex i, sink j is n + j."""
+    parent = list(range(n + m))
+    for i, j in edges:
+        u, v = i, n + j
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
 
 
 def walk_support(n: int, edges) -> tuple[dict, list | None]:

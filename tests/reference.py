@@ -191,7 +191,7 @@ def ptas_full_walk(inst, eps):
     ):
         threshold = min((fixed[i][j] for i, j in combo), default=None)
         level = guesses.level(threshold)
-        if not level.feasible and not guesses.fits(level, combo):
+        if level.deficits and not guesses.fits(level, combo):
             continue
         if best_cost is not None and guesses.lower_bound(level, combo) >= best_cost:
             continue
@@ -433,3 +433,156 @@ def exact_fct_by_all_submasks(inst):
         emit(g_root[pick[mask]], pick[mask])
         mask ^= pick[mask]
     return Fraction(dp[size - 1], scale), FlowSolution(entries=entries)
+
+
+def int_transportation_by_walk(supplies, demands, iw):
+    """int_transportation as it ran before the settled-target stop and the
+    union-find forest test: each Dijkstra round ends only at the first sink
+    popped beyond the distance of the first sink with unmet demand, and
+    cycle cancelling walks the support in full each time it looks for a
+    cycle.  Same input and InfeasibleError as the int core."""
+    return rotate_cycles_by_walk(ssp_settling_past_target(supplies, demands, iw), iw)
+
+
+def ssp_settling_past_target(supplies, demands, iw):
+    """The int SSP core of int_transportation_by_walk, cycles left in."""
+    n, m = len(supplies), len(demands)
+    adj = [[(n + j, j, x) for j, x in enumerate(row) if x is not None] for row in iw]
+    best_w = [0] * m
+    best_i = [-1] * m
+    for i, row in enumerate(adj):
+        for _, j, x in row:
+            if best_i[j] < 0 or x < best_w[j]:
+                best_w[j] = x
+                best_i[j] = i
+    rem_a = list(supplies)
+    rem_b = list(demands)
+    live = list(range(n))
+    flow = {}
+    used = [0] * m
+    pot = [0] * (n + m)
+    while live:
+        dist = [None] * (n + m)
+        par_i = [-1] * (n + m)
+        par_j = [-1] * (n + m)
+        shared = pot[live[0]]
+        for i in live:
+            dist[i] = 0
+        heap = []
+        for j, i in enumerate(best_i):
+            if i >= 0:
+                v = n + j
+                d = shared + best_w[j] - pot[v]
+                dist[v] = d
+                par_i[v] = i
+                par_j[v] = j
+                heap.append((d, i * m + j, v))
+        heapq.heapify(heap)
+        counter = n * m
+        reach = None
+        target = -1
+        while heap:
+            d, _, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            if v < n:
+                base = d + pot[v]
+                for u, j, x in adj[v]:
+                    nd = base + x - pot[u]
+                    if dist[u] is None or nd < dist[u]:
+                        dist[u] = nd
+                        par_i[u] = v
+                        par_j[u] = j
+                        heapq.heappush(heap, (nd, counter, u))
+                        counter += 1
+            else:
+                j = v - n
+                if reach is None:
+                    if rem_b[j] > 0:
+                        reach, target = d, v
+                elif d > reach:
+                    break
+                elif rem_b[j] > 0 and v < target:
+                    target = v
+                base = d + pot[v]
+                sources = used[j]
+                while sources:
+                    low = sources & -sources
+                    sources ^= low
+                    i = low.bit_length() - 1
+                    nd = base - iw[i][j] - pot[i]
+                    if dist[i] is None or nd < dist[i]:
+                        dist[i] = nd
+                        par_i[i] = i
+                        par_j[i] = j
+                        heapq.heappush(heap, (nd, counter, i))
+                        counter += 1
+        if target < 0:
+            raise InfeasibleError("no feasible transportation")
+        path = []
+        v = target
+        while par_i[v] >= 0:
+            i, j = par_i[v], par_j[v]
+            forward = v == n + j
+            path.append((i, j, forward))
+            v = i if forward else n + j
+        start = v
+        path.reverse()
+        delta = min(rem_a[start], rem_b[target - n])
+        for i, j, forward in path:
+            if not forward:
+                delta = min(delta, flow[(i, j)])
+        for i, j, forward in path:
+            if forward:
+                if (i, j) in flow:
+                    flow[(i, j)] += delta
+                else:
+                    flow[(i, j)] = delta
+                    used[j] |= 1 << i
+            else:
+                flow[(i, j)] -= delta
+                if flow[(i, j)] == 0:
+                    del flow[(i, j)]
+                    used[j] ^= 1 << i
+        rem_a[start] -= delta
+        rem_b[target - n] -= delta
+        if not rem_a[start]:
+            live.remove(start)
+            for _, j, _ in adj[start]:
+                if best_i[j] == start:
+                    bi, bw = -1, 0
+                    for i in live:
+                        x = iw[i][j]
+                        if x is not None and (bi < 0 or x < bw):
+                            bi, bw = i, x
+                    best_i[j] = bi
+                    best_w[j] = bw
+        dt = dist[target]
+        for v, dv in enumerate(dist):
+            if dv is not None and dv < dt:
+                pot[v] += dv - dt
+    return flow
+
+
+def rotate_cycles_by_walk(flow, weights):
+    """Cycle cancelling that asks walk_support for a cycle every round, the
+    forest check included; rotates ``flow`` in place and returns it."""
+    while True:
+        _, cycle = walk_support(len(weights), flow)
+        if cycle is None:
+            return flow
+        inc = [(i, j) for i, j, fwd in cycle if fwd]
+        dec = [(i, j) for i, j, fwd in cycle if not fwd]
+        delta_a = sum(weights[i][j] for i, j in inc) - sum(weights[i][j] for i, j in dec)
+        if delta_a == 0:
+            use_a = min(dec, key=lambda e: (flow[e], e)) < min(inc, key=lambda e: (flow[e], e))
+        else:
+            use_a = delta_a < 0
+        use_inc, use_dec = (inc, dec) if use_a else (dec, inc)
+        bottleneck = min(flow[e] for e in use_dec)
+        for e in use_inc:
+            flow[e] = flow.get(e, 0) + bottleneck
+        for e in use_dec:
+            flow[e] -= bottleneck
+            if flow[e] == 0:
+                del flow[e]

@@ -19,9 +19,11 @@ from fctp.model import (
     make_instance,
     pure_instance,
     serialize_solution,
+    subset_sums,
     validate_solution,
 )
 from fctp.ptas import _Guesses, candidate_sizes, forest_combinations, ptas_solve
+from fctp.transport import feasible as transport_feasible
 from fctp.transport import int_transportation, solve_transportation
 
 
@@ -140,13 +142,19 @@ def _cheapest_edge_bound(guesses, edges, combo):
 
 def test_pruning_predicates_agree_with_transport():
     # Random guesses on random allowed-edge sets, with n <= m and n > m: the
-    # Hall check says infeasible exactly when the transport core raises on
+    # Gale check says infeasible exactly when the transport core raises on
     # the level's weights (None on a forbidden edge), and the lower bound
     # never exceeds the cost of the flow it returns, nor falls below the
-    # cheapest-edge bound it replaced.
+    # cheapest-edge bound it replaced.  Each level lists exactly the source
+    # sets S with a(S) > b(N(S)), with N(S) and the deficit, so the list is
+    # empty exactly when its edges pass transport.feasible, and fits, which
+    # reads only that list, agrees with transport.feasible on the level's
+    # edges plus the guess's.  Guesses are rejected both for adding no sink
+    # to a failing set and for adding too little demand.
     rng = random.Random(83)
     seen = {True: 0, False: 0}
     tighter = 0
+    rejected = {"no sink": 0, "short": 0}
     for _ in range(150):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         base = random_pure(rng, n, m, max_supply=6, max_fixed=4)
@@ -157,22 +165,51 @@ def test_pruning_predicates_agree_with_transport():
         linear = [[INF if rng.random() < 0.3 else 0 for _ in range(m)] for _ in range(n)]
         inst = make_instance(base.supplies, base.demands, fixed, linear)
         guesses = _Guesses(inst)
+        supply_sums = subset_sums(inst.supplies)
         edges = sorted(inst.edges())
         for _ in range(6):
             combo = tuple(sorted(rng.sample(edges, rng.randint(0, len(edges)))))
             threshold = min((guesses.fixed[i][j] for i, j in combo), default=None)
             level = guesses.level(threshold)
-            feasible = level.feasible or guesses.fits(level, combo)
-            assert feasible == guesses.fits(level, combo)
-            seen[feasible] += 1
+            level_masks = [0] * n
+            for i, j in edges:
+                if threshold is None or guesses.fixed[i][j] <= threshold:
+                    level_masks[i] |= 1 << j
+            want = []
+            for s in range(1, 1 << n):
+                sinks = 0
+                for i in range(n):
+                    if s >> i & 1:
+                        sinks |= level_masks[i]
+                demand = sum(b for j, b in enumerate(inst.demands) if sinks >> j & 1)
+                short = supply_sums[s] - demand
+                if short > 0:
+                    want.append((s, sinks, short))
+            assert level.deficits == tuple(want)
+            assert (not level.deficits) == transport_feasible(
+                supply_sums, inst.demands, level_masks
+            )
+            masks = list(level_masks)
+            for i, j in combo:
+                masks[i] |= 1 << j
+            fits = guesses.fits(level, combo)
+            assert fits == transport_feasible(supply_sums, inst.demands, masks)
+            if not fits:
+                no_sink = any(
+                    all(not (s >> i & 1) or reach >> j & 1 for i, j in combo)
+                    for s, reach, _ in level.deficits
+                )
+                rejected["no sink" if no_sink else "short"] += 1
+            assert fits or level.deficits
+            seen[fits] += 1
             try:
                 flow = int_transportation(
                     inst.supplies, inst.demands, guesses.weights(level, combo)
                 )
             except InfeasibleError:
-                assert not feasible
+                assert not fits
                 continue
-            assert feasible
+            assert fits
             cost = sum(guesses.fixed[i][j] for i, j in flow)
             old_bound = _cheapest_edge_bound(guesses, edges, combo)
             bound = guesses.lower_bound(level, combo)
@@ -180,6 +217,7 @@ def test_pruning_predicates_agree_with_transport():
             tighter += bound > old_bound
     assert min(seen.values()) >= 100
     assert tighter >= 50
+    assert min(rejected.values()) >= 100, rejected
 
 
 def test_cover_tables_are_least_covering_sets():
@@ -452,7 +490,7 @@ def test_floor_never_exceeds_the_optimum():
             base = make_instance(base.supplies, base.demands, base.fixed, linear)
         guesses = _Guesses(base)
         top = guesses.level(None)
-        if not top.feasible:
+        if top.deficits:
             with pytest.raises(InfeasibleError):
                 oracle.exact_fct(base)
             continue

@@ -5,7 +5,13 @@ from math import lcm
 
 import pytest
 
-from reference import bicriteria_weights, full_round_transportation
+from reference import (
+    bicriteria_weights,
+    full_round_transportation,
+    int_transportation_by_walk,
+    rotate_cycles_by_walk,
+    ssp_settling_past_target,
+)
 from util import brute_force_min_linear, is_forest
 
 from fctp import transport
@@ -357,6 +363,89 @@ def test_int_core_matches_reference_and_public_solver(monkeypatch):
     assert infeasible == 126
     assert core_rotated == 7
     assert rotated == 3 * 7  # the other two solvers rotate the same flows
+
+
+def _int_outcome(solve, supplies, demands, iw):
+    try:
+        return list(solve(supplies, demands, iw).items())
+    except FctpError as exc:
+        return type(exc), str(exc)
+
+
+def test_int_core_matches_walk_reference_item_for_item():
+    # The settled-target stop and the union-find forest test leave the int
+    # core's output as it was: on 2000 seeded cases (1 x m and n x 1 shapes,
+    # all-zero and {0, 1, 2} weights full of ties, forbidden cells, some
+    # infeasible) the same entries in the same insertion order, or the same
+    # error type and message, as the rounds that settle past the target
+    # and the cancel loop that walks the support every time.
+    rng = random.Random(2027)
+    infeasible = cyclic = 0
+    for k in range(2000):
+        inst, weights = _differential_case(rng, k)
+        _, (iw,) = integer_scaled(weights)
+        args = inst.supplies, inst.demands, iw
+        expected = _int_outcome(int_transportation_by_walk, *args)
+        assert _int_outcome(int_transportation, *args) == expected, (inst, weights)
+        if expected[0] is InfeasibleError:
+            infeasible += 1
+        elif len(ssp_settling_past_target(*args)) > len(expected):
+            cyclic += 1
+    assert infeasible >= 400 and cyclic >= 20, (infeasible, cyclic)
+
+
+def test_forest_test_gates_the_cycle_walk(monkeypatch):
+    # _rotate_cycles asks walk_support for a cycle only when the union-find
+    # test finds one, so a forest support is never walked, every walk finds
+    # a cycle, and the rotated flow is the walk-every-round loop's, entry
+    # order included, on hand-built cyclic flows and on the tie-heavy SSP
+    # flows that hold cycles.
+    walks = []
+
+    def counted(n, edges):
+        parents, cycle = walk_support(n, edges)
+        walks.append(cycle)
+        return parents, cycle
+
+    monkeypatch.setattr(transport, "walk_support", counted)
+    cases = [("averaged", dict(flow.entries), weights) for flow, weights in _averaged_flows()]
+    rng = random.Random(2029)
+    for k in range(1500):
+        inst, weights = _differential_case(rng, k)
+        _, (iw,) = integer_scaled(weights)
+        try:
+            flow = ssp_settling_past_target(inst.supplies, inst.demands, iw)
+        except InfeasibleError:
+            continue
+        cases.append(("ssp", flow, iw))
+    cyclic = {"averaged": 0, "ssp": 0}
+    forests = 0
+    for source, flow, weights in cases:
+        del walks[:]
+        expected = list(rotate_cycles_by_walk(dict(flow), weights).items())
+        assert list(transport._rotate_cycles(dict(flow), weights).items()) == expected
+        assert None not in walks
+        if is_forest(flow):
+            assert not walks
+            forests += 1
+        else:
+            assert walks
+            cyclic[source] += 1
+    assert forests >= 500 and cyclic["averaged"] >= 100 and cyclic["ssp"] >= 15, (forests, cyclic)
+
+
+def test_union_find_forest_test_matches_reference():
+    # Random edge sets, from sparse to dense, on shapes up to 5 x 6.
+    rng = random.Random(2031)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        edges = rng.sample(cells, rng.randint(0, len(cells)))
+        verdict = transport._is_forest(n, m, edges)
+        assert verdict == is_forest(edges), edges
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 150, verdicts
 
 
 def test_optimal_on_all_small_instances():
