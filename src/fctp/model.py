@@ -617,9 +617,12 @@ def _parse_cost_matrix(reader, first: int, n: int, m: int, what: str, allow_inf:
         row = parsed.get(text)
         if row is None:
             tokens = reader.fields(lineno, what, m)
-            try:
-                row = tuple(map(values.__getitem__, tokens))
-            except KeyError:
+            if tokens[0] in values:  # false on every pfct-s fixed-cost line
+                try:
+                    row = tuple(map(values.__getitem__, tokens))
+                except KeyError:
+                    pass
+            if row is None:
                 for tok in dict.fromkeys(tokens):
                     if tok not in values:
                         values[tok] = _parse_cost(tok, lineno, allow_inf)

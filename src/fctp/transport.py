@@ -37,6 +37,11 @@ scans only its backward arcs: used[j] is a bitmask of the sources with flow
 into j, set when an augmentation creates edge (i, j) and cleared when it
 empties it.  Its bits are read in ascending order, the order of a scan over
 every source, so pushes and ties, and the output, are those of that scan.
+After a round whose target lies at distance 0, whose start keeps supply and
+whose path empties no backward arc, the next round goes on with its search,
+heap and all: no potential, seed or arc that search read has changed, and
+the path's new backward arcs, of reduced cost 0 into nodes settled at 0,
+push nothing, so a fresh round would repeat its pops, pushes and stamps.
 
 walk_support is the package's one walk of a bipartite support: it finds the
 cycles cancel_cycles rotates away and the trees bicriteria rounds.
@@ -112,40 +117,46 @@ def _shortest_paths(supplies, demands, iw) -> dict:
     used = [0] * m  # used[j]: bitmask of the sources with flow into sink j
     pot = [0] * (n + m)
 
+    resume = False  # whether this round continues the last one's search
     while live:
-        # Multi-source Dijkstra from every source with remaining supply,
-        # over reduced costs (nonnegative by the potential invariant).  The
-        # round ends at the first sink popped beyond the distance of the
-        # first popped sink with unmet demand, or once the target is the
-        # lowest sink with unmet demand of all.  Every node below the
-        # target's distance is settled by then and parents change only on a
+        # Multi-source Dijkstra from every source with remaining supply, over
+        # reduced costs (nonnegative by the potential invariant), fresh or
+        # continued and stopped as the module docstring says.  Every node below
+        # the target's distance is then settled and parents change only on a
         # strict <, so the target, its path and the potential update below,
-        # which reads only distances under the target's, are those of a run
-        # that settles every reachable node.
-        dist: list[int | None] = [None] * (n + m)
-        # The arc into each reached node: (par_i[v], par_j[v]), forward
-        # when v is sink par_j[v]; par_i[v] < 0 at a start source.
-        par_i = [-1] * (n + m)
-        par_j = [-1] * (n + m)
-        # The first layer, from the table; every later push stamps after
-        # the seeded stamps i * m + j.
-        shared = pot[live[0]]  # the potential of every source in live
-        for i in live:
-            dist[i] = 0
-        heap = []
-        for j, i in enumerate(best_i):
-            if i >= 0:
-                v = n + j
-                d = shared + best_w[j] - pot[v]
-                dist[v] = d
-                par_i[v] = i
-                par_j[v] = j
-                heap.append((d, i * m + j, v))
-        heapify(heap)
-        counter = n * m
-        target = -1  # the lowest sink with unmet demand at the first one's distance
-        while heap:
-            d, _, v = heappop(heap)
+        # which reads only distances under the target's, are a full run's.
+        if resume:
+            if stop:
+                heappush(heap, stop)
+            popped = [v for v in popped if rem_b[v - n]]
+            target = min(popped, default=-1)
+        else:
+            dist: list[int | None] = [None] * (n + m)
+            # The arc into each reached node: (par_i[v], par_j[v]), forward
+            # when v is sink par_j[v]; par_i[v] < 0 at a start source.
+            par_i = [-1] * (n + m)
+            par_j = [-1] * (n + m)
+            # The first layer, from the table; every later push stamps after
+            # the seeded stamps i * m + j.
+            shared = pot[live[0]]  # the potential of every source in live
+            for i in live:
+                dist[i] = 0
+            heap = []
+            for j, i in enumerate(best_i):
+                if i >= 0:
+                    v = n + j
+                    d = shared + best_w[j] - pot[v]
+                    dist[v] = d
+                    par_i[v] = i
+                    par_j[v] = j
+                    heap.append((d, i * m + j, v))
+            heapify(heap)
+            counter = n * m
+            popped = []  # the sinks popped with unmet demand
+            target = -1  # the lowest sink with unmet demand at the first one's distance
+        stop = None  # the entry the round stopped at, which a continued round pushes back
+        while heap and target != n + lowest:
+            d, s, v = heappop(heap)
             if d > dist[v]:
                 continue
             if v < n:
@@ -162,11 +173,12 @@ def _shortest_paths(supplies, demands, iw) -> dict:
             else:
                 j = v - n
                 if target >= 0 and d > dist[target]:
+                    stop = d, s, v
                     break
-                if rem_b[j] > 0 and (target < 0 or v < target):
-                    target = v
-                    if j == lowest:
-                        break
+                if rem_b[j] > 0:
+                    popped.append(v)
+                    if target < 0 or v < target:
+                        target = v
                 base = d + pot[v]
                 sources = used[j]
                 while sources:
@@ -199,6 +211,8 @@ def _shortest_paths(supplies, demands, iw) -> dict:
         for i, j, forward in path:
             if not forward:
                 delta = min(delta, flow[(i, j)])
+        dt = dist[target]
+        resume = not dt and delta < rem_a[start]
         for i, j, forward in path:
             if forward:
                 if (i, j) in flow:
@@ -211,6 +225,7 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                 if flow[(i, j)] == 0:
                     del flow[(i, j)]
                     used[j] ^= 1 << i
+                    resume = False
         rem_a[start] -= delta
         rem_b[target - n] -= delta
         while lowest < m and not rem_b[lowest]:
@@ -229,10 +244,10 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                     best_w[j] = bw
 
         # Standard potential update keeps reduced costs nonnegative.
-        dt = dist[target]
-        for v, dv in enumerate(dist):
-            if dv is not None and dv < dt:
-                pot[v] += dv - dt
+        if dt:
+            for v, dv in enumerate(dist):
+                if dv is not None and dv < dt:
+                    pot[v] += dv - dt
 
     return flow
 

@@ -436,11 +436,12 @@ def exact_fct_by_all_submasks(inst):
 
 
 def int_transportation_by_walk(supplies, demands, iw):
-    """int_transportation as it ran before the settled-target stop and the
-    union-find forest test: each Dijkstra round ends only at the first sink
-    popped beyond the distance of the first sink with unmet demand, and
-    cycle cancelling walks the support in full each time it looks for a
-    cycle.  Same input and InfeasibleError as the int core."""
+    """int_transportation as it ran before the settled-target stop, the
+    continued rounds and the union-find forest test: each Dijkstra round
+    seeds a new heap and ends only at the first sink popped beyond the
+    distance of the first sink with unmet demand, and cycle cancelling walks
+    the support in full each time it looks for a cycle.  Same input and
+    InfeasibleError as the int core."""
     return rotate_cycles_by_walk(ssp_settling_past_target(supplies, demands, iw), iw)
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import reference
 from reference import (
     bicriteria_weights,
     full_round_transportation,
@@ -27,6 +29,7 @@ from fctp.model import (
     validate_solution,
 )
 from fctp.transport import (
+    balinski_weights,
     cancel_cycles,
     feasible,
     int_transportation,
@@ -271,13 +274,13 @@ def test_solution_bytes_pinned_on_rerouting_instances():
     assert digest.hexdigest() == "7dc9ba8970fcae88f0c52855d0f190bd18c7a7ac86ea7a59e69cde716bbde071"
 
 
-def _differential_case(rng, k):
-    """Shapes 1 x m, n x 1 and up to 8 x 12; weights all zero (k % 4 == 0),
-    from {0, 1, 2}, fractional, or from a wide int range; forbidden cells at
-    a random rate up to 30%, so some cases are infeasible."""
+def _differential_case(rng, k, most_n=8, most_m=12):
+    """Shapes 1 x m, n x 1 and up to most_n x most_m; weights all zero
+    (k % 4 == 0), from {0, 1, 2}, fractional, or from a wide int range;
+    forbidden cells at a random rate up to 30%, so some cases are infeasible."""
     shape = k % 5
-    n = 1 if shape == 0 else rng.randint(1, 8)
-    m = 1 if shape == 1 else rng.randint(1, 12)
+    n = 1 if shape == 0 else rng.randint(1, most_n)
+    m = 1 if shape == 1 else rng.randint(1, most_m)
     supplies = [rng.randint(1, 9) for _ in range(n)]
     total = sum(supplies)
     if total < m:
@@ -372,26 +375,78 @@ def _int_outcome(solve, supplies, demands, iw):
         return type(exc), str(exc)
 
 
-def test_int_core_matches_walk_reference_item_for_item():
-    # The settled-target stop and the union-find forest test leave the int
-    # core's output as it was: on 2000 seeded cases (1 x m and n x 1 shapes,
-    # all-zero and {0, 1, 2} weights full of ties, forbidden cells, some
-    # infeasible) the same entries in the same insertion order, or the same
-    # error type and message, as the rounds that settle past the target
-    # and the cancel loop that walks the support every time.
+class _CountingHeapq:
+    """heapq as a module under test calls it, counting heapify calls."""
+
+    heappush = staticmethod(heapq.heappush)
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.heapified = 0
+
+    def heapify(self, heap):
+        self.heapified += 1
+        heapq.heapify(heap)
+
+
+def _count_seedings(monkeypatch):
+    """(core, ref): the heap seedings of transport and of the reference,
+    which seeds once per round."""
+    core, ref = _CountingHeapq(), _CountingHeapq()
+    monkeypatch.setattr(transport, "heapq", core)
+    monkeypatch.setattr(reference, "heapq", ref)
+    return core, ref
+
+
+def test_int_core_matches_walk_reference_item_for_item(monkeypatch):
+    # The settled-target stop, the continued rounds and the union-find
+    # forest test leave the int core's output as it was: on 2000 seeded
+    # cases (1 x m and n x 1 shapes, all-zero and {0, 1, 2} weights full of
+    # ties, forbidden cells, some infeasible) and 150 cases up to 20 x 40
+    # with all-zero and {0, 1, 2} weights, where continued rounds run in
+    # long chains and backward arcs empty, the same entries in the same
+    # insertion order, or the same error type and message, as the rounds
+    # that settle past the target, each seeded afresh, and the cancel loop
+    # that walks the support every time.  A continued round seeds no heap.
+    core, ref = _count_seedings(monkeypatch)
     rng = random.Random(2027)
+    cases = [_differential_case(rng, k) for k in range(2000)]
+    cases += [_differential_case(rng, k, 20, 40) for k in range(300) if k % 4 < 2]
     infeasible = cyclic = 0
-    for k in range(2000):
-        inst, weights = _differential_case(rng, k)
+    continued = []  # per case, the rounds that seeded no heap
+    for inst, weights in cases:
         _, (iw,) = integer_scaled(weights)
         args = inst.supplies, inst.demands, iw
+        rounds, seeded = ref.heapified, core.heapified
         expected = _int_outcome(int_transportation_by_walk, *args)
         assert _int_outcome(int_transportation, *args) == expected, (inst, weights)
+        continued.append(ref.heapified - rounds - (core.heapified - seeded))
         if expected[0] is InfeasibleError:
             infeasible += 1
         elif len(ssp_settling_past_target(*args)) > len(expected):
             cyclic += 1
     assert infeasible >= 400 and cyclic >= 20, (infeasible, cyclic)
+    small, wide = sum(continued[:2000]), sum(continued[2000:])
+    assert small >= 3500 and wide >= 1800, (small, wide)
+
+
+def test_zero_distance_rounds_continue_the_search(monkeypatch):
+    # The linear LPs of FCT-U instances and the Balinski LPs of FCT
+    # instances: most rounds end at distance 0 and so many continue the
+    # last round's search.  The flows stay those of the walk reference
+    # item for item while the core seeds its heap in at most 3/4 of the
+    # rounds; the count is pinned, so a lost continuation fails here rather
+    # than only slowing the core down.
+    core, ref = _count_seedings(monkeypatch)
+    for seed in range(5):
+        fct_u, fct = generate("fct-u", 14, 28, seed), generate("fct", 14, 28, seed)
+        for inst, weights in ((fct_u, fct_u.linear), (fct, balinski_weights(fct)[1])):
+            sol, _ = solve_transportation(inst, weights)
+            _, (iw,) = integer_scaled(weights)
+            expected = int_transportation_by_walk(inst.supplies, inst.demands, iw)
+            assert list(sol.entries.items()) == sorted(expected.items())
+    assert 4 * core.heapified <= 3 * ref.heapified
+    assert (core.heapified, ref.heapified) == (255, 382)
 
 
 def test_forest_test_gates_the_cycle_walk(monkeypatch):
