@@ -11,6 +11,7 @@ from .errors import (
     FctpError,
     GuardError,
     InfeasibleError,
+    InstanceError,
     ParseError,
     VariantError,
 )

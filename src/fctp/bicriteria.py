@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import FlowSolution, Instance, check_balanced, check_epsilon, evaluate_cost
+from .model import FlowSolution, Instance, check_epsilon, evaluate_cost
 from .transport import balinski_weights, solve_transportation, walk_support
 
 
@@ -100,7 +100,6 @@ def solve_bicriteria(
     eps must be a rational in (0, 1/4].  The report carries the LP value and
     the proven bound K(eps/4) * LP >= actual cost.
     """
-    check_balanced(inst)
     eps = check_epsilon(eps)
     if not 0 < eps <= Fraction(1, 4):
         raise FctpError("epsilon must lie in (0, 1/4]")

@@ -20,12 +20,11 @@ from fractions import Fraction
 
 from . import generators, oracle
 from .bicriteria import solve_bicriteria
-from .errors import CertificateError, FctpError, ParseError
+from .errors import CertificateError, FctpError, InstanceError, ParseError
 from .fct_u import solve_fct_u
 from .model import (
     MAX_COST_DIGITS,
     LineReader,
-    balance_report,
     evaluate_cost,
     format_rational,
     parse_instance,
@@ -48,7 +47,7 @@ from .reductions import (
     threedm_to_pfct_u,
 )
 
-# Unused here: `fctp solve` validates with balance_report and solves PFCT-S
+# Unused here: a parsed Instance checks itself, and `fctp solve` solves PFCT-S
 # with solve_pfct_s, but perfbench/tracing.py still wraps these fctp.cli names.
 from .model import validate_instance  # noqa: F401
 from .pfct_s import greedy_solve, greedy_upper_bound, opt_lower_bound  # noqa: F401
@@ -130,10 +129,6 @@ def _dispatch_solver(inst, variant, options):
 
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.input))
-    report = balance_report(inst)
-    if report is not None:
-        print(f"invalid instance: {report}", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     flow, cost, algorithm, parameters = _dispatch_solver(inst, args.variant, vars(args))
     elapsed = time.perf_counter() - started
@@ -161,12 +156,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    sol = parse_solution(_read(args.solution))
-    report = balance_report(inst)
-    if report is not None:
-        print(json.dumps({"status": "violation", "detail": f"instance: {report}"}))
+    try:
+        inst = parse_instance(_read(args.instance))
+    except InstanceError as exc:
+        print(json.dumps({"status": "violation", "detail": f"instance: {exc.report}"}))
         return 2
+    sol = parse_solution(_read(args.solution))
     violation = validate_solution(inst, sol)
     if violation is not None:
         print(json.dumps({"status": "violation", "detail": violation}))
@@ -213,10 +208,6 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = parse_instance(_read(args.input))
-    report = balance_report(inst)
-    if report is not None:
-        print(f"invalid instance: {report}", file=sys.stderr)
-        return 2
     cost, flow = oracle.exact_fct(inst, guard=args.guard)
     if args.out:
         _write(args.out, serialize_solution(flow))
@@ -500,6 +491,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except InstanceError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except (FctpError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

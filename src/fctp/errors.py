@@ -13,6 +13,14 @@ class ParseError(FctpError):
         self.line = line
 
 
+class InstanceError(FctpError):
+    """An Instance's parts break the input contract; carries the first violation."""
+
+    def __init__(self, report: str):
+        super().__init__(f"invalid instance: {report}")
+        self.report = report
+
+
 class VariantError(FctpError):
     """A solver was called on an instance outside its variant."""
 

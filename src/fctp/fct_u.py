@@ -8,8 +8,8 @@ component is exactly optimal.
 
 from __future__ import annotations
 
-from .errors import FctpError, VariantError
-from .model import FlowSolution, Instance, check_instance, classify_variant
+from .errors import VariantError
+from .model import FlowSolution, Instance, classify_variant
 # Unused here; perfbench/tracing.py wraps fctp.fct_u.cancel_cycles by name.
 from .transport import cancel_cycles, solve_transportation  # noqa: F401
 
@@ -20,11 +20,6 @@ def solve_fct_u(inst: Instance) -> FlowSolution:
     if not tag.uniform:
         raise VariantError("requires FCT-U")
     # solve_transportation cancels cycles before it returns: the support is
-    # already a forest.  A bad cost it meets is reported as
-    # validate_instance words it.
-    try:
-        sol, _ = solve_transportation(inst, inst.linear)
-    except FctpError:
-        check_instance(inst)
-        raise
+    # already a forest.
+    sol, _ = solve_transportation(inst, inst.linear)
     return sol

@@ -42,8 +42,8 @@ def random_pfct_s(
     """Pure instance with sink-independent fixed costs."""
     supplies, demands = _balanced_sides(rng, n, m, max_supply)
     f = [rng.randint(1, max_fixed) for _ in range(n)]
-    fixed = [[f[i]] * m for i in range(n)]
-    return pure_instance(supplies, demands, fixed)
+    rows = {}  # one row object per distinct cost, as a parsed file shares lines
+    return pure_instance(supplies, demands, [rows.setdefault(x, [x] * m) for x in f])
 
 
 def random_pfct_u(

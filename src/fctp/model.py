@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .errors import FctpError, ParseError
+from .errors import FctpError, InstanceError, ParseError
 
 
 class _Infinity(Enum):
@@ -105,12 +105,13 @@ def format_rational(value) -> str:
 
 @dataclass(frozen=True)
 class Instance:
-    """A bipartite fixed charge transportation instance.
+    """A bipartite fixed charge transportation instance, valid by construction.
 
-    ``supplies`` has length n (sources), ``demands`` length m (sinks);
-    ``fixed`` and ``linear`` are n x m cost matrices.  Construction only
-    checks matrix shapes; use :func:`validate_instance` for the full
-    invariant report.
+    ``supplies`` has length n >= 1 (sources), ``demands`` length m >= 1
+    (sinks), both positive ints (not bools) with equal sums; ``fixed`` and
+    ``linear`` are n x m matrices of nonnegative Fractions, with INF allowed
+    in ``linear`` only.  Construction, dataclasses.replace included, runs
+    :func:`check_instance` and raises InstanceError on the first violation.
     """
 
     supplies: tuple[int, ...]
@@ -119,13 +120,7 @@ class Instance:
     linear: tuple[tuple[Cost, ...], ...]
 
     def __post_init__(self):
-        n, m = len(self.supplies), len(self.demands)
-        if len(self.fixed) != n or len(self.linear) != n:
-            raise ValueError("cost matrices must have one row per source")
-        if any(len(row) != m for row in self.fixed) or any(
-            len(row) != m for row in self.linear
-        ):
-            raise ValueError("cost matrices must have one column per sink")
+        check_instance(self)
 
     @property
     def n(self) -> int:
@@ -173,11 +168,13 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
 
     Each entry equals Fraction(x) and is shared: a Fraction is kept as the
     same object, and equal ints become one Fraction, as parse_instance keeps
-    one object per distinct token.  Instances are immutable, so sharing is
-    safe.  Raises FctpError for any other type, bools included, and for a
-    side or a matrix that is not a sequence (of rows); a negative cost still
-    constructs, and validate_instance reports it, as Instance reports a
-    matrix of the wrong shape with ValueError.
+    one object per distinct token; a row object given twice becomes one
+    tuple, as parse_instance keeps one per distinct line.  Instances are
+    immutable, so sharing is safe.  Raises FctpError for any other type,
+    bools included, and for a side or a matrix that is not a sequence (of
+    rows); Instance then raises InstanceError for the rest of the contract:
+    a matrix of the wrong shape, a side that is not positive, a negative
+    cost, imbalance.
     """
     shared = _SharedFractions()
 
@@ -192,15 +189,21 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
         raise FctpError(f"{'linear' if allow_inf else 'fixed'} costs must be {want}, not {got}")
 
     def matrix(rows, allow_inf):
+        # A row object given twice becomes one tuple; holding each row keeps
+        # its id from being reused while built is alive.
+        built, out = {}, []
         try:
-            return tuple(
-                tuple([x if type(x) is Fraction else shared[x] if type(x) is int
-                       else entry(x, allow_inf) for x in row])
-                for row in rows
-            )
+            for row in rows:
+                if id(row) not in built:
+                    built[id(row)] = row, tuple(
+                        [x if type(x) is Fraction else shared[x] if type(x) is int
+                         else entry(x, allow_inf) for x in row]
+                    )
+                out.append(built[id(row)][1])
         except TypeError:
             what = "linear" if allow_inf else "fixed"
             raise FctpError(f"{what} costs must be a sequence of rows") from None
+        return tuple(out)
 
     return Instance(
         supplies=_ints(supplies, "supplies"),
@@ -228,29 +231,23 @@ def signed_weights(inst: Instance) -> list[int]:
     return list(inst.supplies) + [-b for b in inst.demands]
 
 
-def _sides_report(inst: Instance) -> str | None:
-    """The first violation among n, m >= 1 and positive int supplies and demands."""
+def validate_instance(inst: Instance) -> str | None:
+    """The instance check as one ordered walk: None, or the first violation
+    among sizes, each supply, each demand, each fixed cost, each linear cost
+    and balance.  Indices in messages are 1-based to match the file format.
+    check_instance walks only to name a violation, so on a constructed
+    Instance this returns None.
+    """
     if inst.n < 1:
         return "n must be >= 1"
     if inst.m < 1:
         return "m must be >= 1"
     for i, a in enumerate(inst.supplies):
-        if not isinstance(a, int) or a <= 0:
+        if not _is_int(a) or a <= 0:
             return f"a_{i + 1} not positive"
     for j, b in enumerate(inst.demands):
-        if not isinstance(b, int) or b <= 0:
+        if not _is_int(b) or b <= 0:
             return f"b_{j + 1} not positive"
-    return None
-
-
-def validate_instance(inst: Instance) -> str | None:
-    """Return None if all instance invariants hold, else the first violation.
-
-    Indices in messages are 1-based to match the file format.
-    """
-    report = _sides_report(inst)
-    if report is not None:
-        return report
     for i, row in enumerate(inst.fixed):
         for j, f in enumerate(row):
             if f is INF or not isinstance(f, Fraction):
@@ -265,25 +262,62 @@ def validate_instance(inst: Instance) -> str | None:
                 return f"c_{i + 1},{j + 1} must be a rational or inf"
             if c.numerator < 0:
                 return f"c_{i + 1},{j + 1} negative"
-    return balance_report(inst)
+    if sum(inst.supplies) != sum(inst.demands):
+        return "sum(a) != sum(b)"
+    return None
 
 
-def balance_report(inst: Instance) -> str | None:
-    """The O(n + m) part of validate_instance, with its messages: sizes,
-    positive int supplies and demands, balance.  It is the whole report for
-    a parsed instance, since parse_instance refuses every cost that the
-    matrix checks would."""
-    report = _sides_report(inst)
-    if report is None and sum(inst.supplies) != sum(inst.demands):
-        report = "sum(a) != sum(b)"
-    return report
+def _nonnegative_rationals(rows, allow_inf: bool) -> bool:
+    """True when every entry is a Fraction >= 0, or INF where allowed.
+
+    Each distinct row object is read once.  A row whose last entry is its
+    first object, and which equals a tuple of that object alone, takes its
+    sign from that entry; that tuple comparison stops at the first entry
+    that differs, where row.count(row[0]) would call Fraction.__eq__ on
+    every other entry.  Its types are still read, since 1, 1.0 and True all
+    equal Fraction(1).  Other rows are read entry by entry.
+    """
+    types = {Fraction, _Infinity} if allow_inf else {Fraction}
+    for row in dict(zip(map(id, rows), rows)).values():
+        first = row[0]
+        if row[-1] is first and row == (first,) * len(row):
+            if not (types.issuperset(map(type, row)) and (first is INF or first.numerator >= 0)):
+                return False
+        else:
+            for x in row:
+                if x is INF:
+                    if not allow_inf:
+                        return False
+                elif not isinstance(x, Fraction) or x.numerator < 0:
+                    return False
+    return True
 
 
 def check_instance(inst: Instance) -> None:
-    """Raise FctpError when validate_instance reports a violation."""
+    """Raise InstanceError unless inst's parts meet the input contract.
+
+    Shapes come first.  Then a cheap pass, over each distinct row object
+    once, accepts valid parts; only when it fails does validate_instance's
+    walk name the first violation.
+    """
+    n, m = len(inst.supplies), len(inst.demands)
+    if len(inst.fixed) != n or len(inst.linear) != n:
+        raise InstanceError("cost matrices must have one row per source")
+    if n and {*map(len, inst.fixed), *map(len, inst.linear)} != {m}:
+        raise InstanceError("cost matrices must have one column per sink")
+    sides = (*inst.supplies, *inst.demands)
+    if (
+        n and m
+        and set(map(type, sides)) == {int}
+        and min(sides) > 0
+        and _nonnegative_rationals(inst.fixed, False)
+        and _nonnegative_rationals(inst.linear, True)
+        and sum(inst.supplies) == sum(inst.demands)
+    ):
+        return
     report = validate_instance(inst)
     if report is not None:
-        raise FctpError(f"invalid instance: {report}")
+        raise InstanceError(report)
 
 
 def check_epsilon(eps) -> Fraction:
@@ -292,14 +326,6 @@ def check_epsilon(eps) -> Fraction:
     if not (_is_int(eps) or isinstance(eps, Fraction)):
         raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
     return Fraction(eps)
-
-
-def check_balanced(inst: Instance) -> None:
-    """Raise FctpError when balance_report reports a violation; for solvers
-    too hot for the full check."""
-    report = balance_report(inst)
-    if report is not None:
-        raise FctpError(f"invalid instance: {report}")
 
 
 @dataclass(frozen=True)
@@ -328,35 +354,29 @@ def classify_variant(inst: Instance) -> VariantTag:
     this path too.  Other rows are read entry by entry: comparing numerators
     and denominators costs less than the Fraction.__eq__ that count would
     call on each entry.  A row that settles a tag ends the scan for that tag.
-    An entry without a numerator, such as INF in f or a float, raises
-    validate_instance's FctpError.
     """
     pure = pure_mod = sink_independent = uniform = True
-    try:
-        for frow, crow in zip(inst.fixed, inst.linear):
-            if sink_independent and frow:
-                first = frow[0]
-                num, den = first.numerator, first.denominator
-                if frow[-1] is first:
-                    sink_independent = frow.count(first) == len(frow)
-                else:
-                    for f in frow:
-                        if f is not first and (f.numerator != num or f.denominator != den):
-                            sink_independent = False
-                            break
-                uniform = uniform and sink_independent and num == 1 and den == 1
-            if pure_mod:
-                if crow and crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
-                    crow = crow[:1]
-                for c in crow:
-                    if c is INF:
-                        pure = False
-                    elif c.numerator:
-                        pure = pure_mod = False
+    for frow, crow in zip(inst.fixed, inst.linear):
+        if sink_independent:
+            first = frow[0]
+            num, den = first.numerator, first.denominator
+            if frow[-1] is first:
+                sink_independent = frow.count(first) == len(frow)
+            else:
+                for f in frow:
+                    if f is not first and (f.numerator != num or f.denominator != den):
+                        sink_independent = False
                         break
-    except AttributeError:
-        check_instance(inst)
-        raise
+            uniform = uniform and sink_independent and num == 1 and den == 1
+        if pure_mod:
+            if crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
+                crow = crow[:1]
+            for c in crow:
+                if c is INF:
+                    pure = False
+                elif c.numerator:
+                    pure = pure_mod = False
+                    break
     return VariantTag(
         pure=pure,
         sink_independent=sink_independent,
@@ -461,9 +481,9 @@ def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
     Sums int numerators per denominator, f as (f.num, f.den) and c * x as
     (c.num * x.num, c.den * x.den), and builds one Fraction per distinct
     denominator at the end; the support is read in its own order.  Raises
-    FctpError for an edge out of range, for a flow or cost that is not an
-    int or a Fraction, and when the support touches a forbidden (c = inf)
-    edge, naming the lowest such edge.
+    FctpError for an edge out of range, for a flow that is not an int or a
+    Fraction, and when the support touches a forbidden (c = inf) edge,
+    naming the lowest such edge.
     """
     n, m = inst.n, inst.m
     fixed, linear = inst.fixed, inst.linear
@@ -483,10 +503,8 @@ def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
             sums[den] = sums.get(den, 0) + f.numerator
             den = c.denominator * x.denominator
             sums[den] = sums.get(den, 0) + c.numerator * x.numerator
-    except AttributeError:
-        if not isinstance(x, (int, Fraction)):
-            raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}") from None
-        raise FctpError("cost entries must be ints, Fractions or inf") from None
+    except AttributeError:  # costs are Fractions by construction, so x lacks one
+        raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}") from None
     if forbidden:
         i, j = min(forbidden)
         raise FctpError(f"infeasible edge used: ({i + 1}, {j + 1})")

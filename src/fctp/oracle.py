@@ -55,10 +55,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import FctpError, GuardError, InfeasibleError
-from .model import (
+# check_instance is unused here; perfbench/tracing.py wraps it by name in fctp.oracle.
+from .model import (  # noqa: F401
     FlowSolution,
     Instance,
-    check_balanced,
     check_instance,
     integer_scaled,
     signed_weights,
@@ -133,7 +133,6 @@ def _neighbourhoods(adj: list[int]) -> list[int]:
 
 def exact_fct(inst: Instance, guard: int = 16) -> tuple[Fraction, FlowSolution]:
     """Exact optimum cost and an optimal solution; guard bounds n + m."""
-    check_instance(inst)
     n, m = inst.n, inst.m
     total_vertices = n + m
     _check_subset_guard("exact_fct", total_vertices, guard)
@@ -373,7 +372,6 @@ def _partition_dp(net: list[int], block_cost: list, subsets) -> tuple[int | None
 def exact_balanced_partition(inst: Instance, guard: int = 16) -> tuple[int, list[int]]:
     """Maximum number of balanced parts covering S and T (subset DP), and
     the parts as vertex masks (source i is bit i, sink j is bit n + j)."""
-    check_balanced(inst)
     _check_subset_guard("partition", inst.n + inst.m, guard)
     net = subset_sums(signed_weights(inst))
     # Each part costs -1, so the cheapest split has the most parts.

@@ -10,7 +10,7 @@ bound plus sum of all but the largest fixed cost.
 solve_pfct_s returns the flow and both bounds from one sorted view, after
 one variant check; `fctp solve --variant pfct-s` calls it once.
 greedy_solve, opt_lower_bound and greedy_upper_bound each check the
-instance and compute only their own result.
+variant and compute only their own result.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import FctpError, VariantError
 from .model import (
     FlowSolution,
     Instance,
-    check_balanced,
-    check_instance,
     classify_variant,
     integer_scaled,
     two_pointer_steps,
@@ -75,25 +73,19 @@ def sorted_view(inst: Instance) -> SortedView:
 
 
 def _require_pfct_s(inst: Instance) -> SortedView:
-    """Balance, variant and sign checks, then the sorted view: once per public
-    call.  The view's fixed costs are nonincreasing, so a negative one is the
-    last; validate_instance then names it."""
-    check_balanced(inst)
+    """The variant check, then the sorted view: once per public call."""
     tag = classify_variant(inst)
     if not (tag.pure and tag.sink_independent):
         raise VariantError("requires PFCT-S")
-    view = sorted_view(inst)
-    if view.fixed_scaled[-1] < 0:
-        check_instance(inst)
-    return view
+    return sorted_view(inst)
 
 
 def solve_pfct_s(inst: Instance) -> tuple[FlowSolution, Fraction, Fraction]:
     """(greedy flow, opt_lower_bound, greedy_upper_bound) from one sorted view.
 
-    The balance and variant checks and the sorted view run once, so a caller
-    that wants the flow and both bounds, as `fctp solve` does, reads the
-    cost matrices once.
+    The variant check and the sorted view run once, so a caller that wants
+    the flow and both bounds, as `fctp solve` does, reads the cost matrices
+    once.
     """
     view = _require_pfct_s(inst)
     return (_greedy(inst, view), *_bounds(view))

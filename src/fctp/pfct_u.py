@@ -25,7 +25,6 @@ from .errors import CertificateError, FctpError, GuardError, VariantError
 from .model import (
     FlowSolution,
     Instance,
-    check_balanced,
     classify_variant,
     signed_weights,
     two_pointer_steps,
@@ -75,13 +74,14 @@ class LpCertificate:
     value: Fraction
 
 
-def preprocess_matched_pairs(inst: Instance) -> tuple[list[int], Instance]:
+def preprocess_matched_pairs(inst: Instance) -> tuple[list[int], Instance | None]:
     """Extract {source, sink} pairs with a_i == b_j, smallest value first.
 
     Putting a matched pair in its own part never changes the optimal
     partition size (the two parts can be swapped back), so the residual
     instance is equivalent and has no i, j with a_i == b_j.  Pairs are
-    vertex masks in the original instance's numbering.
+    vertex masks in the original instance's numbering.  The residual is
+    None when every vertex is paired.
     """
     tag = classify_variant(inst)
     if not (tag.pure and tag.uniform):
@@ -103,6 +103,8 @@ def preprocess_matched_pairs(inst: Instance) -> tuple[list[int], Instance]:
         pairs.append(1 << i | 1 << (inst.n + j))
     keep_src = [i for i in range(inst.n) if i not in used_src]
     keep_snk = [j for j in range(inst.m) if j not in used_snk]
+    if not keep_src:  # the unpaired sides balance, so keep_snk is empty too
+        return pairs, None
     # PFCT-U: the residual has f == 1 and c == 0 too.
     residual = uniform_pure_instance(
         [inst.supplies[i] for i in keep_src], [inst.demands[j] for j in keep_snk]
@@ -342,13 +344,12 @@ def solve_pfct_u(
     residual after packing forms one extra part (split further if the
     routing disconnects it; both only lower the cost).
     """
-    check_balanced(inst)
     if mode not in ("exact", "ls"):
         raise FctpError(f"unknown mode {mode!r}")
     pairs, residual = preprocess_matched_pairs(inst)
 
     best_parts: list[int] = []
-    if residual.n:
+    if residual:
         full = enumerate_balanced_sets(residual, 5)
         everyone = (1 << full.vertices) - 1
         spent = [0]  # the three exact packings share one step budget

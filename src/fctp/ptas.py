@@ -46,8 +46,8 @@ Costs are compared as ints, the fixed costs scaled by one common denominator,
 and transport gets the relaxation weights f_ij / b_j as ints, scaled once more
 by lcm(b): one positive factor for every weight, so every comparison transport
 makes, and so its flow, is that of the rational weights.  Guesses call
-transport's unchecked int core, so ptas_solve checks the instance up front, a
-negative fixed cost included, and only the winner becomes a FlowSolution.  The
+transport's unchecked int core, which is safe since an Instance is valid by
+construction, and only the winner becomes a FlowSolution.  The
 per-threshold tables are O(nm + 2^n) each, so no state grows with the number
 of guesses.  An instance with a source or sink that has no allowed edge is
 refused before any table is built; otherwise the guesses reach size n, so
@@ -69,7 +69,6 @@ from .model import (  # noqa: F401
     FlowSolution,
     Instance,
     check_epsilon,
-    check_instance,
     classify_variant,
     evaluate_cost,
     integer_scaled,
@@ -129,7 +128,6 @@ def forest_combinations(edges, n: int, size: int):
 
 def ptas_solve(inst: Instance, eps) -> FlowSolution:
     """Best-of-all-guesses solution; cost at most (1 + eps) times optimal."""
-    check_instance(inst)
     tag = classify_variant(inst)
     if not (tag.pure or tag.pure_modulo_forbidden):
         raise VariantError("requires PFCT")

@@ -1,8 +1,8 @@
 """Exact minimization of linear objectives over the transportation polytope.
 
-solve_transportation is the exact-rational boundary.  It refuses an
-unbalanced instance, a weight matrix of the wrong shape, a weight that is
-not an int, a Fraction or INF, and a negative weight; scales the weights to
+solve_transportation is the exact-rational boundary.  Its instance is valid
+by construction; it refuses a weight matrix of the wrong shape, a weight that
+is not an int, a Fraction or INF, and a negative weight; scales the weights to
 ints by one common denominator (exact, since it keeps every comparison);
 and returns Fraction flows and objective.  int_transportation is the int
 core beneath it and checks nothing: it takes positive int supplies and
@@ -60,7 +60,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FctpError, InfeasibleError
-from .model import INF, FlowSolution, Instance, check_balanced, check_instance, integer_scaled
+from .model import INF, FlowSolution, Instance, integer_scaled
 
 
 def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fraction]:
@@ -68,13 +68,13 @@ def solve_transportation(inst: Instance, weights) -> tuple[FlowSolution, Fractio
 
     Returns (solution, objective).  The solution is an optimal extreme point:
     integral flows (integrality of the transportation polytope) with acyclic
-    support of at most n + m - 1 edges.  Raises FctpError on an unbalanced
-    instance, on a weight matrix of the wrong shape, on a weight that is not
-    an int, a Fraction or INF, and on a negative weight (the Dijkstra
-    potentials require w >= 0); InfeasibleError when the finite-weight edges
-    cannot carry any feasible flow.
+    support of at most n + m - 1 edges.  The instance is valid by
+    construction; the weights are the caller's, so this raises FctpError on
+    a weight matrix of the wrong shape, on a weight that is not an int, a
+    Fraction or INF, and on a negative weight (the Dijkstra potentials
+    require w >= 0); InfeasibleError when the finite-weight edges cannot
+    carry any feasible flow.
     """
-    check_balanced(inst)
     if len(weights) != inst.n or any(len(row) != inst.m for row in weights):
         raise FctpError("weight matrix shape must match the instance")
     scale, (iw,) = integer_scaled(weights)
@@ -260,32 +260,24 @@ def balinski_weights(inst: Instance) -> tuple[int, list]:
     of every flow.  Each weight is (C p + F) / (s p) in lowest terms, with
     C = c s and F = f s scaled to ints by one s, and common is the lcm of
     those denominators: the matrix integer_scaled makes of the weights as
-    Fractions, entry for entry.  A cost that validate_instance refuses
-    (negative, INF in f, not a rational) raises its FctpError.
+    Fractions, entry for entry.
     """
     nums, dens = [], []
-    try:
-        scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
-        for a, f_row, c_row in zip(inst.supplies, fixed, linear):
-            num_row, den_row = [], []
-            for b, f, c in zip(inst.demands, f_row, c_row):
-                # An INF f is None here, so f < 0 raises TypeError.
-                if f < 0 or c is not None and c < 0:
-                    raise FctpError("negative cost")  # reworded below
-                if c is None:
-                    num_row.append(None)
-                    den_row.append(1)
-                    continue
-                p = a if a < b else b
-                num, den = c * p + f, scale * p
-                g = gcd(num, den)
-                num_row.append(num // g)
-                den_row.append(den // g)
-            nums.append(num_row)
-            dens.append(den_row)
-    except (FctpError, TypeError):
-        check_instance(inst)
-        raise
+    scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
+    for a, f_row, c_row in zip(inst.supplies, fixed, linear):
+        num_row, den_row = [], []
+        for b, f, c in zip(inst.demands, f_row, c_row):
+            if c is None:
+                num_row.append(None)
+                den_row.append(1)
+                continue
+            p = a if a < b else b
+            num, den = c * p + f, scale * p
+            g = gcd(num, den)
+            num_row.append(num // g)
+            den_row.append(den // g)
+        nums.append(num_row)
+        dens.append(den_row)
     common = lcm(*{den for row in dens for den in row})
     weights = [
         [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]

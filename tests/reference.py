@@ -12,7 +12,6 @@ from fctp.model import (
     FlowSolution,
     VariantTag,
     check_epsilon,
-    check_instance,
     classify_variant,
     evaluate_cost,
     integer_scaled,
@@ -130,6 +129,45 @@ def validate_partition(inst, parts):
     return None
 
 
+def validate_instance_by_walk(inst):
+    """The instance check as one ordered walk: None, or the first violation.
+
+    Reads any object with supplies, demands, fixed and linear of matching
+    shapes, so it also judges parts that Instance refuses to hold.  The order
+    and wording are the package's: sizes, each supply, each demand, each
+    fixed cost, each linear cost, then balance; indices are 1-based.  A
+    bool is not an int here: serialize_instance would write it as True.
+    """
+    n, m = len(inst.supplies), len(inst.demands)
+    if n < 1:
+        return "n must be >= 1"
+    if m < 1:
+        return "m must be >= 1"
+    for i, a in enumerate(inst.supplies):
+        if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
+            return f"a_{i + 1} not positive"
+    for j, b in enumerate(inst.demands):
+        if not isinstance(b, int) or isinstance(b, bool) or b <= 0:
+            return f"b_{j + 1} not positive"
+    for i, row in enumerate(inst.fixed):
+        for j, f in enumerate(row):
+            if f is INF or not isinstance(f, Fraction):
+                return f"f_{i + 1},{j + 1} must be a finite rational"
+            if f.numerator < 0:
+                return f"f_{i + 1},{j + 1} negative"
+    for i, row in enumerate(inst.linear):
+        for j, c in enumerate(row):
+            if c is INF:
+                continue
+            if not isinstance(c, Fraction):
+                return f"c_{i + 1},{j + 1} must be a rational or inf"
+            if c.numerator < 0:
+                return f"c_{i + 1},{j + 1} negative"
+    if sum(inst.supplies) != sum(inst.demands):
+        return "sum(a) != sum(b)"
+    return None
+
+
 def classify_variant_per_entry(inst):
     """classify_variant as one scan that reads every entry it needs.
 
@@ -170,7 +208,6 @@ def ptas_full_walk(inst, eps):
     skips inside it are ptas_solve's; the winner is the first cheapest
     candidate walked.
     """
-    check_instance(inst)
     tag = classify_variant(inst)
     if not (tag.pure or tag.pure_modulo_forbidden):
         raise VariantError("requires PFCT")
@@ -307,7 +344,6 @@ def exact_fct_by_all_submasks(inst):
     go by descending sub-block with a strict <, so the largest sub-block
     wins among equal totals.  Small valid instances only: no guard.
     """
-    check_instance(inst)
     n, m = inst.n, inst.m
     total_vertices = n + m
     scale, (fix, lin) = integer_scaled(inst.fixed, inst.linear)

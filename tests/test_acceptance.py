@@ -116,7 +116,7 @@ def test_criterion_4_local_search_quality(capsys):
         rng = random.Random(40_000 + seed)
         inst = random_pfct_u(rng, rng.randint(3, 13), max_supply=9)
         _, residual = preprocess_matched_pairs(inst)
-        if not residual.n:
+        if not residual:
             continue
         for k in (3, 4, 5):
             pk = enumerate_balanced_sets(residual, k)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reference import bicriteria_weights
+from util import raises_instance_error
 
 from fctp import bicriteria, oracle
 from fctp.bicriteria import capacity, cost_factor, round_tree, solve_bicriteria
@@ -196,12 +197,10 @@ def test_bicriteria_properties_on_random_instances():
 
 
 def test_bicriteria_rejects_unbalanced_instance():
-    inst = make_instance((2,), (2, 3), [[1, 2]], [[0, 1]])
-    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
-        solve_bicriteria(inst, Fraction(1, 4))
-    inst = make_instance((0, 2), (2,), [[1], [2]], [[0], [1]])
-    with pytest.raises(FctpError, match="invalid instance: a_1 not positive"):
-        solve_bicriteria(inst, Fraction(1, 4))
+    with raises_instance_error("sum(a) != sum(b)"):
+        solve_bicriteria(make_instance((2,), (2, 3), [[1, 2]], [[0, 1]]), Fraction(1, 4))
+    with raises_instance_error("a_1 not positive"):
+        solve_bicriteria(make_instance((0, 2), (2,), [[1], [2]], [[0], [1]]), Fraction(1, 4))
 
 
 def _bicriteria_pinned_cases():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from util import e1_instance
 
-from fctp import cli, model, pfct_s
+from fctp import pfct_s
 from fctp.cli import (
     _bench_rows,
     _parse_fraction,
@@ -280,9 +280,10 @@ def test_solve_refuses_past_the_packing_bound(tmp_path, capsys, monkeypatch):
 def test_invalid_instance_file_exits_2(tmp_path, capsys, supplies, demands, report):
     # The parser refuses every bad cost, so solve, oracle and verify check
     # only sizes, supplies, demands and balance, with the same messages.
-    inst = make_instance(supplies, demands, [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    # make_instance refuses these sides, so the file is written by hand.
+    sides = " ".join(map(str, supplies)) + "\n" + " ".join(map(str, demands))
     path = tmp_path / "bad.fct"
-    path.write_text(serialize_instance(inst))
+    path.write_text(f"FCT v1\n2 2\n{sides}\n1 1\n1 1\n0 0\n0 0\n")
     sol = tmp_path / "any.sol"
     sol.write_text("SOL v1\n1 1 1\n")
     for argv in (
@@ -300,15 +301,10 @@ def test_invalid_instance_file_exits_2(tmp_path, capsys, supplies, demands, repo
 
 
 def test_solve_pfct_s_validates_and_classifies_once(e1_file, monkeypatch, capsys):
-    # One balance check and one PFCT-S view: validate_instance's O(nm) pass
-    # never runs, and the cost matrices are classified once.
-    def unexpected(inst):
-        raise AssertionError("validate_instance called")
-
+    # The parsed instance checks itself once, and one PFCT-S view
+    # classifies the cost matrices once.
     calls = []
     classify = pfct_s.classify_variant
-    monkeypatch.setattr(cli, "validate_instance", unexpected)
-    monkeypatch.setattr(model, "validate_instance", unexpected)
     monkeypatch.setattr(pfct_s, "classify_variant", lambda inst: calls.append(1) or classify(inst))
     assert main(["solve", "--variant", "pfct-s", "--input", e1_file]) == 0
     assert json.loads(capsys.readouterr().out)["cost"] == "28"

@@ -4,24 +4,24 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from reference import classify_variant_per_entry, evaluate_cost_by_fractions
+from reference import classify_variant_per_entry, evaluate_cost_by_fractions, validate_instance_by_walk
+from util import raises_instance_error
 
 from fctp import generators
 from fctp.bicriteria import solve_bicriteria
 from fctp.fct_u import solve_fct_u
 
-from fctp.errors import FctpError, ParseError
+from fctp.errors import FctpError, InstanceError, ParseError
 from fctp.model import (
     INF,
     FlowSolution,
     Instance,
     VariantTag,
-    balance_report,
-    check_balanced,
     classify_variant,
     evaluate_cost,
     format_rational,
@@ -46,13 +46,13 @@ def test_validate_minimal_instance_ok():
 
 
 def test_validate_imbalance():
-    inst = make_instance((2,), (1,), [[0]], [[0]])
-    assert validate_instance(inst) == "sum(a) != sum(b)"
+    with raises_instance_error("sum(a) != sum(b)"):
+        make_instance((2,), (1,), [[0]], [[0]])
 
 
 def test_validate_zero_supply():
-    inst = make_instance((0, 2), (2,), [[0], [0]], [[0], [0]])
-    assert validate_instance(inst) == "a_1 not positive"
+    with raises_instance_error("a_1 not positive"):
+        make_instance((0, 2), (2,), [[0], [0]], [[0], [0]])
 
 
 @pytest.mark.parametrize(
@@ -60,13 +60,16 @@ def test_validate_zero_supply():
     [((), ()), ((1,), ()), ((-1, 3), (2,)), ((0, 2), (2,)), ((2,), (0, 2)), ((2,), (1,))],
 )
 def test_check_balanced_reports_what_validate_instance_reports_first(supplies, demands):
+    # The side and balance defects that check_balanced once raised on are
+    # refused at construction, with the reference walk's first report.
     n, m = len(supplies), len(demands)
-    inst = make_instance(supplies, demands, [[1] * m] * n, [[0] * m] * n)
-    with pytest.raises(FctpError) as info:
-        check_balanced(inst)
-    assert str(info.value) == f"invalid instance: {validate_instance(inst)}"
-    # Cost entries are validate_instance's alone.
-    check_balanced(make_instance((3, 1), (2, 2), [[-1] * 2] * 2, [[0] * 2] * 2))
+    fixed, linear = ((Fraction(1),) * m,) * n, ((Fraction(0),) * m,) * n
+    parts = SimpleNamespace(supplies=supplies, demands=demands, fixed=fixed, linear=linear)
+    with raises_instance_error(validate_instance_by_walk(parts)):
+        make_instance(supplies, demands, fixed, linear)
+    # A cost defect behind valid sides is refused too.
+    with raises_instance_error("f_1,1 negative"):
+        make_instance((3, 1), (2, 2), [[-1] * 2] * 2, [[0] * 2] * 2)
 
 
 def test_subset_sums_match_the_per_mask_definition():
@@ -88,9 +91,9 @@ def test_two_pointer_steps_ships_min_and_advances_the_emptied_side():
 
 
 def test_validate_negative_cost_and_shape():
-    inst = make_instance((1,), (1,), [[-1]], [[0]])
-    assert "negative" in validate_instance(inst)
-    with pytest.raises(ValueError):
+    with raises_instance_error("f_1,1 negative"):
+        make_instance((1,), (1,), [[-1]], [[0]])
+    with raises_instance_error("cost matrices must have one row per source"):
         make_instance((1, 1), (2,), [[0]], [[0], [0]])
 
 
@@ -103,8 +106,8 @@ def test_validate_negative_cost_and_shape():
     ],
 )
 def test_validate_instance_reports_each_bad_cost(fixed, linear, report):
-    inst = Instance(supplies=(2,), demands=(1, 1), fixed=fixed, linear=linear)
-    assert validate_instance(inst) == report
+    with raises_instance_error(report):
+        Instance(supplies=(2,), demands=(1, 1), fixed=fixed, linear=linear)
 
 
 def test_inf_survives_copy_and_pickle_and_refuses_ordering():
@@ -175,7 +178,7 @@ def _fractional_instance(rng, n, m):
         return Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 4, 6, 9)))
 
     linear = [[INF if rng.random() < 0.2 else cost() for _ in range(m)] for _ in range(n)]
-    return make_instance([1] * n, [1] * m, [[cost() for _ in range(m)] for _ in range(n)], linear)
+    return make_instance([m] * n, [n] * m, [[cost() for _ in range(m)] for _ in range(n)], linear)
 
 
 def _agrees_with_reference(inst, sol):
@@ -276,7 +279,8 @@ def _random_cost_matrix(rng, n, m, values):
 
 def test_classify_matches_four_pass_definition():
     # make_instance builds a fresh Fraction per cell, so equal entries are
-    # equal but not identical; entries drawn as ints stay ints in Instance.
+    # equal but not identical; the Instance half wraps each entry, read as
+    # an int, in a Fraction of its own.
     rng = random.Random(31)
     fixed_values = [0, 1, 1, 2, Fraction(1, 2), Fraction(2, 2), Fraction(3, 2)]
     linear_values = [0, 0, 0, INF, 1, Fraction(1, 3)]
@@ -286,13 +290,13 @@ def test_classify_matches_four_pass_definition():
         fixed = _random_cost_matrix(rng, n, m, fixed_values)
         linear = _random_cost_matrix(rng, n, m, linear_values)
         if k % 2:
-            inst = make_instance([1] * n, [1] * m, fixed, linear)
+            inst = make_instance([m] * n, [n] * m, fixed, linear)
         else:
-            ints = [[x if x is INF else int(x) for x in row] for row in linear]
+            ints = [[x if x is INF else Fraction(int(x)) for x in row] for row in linear]
             inst = Instance(
-                supplies=(1,) * n,
-                demands=(1,) * m,
-                fixed=tuple(tuple(int(x) for x in row) for row in fixed),
+                supplies=(m,) * n,
+                demands=(n,) * m,
+                fixed=tuple(tuple(Fraction(int(x)) for x in row) for row in fixed),
                 linear=tuple(tuple(row) for row in ints),
             )
         tag = classify_variant(inst)
@@ -323,7 +327,7 @@ def test_classify_matches_the_per_entry_scan():
                 row[1:] = [rng.choice((INF, linear_values[1])) for _ in range(m - 1)]
         inf_first += any(row[0] is INF for row in linear)
         mixed += any(INF in row and 0 in row for row in linear)
-        inst = make_instance([1] * n, [1] * m, fixed, linear)
+        inst = make_instance([m] * n, [n] * m, fixed, linear)
         drawn = Instance(
             supplies=inst.supplies,
             demands=inst.demands,
@@ -358,16 +362,163 @@ def token_grids(draw):
 
 @given(token_grids())
 def test_parsed_instances_pass_every_matrix_check(text):
-    # fctp solve, verify and oracle check a parsed file with balance_report
-    # alone; that is sound only while the parser refuses every cost that
-    # validate_instance's matrix checks would report.
+    # The parser refuses every cost that the instance check's matrix part
+    # would report, so a parsed file is refused at construction only for its
+    # sizes, sides or balance, and with balanced sides it builds.
+    lines = text.splitlines()
+    n, m = map(int, lines[1].split())
+    lines[2], lines[3] = " ".join([str(m)] * n), " ".join([str(n)] * m)
     try:
-        inst = parse_instance(text)
+        parse_instance(text)
     except ParseError:
         return
-    assert validate_instance(inst) == balance_report(inst)
-    sides_fixed = dataclasses.replace(inst, supplies=(inst.m,) * inst.n, demands=(inst.n,) * inst.m)
-    assert validate_instance(sides_fixed) is None
+    except InstanceError as exc:
+        assert not exc.report.startswith(("f_", "c_")), exc.report
+    parse_instance("\n".join(lines) + "\n")
+
+
+# Pool objects, so drawn rows repeat one object as parsed rows do; a defect
+# may be an entry of another type that equals a pool object (1, True and 1.0
+# all equal Fraction(1)).
+_GOOD_COSTS = [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(10**99, 7)]
+_BAD_COSTS = [Fraction(-1, 2), 2.5, "1"]
+_TWINS = {Fraction(0): [0, False, 0.0], Fraction(1): [1, True, 1.0], Fraction(3, 2): [1.5]}
+_BAD_SIDES = [0, -1, True, 2.0, Fraction(2), "1"]
+_DEFECTS = ["size", "shape", "side", "fixed", "linear", "twin", "balance"]
+
+
+@st.composite
+def instance_parts(draw):
+    """Instance fields with up to two kinds of defect: an empty side, a
+    matrix of the wrong shape, a side value or type, a fixed or linear cost
+    value or type (INF in f among them), a twin inside a constant row,
+    imbalance."""
+    defects = draw(st.sets(st.sampled_from(_DEFECTS), max_size=2))
+    low = 0 if "size" in defects else 1
+    n, m = draw(st.integers(low, 3)), draw(st.integers(3 if "twin" in defects else low, 4))
+    twin_in = draw(st.sampled_from(["fixed", "linear"]))
+    supplies = [draw(st.integers(1, 3)) for _ in range(n)]
+    demands = [draw(st.integers(1, 3)) for _ in range(m)]
+    if m and "balance" not in defects:
+        # The last demand balances the sides, and may then be refused itself.
+        demands[-1] = sum(supplies) - sum(demands[:-1])
+    if "side" in defects and n + m:
+        k = draw(st.integers(0, n + m - 1))
+        bad = draw(st.sampled_from(_BAD_SIDES))
+        if k < n:
+            supplies[k] = bad
+        else:
+            demands[k - n] = bad
+
+    def matrix(name):
+        pool = _GOOD_COSTS + [INF] * (name == "linear")
+        rows = []
+        for _ in range(n):
+            if draw(st.booleans()):
+                rows.append([draw(st.sampled_from(pool))] * m)
+            else:
+                rows.append([draw(st.sampled_from(pool)) for _ in range(m)])
+        if name in defects and n and m:
+            row, j = rows[draw(st.integers(0, n - 1))], draw(st.integers(0, m - 1))
+            twins = _TWINS.get(row[j], [])
+            row[j] = draw(st.sampled_from(twins * 3 + _BAD_COSTS + [INF] * (name == "fixed")))
+        if "twin" in defects and twin_in == name and n:
+            # A constant row of one pool object but for an equal object of
+            # another type inside it: count(row[0]) finds it equal.
+            value = draw(st.sampled_from(list(_TWINS)))
+            row = rows[draw(st.integers(0, n - 1))]
+            row[:] = [value] * m
+            row[draw(st.integers(1, m - 2))] = draw(st.sampled_from(_TWINS[value]))
+        if "shape" in defects and draw(st.booleans()):
+            change = draw(st.sampled_from(["extra row", "no row", "short row"]))
+            if change == "extra row" or not n:
+                rows.append(pool[:1] * m)
+            elif change == "no row" or not m:
+                rows.pop()
+            else:
+                rows[-1].pop()
+        return tuple(map(tuple, rows))
+
+    return {"supplies": tuple(supplies), "demands": tuple(demands),
+            "fixed": matrix("fixed"), "linear": matrix("linear")}
+
+
+def _expected_report(parts):
+    # Shapes first, as Instance checks them; then the reference walk.
+    n, m = len(parts["supplies"]), len(parts["demands"])
+    if len(parts["fixed"]) != n or len(parts["linear"]) != n:
+        return "cost matrices must have one row per source"
+    if any(len(row) != m for row in parts["fixed"] + parts["linear"]):
+        return "cost matrices must have one column per sink"
+    return validate_instance_by_walk(SimpleNamespace(**parts))
+
+
+def _made_by_make_instance(parts):
+    """The parts make_instance hands Instance, or None when it refuses a type."""
+    def side_ok(x):
+        return type(x) is int
+
+    def cost(x, allow_inf):
+        if type(x) is int:
+            return Fraction(x)
+        if type(x) is Fraction or allow_inf and x is INF:
+            return x
+        raise TypeError
+
+    if not all(map(side_ok, parts["supplies"] + parts["demands"])):
+        return None
+    try:
+        return parts | {
+            name: tuple(tuple(cost(x, name == "linear") for x in row) for row in parts[name])
+            for name in ("fixed", "linear")
+        }
+    except TypeError:
+        return None
+
+
+def _builds_or_refuses_as_the_reference(build, parts):
+    report = _expected_report(parts)
+    if report is not None:
+        with raises_instance_error(report):
+            build()
+        return False
+    inst = build()
+    text = serialize_instance(inst)
+    assert parse_instance(text) == inst
+    assert serialize_instance(parse_instance(text)) == text
+    return True
+
+
+@settings(max_examples=400)
+@given(instance_parts(), st.sampled_from(["supplies", "demands", "fixed", "linear"]))
+def test_every_constructor_refuses_what_the_reference_walk_refuses(parts, kept):
+    # Instance, make_instance and dataclasses.replace all run the one check:
+    # each draw is refused with the reference walk's first report, or builds
+    # an instance that the text format carries unchanged.
+    _builds_or_refuses_as_the_reference(lambda: Instance(**parts), parts)
+    made = _made_by_make_instance(parts)
+    if made is None:
+        with pytest.raises(FctpError) as info:
+            make_instance(**parts)
+        assert not isinstance(info.value, InstanceError)
+    else:
+        _builds_or_refuses_as_the_reference(lambda: make_instance(**parts), made)
+    # Replace all fields of a valid base but one, which keeps the base's.
+    base = make_instance((2,), (1, 1), [[1, 2]], [[0, INF]])
+    changes = {name: value for name, value in parts.items() if name != kept}
+    _builds_or_refuses_as_the_reference(
+        lambda: dataclasses.replace(base, **changes), vars(base) | changes
+    )
+
+
+def test_a_bool_side_is_refused():
+    # A bool supply once constructed and solved, but serialize_instance wrote
+    # it as True, which parse_instance refuses.
+    with raises_instance_error("a_1 not positive"):
+        Instance(supplies=(True,), demands=(1,), fixed=((Fraction(1),),), linear=((Fraction(0),),))
+    base = make_instance((1,), (1,), [[1]], [[0]])
+    with raises_instance_error("b_1 not positive"):
+        dataclasses.replace(base, demands=(True,))
 
 
 def test_make_flow_refuses_a_float_relaxation():
@@ -403,7 +554,7 @@ def test_parse_cost_accepts_only_p_and_p_over_q():
 
 def test_parse_integer_tokens_accept_only_ascii_digits():
     def supply(token):
-        return parse_instance(f"FCT v1\n1 1\n{token}\n1\n0\n0\n").supplies[0]
+        return parse_instance(f"FCT v1\n1 1\n{token}\n{token}\n0\n0\n").supplies[0]
 
     assert supply("1") == 1
     assert supply("007") == 7
@@ -455,9 +606,10 @@ def test_make_instance_refuses_other_types(args, message):
 
 
 def test_make_instance_keeps_negative_costs_and_shape_errors():
-    inst = make_instance((1,), (1,), [[-1]], [[Fraction(-1, 2)]])
-    assert validate_instance(inst) == "f_1,1 negative"
-    with pytest.raises(ValueError, match="one column per sink"):
+    # make_instance converts types; Instance refuses the rest of the contract.
+    with raises_instance_error("f_1,1 negative"):
+        make_instance((1,), (1,), [[-1]], [[Fraction(-1, 2)]])
+    with pytest.raises(InstanceError, match="one column per sink"):
         make_instance((1,), (1, 1), [[1]], [[0]])
 
 

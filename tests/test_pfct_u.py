@@ -68,7 +68,7 @@ def test_preprocess_extracts_matched_pair():
 def test_preprocess_trivial_pair():
     pairs, residual = preprocess_matched_pairs(uniform_pure_instance((2,), (2,)))
     assert [keys(p, 1) for p in pairs] == [[("source", 0), ("sink", 0)]]
-    assert residual.n == 0 and residual.m == 0
+    assert residual is None
 
 
 def test_preprocess_no_pairs():
@@ -86,7 +86,7 @@ def test_preprocess_smallest_value_first():
         [("source", 2), ("sink", 2)],
         [("source", 0), ("sink", 1)],
     ]
-    assert residual.n == 0
+    assert residual is None
 
 
 def test_preprocess_keeps_optimum_partition_count():
@@ -95,7 +95,7 @@ def test_preprocess_keeps_optimum_partition_count():
         inst = random_pfct_u(rng, rng.randint(2, 10), max_supply=6)
         pairs, residual = preprocess_matched_pairs(inst)
         full, _ = oracle.exact_balanced_partition(inst)
-        if residual.n:
+        if residual:
             rest, _ = oracle.exact_balanced_partition(residual)
         else:
             rest = 0
@@ -316,7 +316,7 @@ def test_local_search_vs_exact_quality():
     for _ in range(30):
         inst = random_pfct_u(rng, rng.randint(3, 12), max_supply=6)
         _, residual = preprocess_matched_pairs(inst)
-        if not residual.n:
+        if not residual:
             continue
         for k in (3, 4, 5):
             pk = enumerate_balanced_sets(residual, k)

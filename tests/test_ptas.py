@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from reference import bicriteria_weights, ptas_full_walk, restricted_lp_value
-from util import is_forest
+from util import is_forest, raises_instance_error
 
 from fctp import oracle
 from fctp.errors import FctpError, GuardError, InfeasibleError, VariantError
@@ -101,23 +101,21 @@ def test_requires_pure_instance():
 
 
 def test_unbalanced_instance_rejected():
-    inst = pure_instance((3,), (1, 1), [[1, 1]])
-    with pytest.raises(FctpError, match=r"sum\(a\) != sum\(b\)"):
-        ptas_solve(inst, Fraction(1, 2))
+    with raises_instance_error("sum(a) != sum(b)"):
+        ptas_solve(pure_instance((3,), (1, 1), [[1, 1]]), Fraction(1, 2))
 
 
 def test_negative_fixed_cost_refused_before_guard_and_guesses(monkeypatch):
-    # Guesses bypass solve_transportation's sign check, so ptas_solve makes
-    # its own: a zero guard and a core that must not run show it comes first.
-    inst = make_instance([2, 2], [2, 2], [[-1, 3], [2, 1]], [[0, 0], [0, 0]])
-
+    # Guesses bypass solve_transportation's sign check; the instance refuses
+    # itself when built, so a zero guard and a core that must not run never
+    # come into play.
     def no_transport(*args):
         raise AssertionError("a refused instance reached transport")
 
     monkeypatch.setattr("fctp.ptas.int_transportation", no_transport)
     monkeypatch.setattr("fctp.ptas.MAX_CANDIDATES", 0)
-    with pytest.raises(FctpError, match="invalid instance: f_1,1 negative"):
-        ptas_solve(inst, Fraction(1, 2))
+    with raises_instance_error("f_1,1 negative"):
+        ptas_solve(make_instance([2, 2], [2, 2], [[-1, 3], [2, 1]], [[0, 0], [0, 0]]), Fraction(1, 2))
 
 
 def test_blocked_instance_is_infeasible():

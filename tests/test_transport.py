@@ -14,7 +14,7 @@ from reference import (
     rotate_cycles_by_walk,
     ssp_settling_past_target,
 )
-from util import brute_force_min_linear, is_forest
+from util import brute_force_min_linear, is_forest, raises_instance_error
 
 from fctp import transport
 from fctp.errors import FctpError, InfeasibleError
@@ -115,9 +115,8 @@ def test_non_rational_weights_rejected():
 
 
 def test_unbalanced_instance_rejected():
-    inst = make_instance((2,), (2, 3), [[0, 0]], [[0, 0]])
-    with pytest.raises(FctpError, match=r"invalid instance: sum\(a\) != sum\(b\)"):
-        solve_transportation(inst, [[0, 0]])
+    with raises_instance_error("sum(a) != sum(b)"):
+        solve_transportation(make_instance((2,), (2, 3), [[0, 0]], [[0, 0]]), [[0, 0]])
 
 
 def random_weights(rng, n, m, forbid=0.15):

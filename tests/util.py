@@ -4,9 +4,18 @@ These stay deliberately dumb (full enumeration of integral flows) so they
 share no code path with the package's solvers or with oracle.exact_fct.
 """
 
+import re
 from fractions import Fraction
 
+import pytest
+
+from fctp.errors import InstanceError
 from fctp.model import INF, Instance, pure_instance
+
+
+def raises_instance_error(report: str):
+    """pytest.raises for an InstanceError whose text is exactly this report's."""
+    return pytest.raises(InstanceError, match=f"^{re.escape(f'invalid instance: {report}')}$")
 
 
 def e1_instance() -> Instance:
