@@ -300,6 +300,10 @@ def cmd_generate(args) -> int:
                 "dummy_demand": demand_record["dummy_demand"],
             }
         )
+    # fctp solve reads a side of at most MAX_COST_DIGITS digits; a large
+    # --delta can build a longer one, past what str() even converts.
+    if max(inst.supplies + inst.demands) >= 10**MAX_COST_DIGITS:
+        raise FctpError(f"a generated supply or demand has more than {MAX_COST_DIGITS} digits")
     body = serialize_instance(inst)
     if args.out:
         _write(args.out, body)
@@ -321,11 +325,15 @@ def _is_int(value) -> bool:
     return type(value) is int  # JSON true and false are bools, not counts
 
 
+# The most rows (sizes times seeds, over all blocks) a bench config may ask for.
+MAX_BENCH_ROWS = 10**5
+
+
 def _bench_rows(config) -> list[tuple]:
     """Check the whole config, then return its rows in run order."""
     _check(isinstance(config, dict), "the top level must be an object")
     _check(isinstance(config.get("rows", []), list), "'rows' must be a list")
-    rows = []
+    rows, total = [], 0
     for block in config.get("rows", []):
         _check(isinstance(block, dict), "each row must be an object")
         family = block.get("family")
@@ -352,10 +360,8 @@ def _bench_rows(config) -> list[tuple]:
                 raise FctpError(f"bench config: {exc}") from None
         seeds, base = block.get("seeds", []), block.get("seed_base", 0)
         _check(_is_int(base), "'seed_base' must be an integer")
-        if _is_int(seeds):
-            seeds = list(range(base, base + seeds))
         _check(
-            isinstance(seeds, list) and all(map(_is_int, seeds)),
+            _is_int(seeds) or isinstance(seeds, list) and all(map(_is_int, seeds)),
             "'seeds' must be an integer or a list of integers",
         )
         sizes = block.get("sizes", [])
@@ -369,6 +375,11 @@ def _bench_rows(config) -> list[tuple]:
             all(generators.largest_cells(family, n, m) <= generators.MAX_CELLS for n, m in sizes),
             f"a size in 'sizes' can exceed {generators.MAX_CELLS} cells n * m",
         )
+        # Counted from the config, before a list of seeds or rows is built.
+        total += len(sizes) * (max(seeds, 0) if _is_int(seeds) else len(seeds))
+        _check(total <= MAX_BENCH_ROWS, f"more than {MAX_BENCH_ROWS} rows of sizes times seeds")
+        if _is_int(seeds):
+            seeds = range(base, base + seeds)
         want_oracle = bool(block.get("oracle", False))
         rows += [
             (family, solver, n, m, seed, params, want_oracle) for n, m in sizes for seed in seeds

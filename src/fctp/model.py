@@ -110,8 +110,11 @@ class Instance:
     ``supplies`` has length n >= 1 (sources), ``demands`` length m >= 1
     (sinks), both positive ints (not bools) with equal sums; ``fixed`` and
     ``linear`` are n x m matrices of nonnegative Fractions, with INF allowed
-    in ``linear`` only.  Construction, dataclasses.replace included, runs
-    :func:`check_instance` and raises InstanceError on the first violation.
+    in ``linear`` only.  Construction, dataclasses.replace included, reads
+    the parts once: it raises InstanceError on the first violation, or
+    stores the instance's :class:`VariantTag`, which classify_variant
+    returns.  The tag is a private attribute, not a field, so repr, ==,
+    hash and dataclasses.fields ignore it; copies and pickles keep it.
     """
 
     supplies: tuple[int, ...]
@@ -120,7 +123,10 @@ class Instance:
     linear: tuple[tuple[Cost, ...], ...]
 
     def __post_init__(self):
-        check_instance(self)
+        report, tag = _read_instance(self)
+        if report is not None:
+            raise InstanceError(report)
+        object.__setattr__(self, "_tag", tag)
 
     @property
     def n(self) -> int:
@@ -231,110 +237,13 @@ def signed_weights(inst: Instance) -> list[int]:
     return list(inst.supplies) + [-b for b in inst.demands]
 
 
-def validate_instance(inst: Instance) -> str | None:
-    """The instance check as one ordered walk: None, or the first violation
-    among sizes, each supply, each demand, each fixed cost, each linear cost
-    and balance.  Indices in messages are 1-based to match the file format.
-    check_instance walks only to name a violation, so on a constructed
-    Instance this returns None.
-    """
-    if inst.n < 1:
-        return "n must be >= 1"
-    if inst.m < 1:
-        return "m must be >= 1"
-    for i, a in enumerate(inst.supplies):
-        if not _is_int(a) or a <= 0:
-            return f"a_{i + 1} not positive"
-    for j, b in enumerate(inst.demands):
-        if not _is_int(b) or b <= 0:
-            return f"b_{j + 1} not positive"
-    for i, row in enumerate(inst.fixed):
-        for j, f in enumerate(row):
-            if f is INF or not isinstance(f, Fraction):
-                return f"f_{i + 1},{j + 1} must be a finite rational"
-            if f.numerator < 0:
-                return f"f_{i + 1},{j + 1} negative"
-    for i, row in enumerate(inst.linear):
-        for j, c in enumerate(row):
-            if c is INF:
-                continue
-            if not isinstance(c, Fraction):
-                return f"c_{i + 1},{j + 1} must be a rational or inf"
-            if c.numerator < 0:
-                return f"c_{i + 1},{j + 1} negative"
-    if sum(inst.supplies) != sum(inst.demands):
-        return "sum(a) != sum(b)"
-    return None
-
-
-def _nonnegative_rationals(rows, allow_inf: bool) -> bool:
-    """True when every entry is a Fraction >= 0, or INF where allowed.
-
-    Each distinct row object is read once.  A row whose last entry is its
-    first object, and which equals a tuple of that object alone, takes its
-    sign from that entry; that tuple comparison stops at the first entry
-    that differs, where row.count(row[0]) would call Fraction.__eq__ on
-    every other entry.  Its types are still read, since 1, 1.0 and True all
-    equal Fraction(1).  Other rows are read entry by entry.
-    """
-    types = {Fraction, _Infinity} if allow_inf else {Fraction}
-    for row in dict(zip(map(id, rows), rows)).values():
-        first = row[0]
-        if row[-1] is first and row == (first,) * len(row):
-            if not (types.issuperset(map(type, row)) and (first is INF or first.numerator >= 0)):
-                return False
-        else:
-            for x in row:
-                if x is INF:
-                    if not allow_inf:
-                        return False
-                elif not isinstance(x, Fraction) or x.numerator < 0:
-                    return False
-    return True
-
-
-def check_instance(inst: Instance) -> None:
-    """Raise InstanceError unless inst's parts meet the input contract.
-
-    Shapes come first.  Then a cheap pass, over each distinct row object
-    once, accepts valid parts; only when it fails does validate_instance's
-    walk name the first violation.
-    """
-    n, m = len(inst.supplies), len(inst.demands)
-    if len(inst.fixed) != n or len(inst.linear) != n:
-        raise InstanceError("cost matrices must have one row per source")
-    if n and {*map(len, inst.fixed), *map(len, inst.linear)} != {m}:
-        raise InstanceError("cost matrices must have one column per sink")
-    sides = (*inst.supplies, *inst.demands)
-    if (
-        n and m
-        and set(map(type, sides)) == {int}
-        and min(sides) > 0
-        and _nonnegative_rationals(inst.fixed, False)
-        and _nonnegative_rationals(inst.linear, True)
-        and sum(inst.supplies) == sum(inst.demands)
-    ):
-        return
-    report = validate_instance(inst)
-    if report is not None:
-        raise InstanceError(report)
-
-
-def check_epsilon(eps) -> Fraction:
-    """eps as a Fraction; FctpError unless it is an int (not a bool) or a
-    Fraction, so a float's binary expansion never becomes an exact eps."""
-    if not (_is_int(eps) or isinstance(eps, Fraction)):
-        raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
-    return Fraction(eps)
-
-
 @dataclass(frozen=True)
 class VariantTag:
-    """Which restricted variants an instance belongs to.
-
-    ``pure_modulo_forbidden`` marks instances whose linear costs are all 0 or
-    INF; reductions produce these to express missing edges in an otherwise
-    pure instance.
+    """Which restricted variants an instance belongs to, read exactly from
+    its cost matrices: ``pure`` (c == 0), ``sink_independent`` (f_ij = f_i),
+    ``uniform`` (f == 1).  ``pure_modulo_forbidden`` marks instances whose
+    linear costs are all 0 or INF, which pure implies; reductions produce
+    these to express missing edges in an otherwise pure instance.
     """
 
     pure: bool
@@ -343,46 +252,98 @@ class VariantTag:
     pure_modulo_forbidden: bool
 
 
-def classify_variant(inst: Instance) -> VariantTag:
-    """Compute variant tags exactly from the cost matrices, in one pass.
+def _read_instance(inst) -> tuple[str | None, VariantTag | None]:
+    """The one reading of an instance's parts: (first violation, None), or
+    (None, its VariantTag).
 
-    A row whose last entry is its first object, as in a parsed row, where
-    one object stands for each distinct token, is tested as a whole with
-    row.count(row[0]) == len(row): exact, since count compares with ==, and
-    at C speed, since it compares by identity first.  make_instance maps
-    equal ints to one object, so a constant row it built from ints takes
-    this path too.  Other rows are read entry by entry: comparing numerators
-    and denominators costs less than the Fraction.__eq__ that count would
-    call on each entry.  A row that settles a tag ends the scan for that tag.
+    Shapes come first, then sizes, each supply, each demand, each fixed
+    cost, each linear cost and balance; indices in messages are 1-based to
+    match the file format.  Each distinct row object is read once, in the
+    order of its first index.  A row that starts and ends with one object, as a parsed
+    row of one token does, is constant when it equals a tuple of its last
+    entry and holds only allowed types, on which == is exact (1, 1.0 and
+    True all equal Fraction(1)); its sign and its tags come from that one
+    entry.  Other rows are read entry by entry, without Fraction.__eq__; a
+    row that settles a tag ends the scan for that tag.
     """
+    supplies, demands = inst.supplies, inst.demands
+    n, m = len(supplies), len(demands)
+    if len(inst.fixed) != n or len(inst.linear) != n:
+        return "cost matrices must have one row per source", None
+    if n and {*map(len, inst.fixed), *map(len, inst.linear)} != {m}:
+        return "cost matrices must have one column per sink", None
+    if n < 1:
+        return "n must be >= 1", None
+    if m < 1:
+        return "m must be >= 1", None
+    for name, side in ("a", supplies), ("b", demands):
+        if set(map(type, side)) != {int} or min(side) <= 0:
+            for k, x in enumerate(side, 1):
+                if not _is_int(x) or x <= 0:
+                    return f"{name}_{k} not positive", None
     pure = pure_mod = sink_independent = uniform = True
-    for frow, crow in zip(inst.fixed, inst.linear):
-        if sink_independent:
-            first = frow[0]
-            num, den = first.numerator, first.denominator
-            if frow[-1] is first:
-                sink_independent = frow.count(first) == len(frow)
-            else:
-                for f in frow:
-                    if f is not first and (f.numerator != num or f.denominator != den):
-                        sink_independent = False
+    for name, rows, allowed in (
+        ("f", inst.fixed, {Fraction}),
+        ("c", inst.linear, {Fraction, _Infinity}),
+    ):
+        for row in dict(zip(map(id, rows), rows)).values():
+            last = row[-1]
+            constant = row[0] is last and row == (last,) * m and allowed.issuperset(map(type, row))
+            entries = (last,) if constant else row
+            for x in entries:
+                if not (isinstance(x, Fraction) and x.numerator >= 0 or x is INF and name == "c"):
+                    # Every entry before x's first occurrence, and every row before, passed.
+                    i = next(i for i, r in enumerate(rows, 1) if r is row)
+                    j = next(j for j, y in enumerate(row, 1) if y is x)
+                    if isinstance(x, Fraction):
+                        return f"{name}_{i},{j} negative", None
+                    kind = "a finite rational" if name == "f" else "a rational or inf"
+                    return f"{name}_{i},{j} must be {kind}", None
+            if name == "f" and sink_independent:
+                num, den = last.numerator, last.denominator
+                if not constant:
+                    for f in row:
+                        if f is not last and (f.numerator != num or f.denominator != den):
+                            sink_independent = uniform = False
+                            break
+                uniform = uniform and num == den == 1
+            elif name == "c" and pure_mod:
+                for c in entries:
+                    if c is INF:
+                        pure = False
+                    elif c.numerator:
+                        pure = pure_mod = False
                         break
-            uniform = uniform and sink_independent and num == 1 and den == 1
-        if pure_mod:
-            if crow[-1] is crow[0] and crow.count(crow[0]) == len(crow):
-                crow = crow[:1]
-            for c in crow:
-                if c is INF:
-                    pure = False
-                elif c.numerator:
-                    pure = pure_mod = False
-                    break
-    return VariantTag(
-        pure=pure,
-        sink_independent=sink_independent,
-        uniform=uniform,
-        pure_modulo_forbidden=pure_mod,
-    )
+    if sum(supplies) != sum(demands):
+        return "sum(a) != sum(b)", None
+    return None, VariantTag(pure, sink_independent, uniform, pure_mod)
+
+
+def validate_instance(inst) -> str | None:
+    """None, or the first violation of the input contract that the one
+    reading of inst's parts finds; any object with supplies, demands, fixed
+    and linear is read.  On a constructed Instance this returns None."""
+    return _read_instance(inst)[0]
+
+
+def check_instance(inst) -> None:
+    """Raise InstanceError with validate_instance's report, if there is one."""
+    report = validate_instance(inst)
+    if report is not None:
+        raise InstanceError(report)
+
+
+def classify_variant(inst: Instance) -> VariantTag:
+    """inst's variant tag, read once when inst was built."""
+    return inst._tag
+
+
+def check_epsilon(eps) -> Fraction:
+    """eps as a Fraction; FctpError unless it is an int (not a bool) or a
+    Fraction, so a float's binary expansion never becomes an exact eps."""
+    if not (_is_int(eps) or isinstance(eps, Fraction)):
+        raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
+    return Fraction(eps)
 
 
 @dataclass(frozen=True)
@@ -517,10 +478,13 @@ def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
 
 def serialize_instance(inst: Instance) -> str:
     """The FCT v1 text; each distinct cost object is formatted once per call,
-    keyed by id, which is stable while inst holds the object."""
+    keyed by id, which is stable while inst holds the object.  FctpError for
+    a side or a cost with more digits than Python converts to a string."""
     lines = ["FCT v1", f"{inst.n} {inst.m}"]
-    lines.append(" ".join(str(a) for a in inst.supplies))
-    lines.append(" ".join(str(b) for b in inst.demands))
+    try:
+        lines += [" ".join(map(str, inst.supplies)), " ".join(map(str, inst.demands))]
+    except ValueError:  # more digits than Python converts to a string
+        raise FctpError("supply or demand too long to print") from None
     texts = {}
     for row in inst.fixed + inst.linear:
         out = []

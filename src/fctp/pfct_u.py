@@ -319,16 +319,6 @@ def _two_pointer_fill(inst: Instance, mask: int):
     return components
 
 
-def flow_within_balanced_sets(inst: Instance, parts) -> FlowSolution:
-    """Greedy within-part routing; edge count is sum(|part| - 1) per part."""
-    entries: dict[tuple[int, int], Fraction] = {}
-    for part in parts:
-        for _, edges in _two_pointer_fill(inst, part):
-            for i, j, amount in edges:
-                entries[(i, j)] = Fraction(amount)
-    return FlowSolution(entries=entries)
-
-
 def solve_pfct_u(
     inst: Instance, mode: str = "exact", swap_size: int = 2
 ) -> tuple[tuple[int, ...], FlowSolution]:
@@ -366,14 +356,17 @@ def solve_pfct_u(
             if len(parts) > len(best_parts):
                 best_parts = parts
 
-    # Residual vertex v is the v-th vertex no pair took.
+    # Residual vertex v is the v-th vertex no pair took.  Each part, pairs
+    # first, is swept once: its components are the final parts, and their
+    # edges, sum(|part| - 1) per part, the flow.
     kept = list(_bits(((1 << (inst.n + inst.m)) - 1) ^ sum(pairs)))
-    final_parts = list(pairs)
-    for part in best_parts:
-        original = _mask(kept[v] for v in _bits(part))
-        final_parts.extend(sub_mask for sub_mask, _ in _two_pointer_fill(inst, original))
-    parts = tuple(final_parts)
-    return parts, flow_within_balanced_sets(inst, parts)
+    parts, entries = [], {}
+    for original in pairs + [_mask(kept[v] for v in _bits(part)) for part in best_parts]:
+        for sub_mask, edges in _two_pointer_fill(inst, original):
+            parts.append(sub_mask)
+            for i, j, amount in edges:
+                entries[(i, j)] = Fraction(amount)
+    return tuple(parts), FlowSolution(entries=entries)
 
 
 # ---------------------------------------------------------------------------

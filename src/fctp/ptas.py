@@ -129,7 +129,7 @@ def forest_combinations(edges, n: int, size: int):
 def ptas_solve(inst: Instance, eps) -> FlowSolution:
     """Best-of-all-guesses solution; cost at most (1 + eps) times optimal."""
     tag = classify_variant(inst)
-    if not (tag.pure or tag.pure_modulo_forbidden):
+    if not tag.pure_modulo_forbidden:
         raise VariantError("requires PFCT")
     eps = check_epsilon(eps)
     if eps <= 0:

@@ -17,6 +17,7 @@ from fctp.model import (
     integer_scaled,
     signed_weights,
     subset_sums,
+    two_pointer_steps,
 )
 from fctp.pfct_s import greedy_solve, pi, sorted_view
 from fctp.transport import cancel_cycles, int_transportation, solve_transportation, walk_support
@@ -127,6 +128,19 @@ def validate_partition(inst, parts):
     if seen != (1 << len(weights)) - 1:
         return "partition does not cover all sources and sinks"
     return None
+
+
+def flow_within_balanced_sets(inst, parts):
+    """Greedy within-part routing: each part's sources and sinks, in index
+    order, joined by the two-pointer sweep; entries in part order."""
+    entries = {}
+    for part in parts:
+        sources = [i for i in range(inst.n) if part >> i & 1]
+        sinks = [j for j in range(inst.m) if part >> (inst.n + j) & 1]
+        supplies, demands = [inst.supplies[i] for i in sources], [inst.demands[j] for j in sinks]
+        for p, q, amount in two_pointer_steps(supplies, demands):
+            entries[(sources[p], sinks[q])] = Fraction(amount)
+    return FlowSolution(entries=entries)
 
 
 def validate_instance_by_walk(inst):

@@ -15,6 +15,7 @@ from util import e1_instance
 
 from fctp import pfct_s
 from fctp.cli import (
+    MAX_BENCH_ROWS,
     _bench_rows,
     _parse_fraction,
     _read,
@@ -26,8 +27,10 @@ from fctp.cli import (
 )
 from fctp.errors import FctpError
 from fctp.generators import generate
+from fctp.reductions import make_threedm, threedm_to_pfct_u
 from fctp.model import (
     INF,
+    MAX_COST_DIGITS,
     make_instance,
     parse_instance,
     parse_solution,
@@ -449,6 +452,28 @@ def test_generate_3dm_accepts_n_10_and_refuses_n_41000(tmp_path, capsys):
     assert capsys.readouterr().err == "error: independence check too large to enumerate\n"
 
 
+def test_generate_3dm_refuses_a_side_past_the_digit_limit(tmp_path, capsys):
+    # A 121-digit delta builds sides that fctp solve would refuse; a
+    # 4300-digit one, sides past what str() converts.  Both are refused
+    # before any text is written.
+    src = tmp_path / "t.3dm"
+    src.write_text("3DM v1\n2 3\n1 1 1\n2 2 2\n1 2 1\n")
+    out = tmp_path / "t.fct"
+    for delta in ("1" + "0" * 120, "9" * 4300):
+        argv = ["generate", "--from", "3dm", "--input", str(src), "--out", str(out)]
+        assert main(argv + ["--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a generated supply or demand has more than {MAX_COST_DIGITS} digits\n"
+        )
+        assert not out.exists()
+    tdm = make_threedm(2, [(0, 0, 0), (1, 1, 1), (0, 1, 0)])
+    inst, _ = threedm_to_pfct_u(tdm, delta=10**4300)
+    with pytest.raises(FctpError, match="^supply or demand too long to print$"):
+        serialize_instance(inst)
+
+
 def test_bench_roundtrip(tmp_path, capsys):
     config = tmp_path / "bench.json"
     config.write_text(
@@ -740,6 +765,9 @@ _GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}
             ]
         },
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "family": "fct", "params": {"generator": {"halves": 1}}}]},
+        # Too many rows, refused from their counts: no list of seeds is built.
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "seeds": 10**30}]},
+        {"rows": [{**_GOOD_ROW, "sizes": [[2, 3], [3, 4]], "seeds": MAX_BENCH_ROWS // 2 + 1}]},
     ],
 )
 def test_bench_rejects_malformed_config_before_any_row(tmp_path, capsys, config):

@@ -115,6 +115,7 @@ def test_inf_survives_copy_and_pickle_and_refuses_ordering():
     for clone in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
         assert clone == inst
         assert clone.linear[1][0] is INF
+        assert classify_variant(clone) == classify_variant(inst)
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         for left, right in ((INF, 0), (0, INF), (INF, INF)):
             with pytest.raises(TypeError):
@@ -483,6 +484,7 @@ def _builds_or_refuses_as_the_reference(build, parts):
             build()
         return False
     inst = build()
+    assert classify_variant(inst) == classify_variant_per_entry(inst)
     text = serialize_instance(inst)
     assert parse_instance(text) == inst
     assert serialize_instance(parse_instance(text)) == text
@@ -509,6 +511,25 @@ def test_every_constructor_refuses_what_the_reference_walk_refuses(parts, kept):
     _builds_or_refuses_as_the_reference(
         lambda: dataclasses.replace(base, **changes), vars(base) | changes
     )
+
+
+def test_the_stored_tag_follows_replace_and_stays_out_of_eq_hash_repr():
+    inst = make_instance((1, 1), (2,), [[1], [1]], [[0], [0]])
+    assert classify_variant(inst) == VariantTag(True, True, True, True)
+    # A replaced row is read again.
+    for changes, tag in (
+        ({"fixed": ((Fraction(1),), (Fraction(2),))}, VariantTag(True, True, False, True)),
+        ({"linear": ((Fraction(0),), (INF,))}, VariantTag(False, True, True, True)),
+        ({"linear": ((Fraction(0),), (Fraction(1),))}, VariantTag(False, True, True, False)),
+    ):
+        assert classify_variant(dataclasses.replace(inst, **changes)) == tag
+    # The tag is no field: an instance holding another one is equal, hashes
+    # and prints the same.
+    other = dataclasses.replace(inst)
+    object.__setattr__(other, "_tag", VariantTag(False, False, False, False))
+    assert other == inst and hash(other) == hash(inst) and repr(other) == repr(inst)
+    names = [f.name for f in dataclasses.fields(Instance)]
+    assert names == ["supplies", "demands", "fixed", "linear"]
 
 
 def test_a_bool_side_is_refused():

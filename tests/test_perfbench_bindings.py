@@ -52,3 +52,26 @@ def test_every_import_is_used_or_traced():
         if (path.stem, name) not in traced
     ]
     assert unused == []
+
+
+def test_every_private_helper_is_read():
+    # A top-level _name in src/fctp that nothing in src/ reads, by name or
+    # as an attribute, is dead code: a helper its last caller left behind.
+    package = TRACING.parent.parent / "src" / "fctp"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read) == []

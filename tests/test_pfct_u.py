@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import validate_partition
+from reference import flow_within_balanced_sets, validate_partition
 from util import is_forest
 
 from fctp import oracle
@@ -18,7 +18,6 @@ from fctp.model import uniform_pure_instance
 from fctp.pfct_u import (
     enumerate_balanced_sets,
     exact_packing,
-    flow_within_balanced_sets,
     local_search_packing,
     PackingInstance,
     preprocess_matched_pairs,
@@ -435,6 +434,12 @@ def test_flow_within_balanced_sets_examples():
     inst = uniform_pure_instance((1, 1, 4), (2, 4))
     flow = flow_within_balanced_sets(inst, (1 << 2 | 1 << 4,))
     assert flow.entries == {(2, 1): Fraction(4)}
+
+    # solve_pfct_u routes its parts as this reference does, in the same order.
+    for inst in _pfct_u_pinned_cases():
+        parts, flow = solve_pfct_u(inst, mode="ls", swap_size=2)
+        routed = flow_within_balanced_sets(inst, parts)
+        assert list(flow.entries.items()) == list(routed.entries.items())
 
 
 def test_certificate_nominal():
