@@ -8,7 +8,10 @@ each tree rooted at its lowest vertex, and at every vertex round the child
 edges carrying less than eps' p_e to 0 or eps' p_e without raising the cost;
 rescale each source's outgoing flow so supplies are met exactly.  Each sink
 then receives within (1 +/- eps) of its demand and the cost is at most
-K(eps') times the LP value with K(t) = 1 / (t (1 - 2t)).
+K(eps') times the LP value with K(t) = 1 / (t (1 - 2t)).  The small-edge
+test and the rescale run on ints over eps'.denominator q: each rounded flow
+is an LP flow or eps' p, so q times it is an int, and each output entry is
+one Fraction(q x a_i, q times source i's rounded outflow).
 
 The public eps is pre-shrunk internally to eps' = eps / 4, which guarantees
 (1 - 2 eps') / (1 + eps') >= 1 - eps and (1 + eps') / (1 - 2 eps') <= 1 + eps
@@ -61,26 +64,35 @@ def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
     group cost sum (c + f/p) x' never grows.  Mass moves from expensive
     small edges to cheap ones (cheapest unit rate filled first), the final
     leftover fragment is dropped, and zeroed edges leave the returned flow.
-    A support with a cycle is rejected, and so is an eps that
-    model.check_epsilon refuses, such as a float.
+    With eps = r/q, x < eps p is tested in ints, x.numerator q < r p
+    x.denominator, so only small edges meet Fraction arithmetic.  Flows must
+    be ints (not bools) or Fractions on edges of the instance; a support
+    with a cycle is rejected, and so is an eps that model.check_epsilon
+    refuses, such as a float.
     """
     eps = check_epsilon(eps)
-    parents, cycle = walk_support(inst.n, flow)
+    n, r, q = inst.n, eps.numerator, eps.denominator
+    small = []
+    for (i, j), x in flow.items():
+        if not (0 <= i < n and 0 <= j < inst.m):
+            raise FctpError(f"edge ({i + 1}, {j + 1}) out of range")
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}")
+        if x.numerator * q < r * capacity(inst, i, j) * x.denominator:
+            small.append((i, j))
+    parents, cycle = walk_support(n, flow)
     if cycle is not None:
         raise FctpError("non-tree support")
     children: dict[int, list[tuple[int, int]]] = {}
-    for i, j in flow:
-        parent = i if parents[inst.n + j] == i else inst.n + j
+    for i, j in small:
+        parent = i if parents[n + j] == i else n + j
         children.setdefault(parent, []).append((i, j))
 
     rounded = dict(flow)
     for edges in children.values():
-        small = [e for e in edges if flow[e] < eps * capacity(inst, *e)]
-        if not small:
-            continue
-        mass = sum((flow[e] for e in small), Fraction(0))
-        small.sort(key=lambda e: (_unit_rate(inst, *e), e))
-        for e in small:
+        mass = sum((flow[e] for e in edges), Fraction(0))
+        edges.sort(key=lambda e: (_unit_rate(inst, *e), e))
+        for e in edges:
             cap = eps * capacity(inst, *e)
             if mass >= cap:
                 rounded[e] = cap
@@ -109,12 +121,14 @@ def solve_bicriteria(
     lp_value = objective / common
 
     unscaled = round_tree(inst, lp_sol.entries, internal)
-    row_sums = FlowSolution(entries=unscaled).row_sums(inst.n)
-    for i in range(inst.n):
-        # Rounding keeps every row sum strictly inside ((1-2eps')a_i, (1+eps')a_i].
-        if row_sums[i] <= 0:
-            raise FctpError("rounding emptied a source row")
-    scaled = {(i, j): x * inst.supplies[i] / row_sums[i] for (i, j), x in unscaled.items()}
+    q = internal.denominator  # q x is an int: each rounded x is an LP flow or eps' p
+    ints = {e: x.numerator * (q // x.denominator) for e, x in unscaled.items()}
+    rows = [0] * inst.n
+    for (i, _), x in ints.items():
+        rows[i] += x
+    if not all(rows):  # rounding keeps each row sum in ((1-2eps')a_i, (1+eps')a_i]
+        raise FctpError("rounding emptied a source row")
+    scaled = {(i, j): Fraction(x * inst.supplies[i], rows[i]) for (i, j), x in ints.items()}
     flow = FlowSolution(entries=scaled, relaxation=eps)
     report = BicriteriaReport(
         lp_value=lp_value,

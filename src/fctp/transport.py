@@ -132,10 +132,10 @@ def _shortest_paths(supplies, demands, iw) -> dict:
             target = min(popped, default=-1)
         else:
             dist: list[int | None] = [None] * (n + m)
-            # The arc into each reached node: (par_i[v], par_j[v]), forward
-            # when v is sink par_j[v]; par_i[v] < 0 at a start source.
-            par_i = [-1] * (n + m)
-            par_j = [-1] * (n + m)
+            # par[v]: the node the arc into reached node v leaves, a source
+            # when v is a sink (forward arc) and a sink when v is a source
+            # (backward arc); -1 at a start source.
+            par = [-1] * (n + m)
             # The first layer, from the table; every later push stamps after
             # the seeded stamps i * m + j.
             shared = pot[live[0]]  # the potential of every source in live
@@ -147,8 +147,7 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                     v = n + j
                     d = shared + best_w[j] - pot[v]
                     dist[v] = d
-                    par_i[v] = i
-                    par_j[v] = j
+                    par[v] = i
                     heap.append((d, i * m + j, v))
             heapify(heap)
             counter = n * m
@@ -161,13 +160,12 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                 continue
             if v < n:
                 base = d + pot[v]
-                for u, j, x in adj[v]:
+                for u, _, x in adj[v]:
                     nd = base + x - pot[u]
                     du = dist[u]
                     if du is None or nd < du:
                         dist[u] = nd
-                        par_i[u] = v
-                        par_j[u] = j
+                        par[u] = v
                         heappush(heap, (nd, counter, u))
                         counter += 1
             else:
@@ -189,8 +187,7 @@ def _shortest_paths(supplies, demands, iw) -> dict:
                     di = dist[i]
                     if di is None or nd < di:
                         dist[i] = nd
-                        par_i[i] = i
-                        par_j[i] = j
+                        par[i] = v
                         heappush(heap, (nd, counter, i))
                         counter += 1
         if target < 0:
@@ -199,11 +196,10 @@ def _shortest_paths(supplies, demands, iw) -> dict:
         # Walk the path back, collecting forward/backward arcs.
         path = []
         v = target
-        while par_i[v] >= 0:
-            i, j = par_i[v], par_j[v]
-            forward = v == n + j
-            path.append((i, j, forward))
-            v = i if forward else n + j
+        while par[v] >= 0:
+            u = par[v]
+            path.append((u, v - n, True) if v >= n else (v, u - n, False))
+            v = u
         start = v
         path.reverse()
 

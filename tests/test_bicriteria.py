@@ -1,12 +1,14 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 from reference import bicriteria_weights
-from util import raises_instance_error
+from util import is_forest, raises_instance_error
 
 from fctp import bicriteria, oracle
 from fctp.bicriteria import capacity, cost_factor, round_tree, solve_bicriteria
@@ -143,6 +145,52 @@ def test_round_tree_rejects_cycles():
     cycle = {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(1), (1, 1): Fraction(1)}
     with pytest.raises(FctpError, match="non-tree support"):
         round_tree(inst, cycle, Fraction(1, 8))
+
+
+def test_round_tree_refuses_flows_that_are_not_ints_or_fractions():
+    # A float flow used to be rounded in float arithmetic and returned as
+    # floats; a str met a bare TypeError.
+    inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    floats = {(0, 0): 2.0, (0, 1): 0.1, (1, 1): 1.9}
+    with pytest.raises(FctpError, match="flows must be ints or Fractions, not float"):
+        round_tree(inst, floats, Fraction(1, 4))
+    for bad in ("1/10", True, None, 0.0):
+        flow = {(0, 0): 2, (0, 1): bad, (1, 1): Fraction(19, 10)}
+        with pytest.raises(FctpError, match=f"flows must be ints or Fractions, not {type(bad).__name__}"):
+            round_tree(inst, flow, Fraction(1, 4))
+
+
+def test_round_tree_refuses_edges_out_of_range():
+    inst = make_instance((2, 2), (2, 2), [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    for edge, label in (((2, 0), "(3, 1)"), ((0, 2), "(1, 3)"), ((-1, 0), "(0, 1)"), ((0, -1), "(1, 0)")):
+        flow = {(0, 0): Fraction(2), edge: Fraction(1, 10)}
+        with pytest.raises(FctpError, match=re.escape(f"edge {label} out of range")):
+            round_tree(inst, flow, Fraction(1, 4))
+
+
+@st.composite
+def forest_flows(draw):
+    """(instance, int forest flow, eps): allowed edges drawn in a random
+    order and kept while the support stays a forest, flows from 0 to twice
+    p, and an eps up to 1 so that any edge can be small."""
+    inst = draw(fractional_instances())
+    cells = list(inst.edges())
+    flow = {}
+    for e in draw(st.permutations(cells)):
+        if is_forest([*flow, e]) and draw(st.booleans()):
+            flow[e] = draw(st.integers(0, 2 * capacity(inst, *e)))
+    eps = draw(st.fractions(0, 1, max_denominator=60).filter(bool))
+    return inst, flow, eps
+
+
+@given(forest_flows())
+def test_round_tree_reads_an_int_flow_as_its_fractions(case):
+    inst, flow, eps = case
+    as_fractions = {e: Fraction(x) for e, x in flow.items()}
+    out = round_tree(inst, flow, eps)
+    assert list(out.items()) == list(round_tree(inst, as_fractions, eps).items())
+    # A kept flow keeps its type, and a raised one is a Fraction.
+    assert all(type(x) is (int if out[e] == flow[e] else Fraction) for e, x in out.items())
 
 
 def test_epsilon_validation():
@@ -282,6 +330,70 @@ def test_bicriteria_fractional_output_pinned():
                 f"{format_rational(report.actual_cost)}\n".encode()
             )
     assert digest.hexdigest() == "6e66839740b2e77273b895df5935b28e628fe4808aa08359ce367d337f32b3f8"
+
+
+def _hub_instance(rng):
+    """A hub sink fed by all of source 0 and by a sliver of each spoke
+    source, whose rest goes to a sink of its own.  Every other edge is
+    forbidden, so the LP flow is forced, and slivers below eps' p are the
+    hub's small child edges: some are zeroed and some raised to eps' p."""
+    k = rng.randint(3, 8)
+    spokes = [rng.randint(20, 200) for _ in range(k)]
+    slivers = [rng.randint(1, s // 8) for s in spokes]
+    a0 = rng.randint(1, 300)
+    supplies = [a0, *spokes]
+    demands = [a0 + sum(slivers), *(s - x for s, x in zip(spokes, slivers))]
+    fixed = [[rng.randint(0, 30) for _ in range(k + 1)] for _ in range(k + 1)]
+    linear = [
+        [Fraction(rng.randint(0, 12), rng.randint(1, 3)) if j in (0, i) else INF for j in range(k + 1)]
+        for i in range(k + 1)
+    ]
+    return make_instance(supplies, demands, fixed, linear)
+
+
+def test_bicriteria_output_pinned_at_non_unit_eps():
+    # Every other pin runs at eps = 1/k, so the internal eps' = eps/4 = r/q
+    # always has r = 1.  Here eps' is 3/64, 1/18, 1/52 and 3/52.  The LP
+    # flows of the two pinned case sets are ints of at least eps' p, so
+    # rounding leaves them as they are; the 40 hub instances are rounded at
+    # 125 of their 160 solves.  Recorded before the small-edge test and the
+    # rescale moved to ints over q.
+    rng = random.Random(4242)
+    hubs = [_hub_instance(rng) for _ in range(40)]
+    digest = hashlib.sha256()
+    for inst in chain(_bicriteria_pinned_cases(), _fractional_pinned_cases(), hubs):
+        for eps in (Fraction(3, 16), Fraction(2, 9), Fraction(1, 13), Fraction(3, 13)):
+            try:
+                flow, report = solve_bicriteria(inst, eps)
+            except InfeasibleError:
+                digest.update(b"infeasible\n")
+                continue
+            digest.update(serialize_solution(flow).encode())
+            digest.update(
+                f"{format_rational(report.lp_value)} {format_rational(report.cost_bound)} "
+                f"{format_rational(report.actual_cost)}\n".encode()
+            )
+    assert digest.hexdigest() == "34df7cab4ac790179feab5bd83e37a83a9ae1db82d8d0957cb8d4bfd7d7a7aee"
+
+
+def test_one_solve_reaches_each_traced_binding_once(monkeypatch):
+    # The traced benchmark times bicriteria.solve_transportation and
+    # bicriteria.round_tree by replacing these module attributes, so a solve
+    # that bypassed either would read 0 in those rows.
+    calls = []
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    for name in ("solve_transportation", "round_tree"):
+        monkeypatch.setattr(bicriteria, name, counting(name, getattr(bicriteria, name)))
+    for inst in (generate("fct", 3, 5, 0), generate("fct", 10, 20, 1)):
+        calls.clear()
+        solve_bicriteria(inst, Fraction(1, 4))
+        assert calls == ["solve_transportation", "round_tree"]
 
 
 @st.composite

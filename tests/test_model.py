@@ -307,12 +307,15 @@ def test_classify_matches_four_pass_definition():
 
 
 def test_classify_matches_the_per_entry_scan():
-    # The per-entry scan that the row.count(row[0]) test replaced where a
-    # row's last entry is its first object.  make_instance builds equal but
-    # distinct Fractions, a parsed instance shares one object per token, and
-    # the drawn rows themselves repeat pool objects next to equal distinct
-    # ones (1 and 2/2, 3/2 and 6/4, 0 and 0/7).  Every third draw starts a
-    # linear row with INF or mixes INF and 0 in it.
+    # The tag model._read_instance stores at construction, against
+    # reference.classify_variant_per_entry and the four-pass
+    # reference_classify, on rows whose last entry is their first object:
+    # _read_instance tests such a row for being constant with one tuple
+    # comparison and reads its tags from that entry alone.  make_instance
+    # builds equal but distinct Fractions, a parsed instance shares one
+    # object per token, and the drawn rows themselves repeat pool objects
+    # next to equal distinct ones (1 and 2/2, 3/2 and 6/4, 0 and 0/7).
+    # Every third draw starts a linear row with INF or mixes INF and 0 in it.
     rng = random.Random(16)
     fixed_values = [Fraction(1), Fraction(2, 2), Fraction(0), Fraction(3, 2), Fraction(6, 4)]
     linear_values = [INF, Fraction(0), Fraction(0, 7), Fraction(1, 3)]

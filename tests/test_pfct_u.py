@@ -380,8 +380,11 @@ def _pfct_u_pinned_cases():
 
 
 def test_pfct_u_output_pinned():
-    # Recorded before the solver's own routing loop was replaced by
-    # flow_within_balanced_sets: any change in the parts, their order or
+    # Recorded while the solver routed its parts with its own loop, the one
+    # tests/reference.py keeps as flow_within_balanced_sets; the solver now
+    # routes with pfct_u._two_pointer_fill, and
+    # test_flow_within_balanced_sets_examples checks that both give the same
+    # entries in the same order.  Any change in the parts, their order or
     # the routed flow changes this digest.
     digest = hashlib.sha256()
     for inst in _pfct_u_pinned_cases():
