@@ -2,16 +2,17 @@
 
 Pipeline: solve the linear relaxation with capacity-normalized weights
 c_ij + f_ij / p_ij where p_ij = min(a_i, b_j), handed to the transport core
-as ints over their least common denominator by transport.balinski_weights,
-the builder the PTAS's lower bound shares; walk the LP's forest once,
-each tree rooted at its lowest vertex, and at every vertex round the child
-edges carrying less than eps' p_e to 0 or eps' p_e without raising the cost;
-rescale each source's outgoing flow so supplies are met exactly.  Each sink
-then receives within (1 +/- eps) of its demand and the cost is at most
-K(eps') times the LP value with K(t) = 1 / (t (1 - 2t)).  The small-edge
-test and the rescale run on ints over eps'.denominator q: each rounded flow
-is an LP flow or eps' p, so q times it is an int, and each output entry is
-one Fraction(q x a_i, q times source i's rounded outflow).
+as ints over s L (s scaling the costs to ints, L the lcm of the distinct p)
+by transport.balinski_weights, the builder the PTAS's lower bound shares;
+walk the LP's forest once, each tree rooted at its lowest vertex, and at
+every vertex round the child edges carrying less than eps' p_e to 0 or
+eps' p_e without raising the cost; rescale each source's outgoing flow so
+supplies are met exactly.  Each sink then receives within (1 +/- eps) of
+its demand and the cost is at most K(eps') times the LP value with
+K(t) = 1 / (t (1 - 2t)).  The small-edge test and the rescale run on ints
+over eps'.denominator q: each rounded flow is an LP flow or eps' p, so q
+times it is an int, and each output entry is one Fraction(q x a_i, q times
+source i's rounded outflow).
 
 The public eps is pre-shrunk internally to eps' = eps / 4, which guarantees
 (1 - 2 eps') / (1 + eps') >= 1 - eps and (1 + eps') / (1 - 2 eps') <= 1 + eps
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FctpError
-from .model import FlowSolution, Instance, check_epsilon, evaluate_cost
+from .model import INF, FlowSolution, Instance, check_epsilon, evaluate_cost, is_int
 from .transport import balinski_weights, solve_transportation, walk_support
 
 
@@ -66,9 +67,9 @@ def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
     leftover fragment is dropped, and zeroed edges leave the returned flow.
     With eps = r/q, x < eps p is tested in ints, x.numerator q < r p
     x.denominator, so only small edges meet Fraction arithmetic.  Flows must
-    be ints (not bools) or Fractions on edges of the instance; a support
-    with a cycle is rejected, and so is an eps that model.check_epsilon
-    refuses, such as a float.
+    be nonnegative ints (not bools) or Fractions on allowed edges of the
+    instance; a support with a cycle is rejected, and so is an eps that
+    model.check_epsilon refuses, such as a float.
     """
     eps = check_epsilon(eps)
     n, r, q = inst.n, eps.numerator, eps.denominator
@@ -76,8 +77,12 @@ def round_tree(inst: Instance, flow: dict, eps: Fraction) -> dict:
     for (i, j), x in flow.items():
         if not (0 <= i < n and 0 <= j < inst.m):
             raise FctpError(f"edge ({i + 1}, {j + 1}) out of range")
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        if not (is_int(x) or isinstance(x, Fraction)):
             raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}")
+        if x < 0:
+            raise FctpError(f"negative flow on edge ({i + 1}, {j + 1})")
+        if inst.linear[i][j] is INF:
+            raise FctpError(f"infeasible edge used: ({i + 1}, {j + 1})")
         if x.numerator * q < r * capacity(inst, i, j) * x.denominator:
             small.append((i, j))
     parents, cycle = walk_support(n, flow)

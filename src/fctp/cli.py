@@ -27,6 +27,7 @@ from .model import (
     LineReader,
     evaluate_cost,
     format_rational,
+    is_int,
     parse_instance,
     parse_int_token,
     parse_solution,
@@ -100,6 +101,7 @@ def _dispatch_solver(inst, variant, options):
         if options["mode"] == "ls":
             parameters["swap"] = options["swap"]
     if options["epsilon"] is not None:
+        eps = _parse_fraction(options["epsilon"])
         parameters["epsilon"] = options["epsilon"]
     elif variant in ("fct-bicriteria", "pfct-ptas"):
         raise FctpError(f"--epsilon is required for {variant}")
@@ -114,13 +116,13 @@ def _dispatch_solver(inst, variant, options):
     elif variant == "fct-u":
         flow, algorithm = solve_fct_u(inst), "linear-then-forest"
     elif variant == "fct-bicriteria":
-        flow, report = solve_bicriteria(inst, _parse_fraction(options["epsilon"]))
+        flow, report = solve_bicriteria(inst, eps)
         parameters["lp_value"] = format_rational(report.lp_value)
         parameters["cost_bound"] = format_rational(report.cost_bound)
         # solve_bicriteria has already costed its flow.
         return flow, report.actual_cost, "bicriteria-rounding", parameters
     elif variant == "pfct-ptas":
-        flow = ptas_solve(inst, _parse_fraction(options["epsilon"]))
+        flow = ptas_solve(inst, eps)
         algorithm = "guess-expensive-edges"
     else:
         raise FctpError(f"unknown variant {variant!r}")
@@ -193,15 +195,9 @@ def cmd_certify(args) -> int:
     except CertificateError as exc:
         print(f"certificate invalid: {exc}", file=sys.stderr)
         return 1
-    primal = " ".join(
-        f"{key}={format_rational(value)}" for key, value in cert.primal.items()
-    )
-    dual = " ".join(
-        f"{key}={format_rational(value)}" for key, value in cert.dual.items()
-    )
     print("factor-revealing LP certificate")
-    print(f"primal: {primal}")
-    print(f"dual: {dual}")
+    for side, values in (("primal", cert.primal), ("dual", cert.dual)):
+        print(f"{side}: " + " ".join(f"{k}={format_rational(x)}" for k, x in values.items()))
     print(f"value: {format_rational(cert.value)}")
     return 0
 
@@ -321,10 +317,6 @@ def _check(ok: bool, message: str) -> None:
         raise FctpError(f"bench config: {message}")
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # JSON true and false are bools, not counts
-
-
 # The most rows (sizes times seeds, over all blocks) a bench config may ask for.
 MAX_BENCH_ROWS = 10**5
 
@@ -344,31 +336,33 @@ def _bench_rows(config) -> list[tuple]:
         )
         _check(isinstance(block.get("params", {}), dict), "'params' must be an object")
         params = {**SOLVE_DEFAULTS, "generator": {}, **block.get("params", {})}
-        _check(_is_int(params["swap"]), "'swap' must be an integer")
-        _check(_is_int(params["guard"]), "'guard' must be an integer")
-        epsilon = params["epsilon"]
+        _check(params["mode"] in ("exact", "ls"), "'mode' must be \"exact\" or \"ls\"")
+        _check(is_int(params["swap"]), "'swap' must be an integer")
+        _check(is_int(params["guard"]), "'guard' must be an integer")
+        epsilon, generator = params["epsilon"], params["generator"]
         _check(
-            epsilon is None or isinstance(epsilon, str) or _is_int(epsilon),
+            epsilon is None or isinstance(epsilon, str) or is_int(epsilon),
             "'epsilon' must be a string 'p/q' or an integer",
         )
-        generator = params["generator"]
         _check(isinstance(generator, dict), "'generator' must be an object")
-        if family in generators.FAMILIES:  # otherwise the row records the unknown family
-            try:
+        try:
+            if epsilon is not None:
+                _parse_fraction(epsilon)
+            if family in generators.FAMILIES:  # otherwise the row records the unknown family
                 generators.check_options(family, generator)
-            except FctpError as exc:
-                raise FctpError(f"bench config: {exc}") from None
+        except FctpError as exc:
+            raise FctpError(f"bench config: {exc}") from None
         seeds, base = block.get("seeds", []), block.get("seed_base", 0)
-        _check(_is_int(base), "'seed_base' must be an integer")
+        _check(is_int(base), "'seed_base' must be an integer")
         _check(
-            _is_int(seeds) or isinstance(seeds, list) and all(map(_is_int, seeds)),
+            is_int(seeds) or isinstance(seeds, list) and all(map(is_int, seeds)),
             "'seeds' must be an integer or a list of integers",
         )
         sizes = block.get("sizes", [])
         _check(
             isinstance(sizes, list)
             and all(isinstance(size, list) and len(size) == 2 for size in sizes)
-            and all(_is_int(k) and k >= 1 for size in sizes for k in size),
+            and all(is_int(k) and k >= 1 for size in sizes for k in size),
             "'sizes' must be a list of [n, m] pairs of positive integers",
         )
         _check(
@@ -376,9 +370,9 @@ def _bench_rows(config) -> list[tuple]:
             f"a size in 'sizes' can exceed {generators.MAX_CELLS} cells n * m",
         )
         # Counted from the config, before a list of seeds or rows is built.
-        total += len(sizes) * (max(seeds, 0) if _is_int(seeds) else len(seeds))
+        total += len(sizes) * (max(seeds, 0) if is_int(seeds) else len(seeds))
         _check(total <= MAX_BENCH_ROWS, f"more than {MAX_BENCH_ROWS} rows of sizes times seeds")
-        if _is_int(seeds):
+        if is_int(seeds):
             seeds = range(base, base + seeds)
         want_oracle = bool(block.get("oracle", False))
         rows += [

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .errors import FctpError
-from .model import INF, Instance, make_instance, pure_instance, uniform_pure_instance
+from .model import INF, Instance, is_int, make_instance, pure_instance, uniform_pure_instance
 
 
 def split_total(rng: random.Random, total: int, parts: int) -> list[int]:
@@ -151,7 +151,7 @@ def check_options(family: str, options: dict) -> None:
             want = "a number in [0, 1]"
         else:
             least = 1 if (family, key) == ("pfct-s", "max_fixed") else _LEAST[key]
-            ok, want = type(value) is int and value >= least, f"an integer >= {least}"
+            ok, want = is_int(value) and value >= least, f"an integer >= {least}"
         if not ok:
             raise FctpError(f"family {family!r}: {key!r} must be {want}, got {value!r}")
 

@@ -144,8 +144,8 @@ class Instance:
                     yield (i, j)
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool, as check_epsilon reads them."""
+def is_int(x) -> bool:
+    """An int that is not a bool: True and False are not counts or sizes."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -155,7 +155,7 @@ def _ints(values, what: str) -> tuple[int, ...]:
     except TypeError:
         raise FctpError(f"{what} must be a sequence of ints, not {type(values).__name__}") from None
     for x in values:
-        if not _is_int(x):
+        if not is_int(x):
             raise FctpError(f"{what} must be ints, not {type(x).__name__}")
     return tuple(map(int, values))
 
@@ -188,7 +188,7 @@ def make_instance(supplies, demands, fixed, linear) -> Instance:
         # Off the fast path: INF, subclasses of Fraction and int, refusals.
         if isinstance(x, Fraction) or (allow_inf and x is INF):
             return x
-        if _is_int(x):
+        if is_int(x):
             return shared[int(x)]
         want = "ints, Fractions or inf" if allow_inf else "ints or Fractions"
         got = "inf" if x is INF else type(x).__name__
@@ -279,7 +279,7 @@ def _read_instance(inst) -> tuple[str | None, VariantTag | None]:
     for name, side in ("a", supplies), ("b", demands):
         if set(map(type, side)) != {int} or min(side) <= 0:
             for k, x in enumerate(side, 1):
-                if not _is_int(x) or x <= 0:
+                if not is_int(x) or x <= 0:
                     return f"{name}_{k} not positive", None
     pure = pure_mod = sink_independent = uniform = True
     for name, rows, allowed in (
@@ -341,7 +341,7 @@ def classify_variant(inst: Instance) -> VariantTag:
 def check_epsilon(eps) -> Fraction:
     """eps as a Fraction; FctpError unless it is an int (not a bool) or a
     Fraction, so a float's binary expansion never becomes an exact eps."""
-    if not (_is_int(eps) or isinstance(eps, Fraction)):
+    if not (is_int(eps) or isinstance(eps, Fraction)):
         raise FctpError(f"epsilon must be an int or a Fraction, not {type(eps).__name__}")
     return Fraction(eps)
 
@@ -385,12 +385,12 @@ def make_flow(entries, relaxation=None) -> FlowSolution:
             i, j = edge
         except (TypeError, ValueError):
             raise FctpError(f"flow keys must be (source, sink) pairs, not {edge!r}") from None
-        if not (_is_int(i) and _is_int(j)):
+        if not (is_int(i) and is_int(j)):
             raise FctpError(f"flow indices must be ints, not ({i!r}, {j!r})")
         if i < 0 or j < 0:
             raise FctpError(f"edge ({i + 1}, {j + 1}) out of range")
         if not isinstance(x, Fraction):
-            if not _is_int(x):
+            if not is_int(x):
                 raise FctpError(f"flows must be ints or Fractions, not {type(x).__name__}")
             x = Fraction(x)
         if x < 0:

@@ -11,7 +11,8 @@ local search), and keeps the best k.
 
 The worst-case ratio of this scheme is certified by a small factor-revealing
 LP whose exact optimum is 6/5; :func:`verify_factor_revealing_certificate`
-checks the primal and dual solutions in exact rational arithmetic.
+checks a primal and a dual solution of it by weak duality, in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -372,6 +373,17 @@ def solve_pfct_u(
 # ---------------------------------------------------------------------------
 # Factor-revealing LP certificate.
 
+# The LP maximizes r, which is free, over nonnegative x3, x4, x5, x6 and z,
+# subject to these rows: (label, dual multiplier, sense, rhs, coefficients),
+# a variable a row leaves out having coefficient 0.
+_ROWS = (
+    ("(2)", "alpha", "=", 1, {"z": 1, "x3": -1, "x4": -1, "x5": -1, "x6": -1}),
+    ("(3)", "beta", "<=", 0, {"x3": 3, "x4": 4, "x5": 5, "x6": 6, "z": -1}),
+    ("(4)", "y3", "<=", 0, {"r": 1, "z": -1, "x3": Fraction(3, 4)}),
+    ("(5)", "y4", "<=", 0, {"r": 1, "z": -1, "x3": Fraction(3, 5), "x4": Fraction(3, 5)}),
+    ("(6)", "y5", "<=", 0, {"r": 1, "z": -1, "x3": Fraction(1, 2), "x4": Fraction(1, 2),
+                            "x5": Fraction(1, 2)}),
+)
 _PRIMAL = {
     "x3": Fraction(4, 15),
     "x4": Fraction(1, 15),
@@ -390,75 +402,47 @@ _DUAL = {
 _VALUE = Fraction(6, 5)
 
 
+def _overridden(values: dict, overrides, what: str) -> dict:
+    """values with overrides applied, as Fractions; FctpError on a key values lacks."""
+    for key in overrides or {}:
+        if key not in values:
+            raise FctpError(f"unknown {what} key {key!r}; the keys are {', '.join(values)}")
+    return {key: Fraction(value) for key, value in {**values, **(overrides or {})}.items()}
+
+
 def verify_factor_revealing_certificate(
     primal: dict | None = None, dual: dict | None = None
 ) -> LpCertificate:
-    """Exact primal/dual certificate that the factor-revealing LP equals 6/5.
+    """Exact weak-duality certificate that the factor-revealing LP (_ROWS) is 6/5.
 
-    The LP maximizes r subject to
-        (2)  z - (x3 + x4 + x5 + x6)  = 1
-        (3)  3 x3 + 4 x4 + 5 x5 + 6 x6 - z <= 0
-        (4)  r - (z - 3/4 x3) <= 0
-        (5)  r - (z - 3/5 (x3 + x4)) <= 0
-        (6)  r - (z - 1/2 (x3 + x4 + x5)) <= 0
-        (7)  x3, x4, x5, x6, z >= 0
-    The dual argument combines (4), (5), (6) with weights y3, y4, y5 summing
-    to one, then rewrites the result as alpha * (2) - beta * (3) <= alpha.
-    Custom primal/dual values may be passed in to exercise the failure paths;
-    every violated check is reported.
+    The primal point meets every row and is nonnegative; the multipliers of
+    the <= rows are nonnegative; each variable's column of multipliers equals
+    its objective coefficient; and sum y rhs = r = 6/5.  Custom primal/dual
+    values exercise the failure paths: a CertificateError reports every
+    violated check, and a key the LP lacks raises FctpError.
     """
-    p = dict(_PRIMAL)
-    p.update(primal or {})
-    d = dict(_DUAL)
-    d.update(dual or {})
-    p = {key: Fraction(value) for key, value in p.items()}
-    d = {key: Fraction(value) for key, value in d.items()}
-    x3, x4, x5, x6, z, r = (p[key] for key in ("x3", "x4", "x5", "x6", "z", "r"))
-    alpha, beta, y3, y4, y5 = (
-        d[key] for key in ("alpha", "beta", "y3", "y4", "y5")
-    )
+    p = _overridden(_PRIMAL, primal, "primal")
+    d = _overridden(_DUAL, dual, "dual")
     problems: list[str] = []
-
-    if z - (x3 + x4 + x5 + x6) != 1:
-        problems.append("primal constraint (2): z - (x3+x4+x5+x6) != 1")
-    if 3 * x3 + 4 * x4 + 5 * x5 + 6 * x6 - z > 0:
-        problems.append("primal constraint (3): (3x3+4x4+5x5+6x6) - z > 0")
-    if r - (z - Fraction(3, 4) * x3) > 0:
-        problems.append("primal constraint (4): r > z - 3/4 x3")
-    if r - (z - Fraction(3, 5) * (x3 + x4)) > 0:
-        problems.append("primal constraint (5): r > z - 3/5 (x3+x4)")
-    if r - (z - Fraction(1, 2) * (x3 + x4 + x5)) > 0:
-        problems.append("primal constraint (6): r > z - 1/2 (x3+x4+x5)")
-    if any(value < 0 for value in (x3, x4, x5, x6, z)):
-        problems.append("primal constraint (7): nonnegativity violated")
-
-    # Dual chain: r <= y3 (z - 3/4 x3) + y4 (z - 3/5 (x3+x4))
-    #               + y5 (z - 1/2 (x3+x4+x5)) needs y >= 0 summing to 1.
-    if any(value < 0 for value in (y3, y4, y5, beta)):
-        problems.append("dual multipliers must be nonnegative")
-    if y3 + y4 + y5 != 1:
-        problems.append("dual chain: y3 + y4 + y5 != 1")
-    # The combined inequality must equal alpha*(2) - beta*(3), coefficient
-    # by coefficient in (z, x3, x4, x5, x6).
-    coeff_checks = [
-        ("z", y3 + y4 + y5, alpha - beta),
-        (
-            "x3",
-            -(Fraction(3, 4) * y3 + Fraction(3, 5) * y4 + Fraction(1, 2) * y5),
-            -alpha + 3 * beta,
-        ),
-        ("x4", -(Fraction(3, 5) * y4 + Fraction(1, 2) * y5), -alpha + 4 * beta),
-        ("x5", -Fraction(1, 2) * y5, -alpha + 5 * beta),
-        ("x6", Fraction(0), -alpha + 6 * beta),
-    ]
-    for name, lhs, rhs in coeff_checks:
-        if lhs != rhs:
-            problems.append(f"dual chain: {name} coefficient {lhs} != {rhs}")
-    if alpha != _VALUE:
-        problems.append(f"dual bound is {alpha}, expected {_VALUE}")
-    if r != _VALUE:
-        problems.append(f"primal objective is {r}, expected {_VALUE}")
+    for label, multiplier, sense, rhs, coefficients in _ROWS:
+        lhs = sum(c * p[key] for key, c in coefficients.items())
+        if lhs > rhs or sense == "=" and lhs < rhs:
+            problems.append(f"primal row {label}: {lhs} {sense} {rhs} fails")
+        if sense == "<=" and d[multiplier] < 0:
+            problems.append(f"dual multiplier {multiplier} of row {label}: {d[multiplier]} < 0")
+    for key, value in p.items():
+        if key != "r" and value < 0:
+            problems.append(f"primal nonnegativity: {key} = {value} < 0")
+        column = sum(d[multiplier] * coefficients.get(key, 0)
+                     for _, multiplier, _, _, coefficients in _ROWS)
+        objective = 1 if key == "r" else 0
+        if column != objective:
+            problems.append(f"dual column {key}: {column} != {objective}")
+    bound = sum(d[multiplier] * rhs for _, multiplier, _, rhs, _ in _ROWS)
+    if bound != _VALUE:
+        problems.append(f"dual bound is {bound}, expected {_VALUE}")
+    if p["r"] != _VALUE:
+        problems.append(f"primal objective is {p['r']}, expected {_VALUE}")
     if problems:
         raise CertificateError("; ".join(problems))
     return LpCertificate(primal=p, dual=d, value=_VALUE)
-

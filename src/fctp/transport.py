@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import FctpError, InfeasibleError
 from .model import INF, FlowSolution, Instance, integer_scaled
@@ -253,33 +253,22 @@ def balinski_weights(inst: Instance) -> tuple[int, list]:
     the most flow an edge can carry, as ints over common, INF where c is INF.
 
     As x <= p forces y >= x/p, the LP over these weights is at most the cost
-    of every flow.  Each weight is (C p + F) / (s p) in lowest terms, with
-    C = c s and F = f s scaled to ints by one s, and common is the lcm of
-    those denominators: the matrix integer_scaled makes of the weights as
-    Fractions, entry for entry.
+    of every flow.  integer_scaled gives C = c s and F = f s, ints over one
+    s; with L the lcm of the distinct capacities p, each weight is
+    C L + F (L // p) over common = s L.
     """
-    nums, dens = [], []
     scale, (fixed, linear) = integer_scaled(inst.fixed, inst.linear)
-    for a, f_row, c_row in zip(inst.supplies, fixed, linear):
-        num_row, den_row = [], []
-        for b, f, c in zip(inst.demands, f_row, c_row):
-            if c is None:
-                num_row.append(None)
-                den_row.append(1)
-                continue
-            p = a if a < b else b
-            num, den = c * p + f, scale * p
-            g = gcd(num, den)
-            num_row.append(num // g)
-            den_row.append(den // g)
-        nums.append(num_row)
-        dens.append(den_row)
-    common = lcm(*{den for row in dens for den in row})
+    a_max, b_max = max(inst.supplies), max(inst.demands)
+    # The distinct p: the supplies up to b_max and the demands up to a_max.
+    big = lcm(*{a for a in inst.supplies if a <= b_max} | {b for b in inst.demands if b <= a_max})
     weights = [
-        [INF if num is None else num * (common // den) for num, den in zip(num_row, den_row)]
-        for num_row, den_row in zip(nums, dens)
+        [
+            INF if c is None else c * big + f * (big // (a if a < b else b))
+            for b, f, c in zip(inst.demands, f_row, c_row)
+        ]
+        for a, f_row, c_row in zip(inst.supplies, fixed, linear)
     ]
-    return common, weights
+    return scale * big, weights
 
 
 def gale_deficits(supply_sums, demands, sink_masks):

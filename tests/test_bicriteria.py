@@ -18,7 +18,6 @@ from fctp.model import (
     INF,
     evaluate_cost,
     format_rational,
-    integer_scaled,
     make_instance,
     serialize_solution,
     validate_solution,
@@ -166,6 +165,18 @@ def test_round_tree_refuses_edges_out_of_range():
         flow = {(0, 0): Fraction(2), edge: Fraction(1, 10)}
         with pytest.raises(FctpError, match=re.escape(f"edge {label} out of range")):
             round_tree(inst, flow, Fraction(1, 4))
+
+
+def test_round_tree_refuses_negative_flows_and_forbidden_edges():
+    # The negative flow used to be dropped as a small edge, and a small flow
+    # on a forbidden edge met a bare TypeError in the unit-rate sort.
+    inst = make_instance((8,), (4, 4), [[1, 1]], [[0, 0]])
+    with pytest.raises(FctpError, match=re.escape("negative flow on edge (1, 1)")):
+        round_tree(inst, {(0, 0): -1, (0, 1): 8}, Fraction(1, 4))
+    inst = make_instance((8,), (4, 4), [[1, 1]], [[INF, 0]])
+    for x in (Fraction(1, 2), 4):
+        with pytest.raises(FctpError, match=re.escape("infeasible edge used: (1, 1)")):
+            round_tree(inst, {(0, 0): x, (0, 1): 4}, Fraction(1, 4))
 
 
 @st.composite
@@ -432,11 +443,15 @@ def test_lp_weights_are_the_scaled_fraction_weights(inst):
         except InfeasibleError:
             report = None
     (weights,) = passed
-    assert balinski_weights(inst)[1] == weights
-    scale, (scaled,) = integer_scaled(weights)
-    assert scale == 1
-    assert all(type(x) is int for row in weights for x in row if x is not INF)
-    assert scaled == integer_scaled(reference)[1][0]
+    common, built = balinski_weights(inst)
+    assert built == weights
+    # Each weight is exactly common times c + f / min(a, b), INF where c is.
+    for w_row, r_row in zip(weights, reference):
+        for w, r in zip(w_row, r_row):
+            if r is INF:
+                assert w is INF
+            else:
+                assert type(w) is int and Fraction(w, common) == r
     if report is None:
         with pytest.raises(InfeasibleError):
             solve_transportation(inst, reference)

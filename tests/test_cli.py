@@ -217,6 +217,20 @@ def test_certify_perturbed_fails(capsys):
     assert "certificate invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, item, message",
+    [
+        ("--perturb-primal", "foo=1", "error: unknown primal key 'foo'"),
+        ("--perturb-dual", "x3=1", "error: unknown dual key 'x3'"),
+    ],
+)
+def test_certify_refuses_an_unknown_key(capsys, flag, item, message):
+    assert main(["certify", "lp65", flag, item]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_oracle_command(e1_file, capsys):
     assert main(["oracle", "--input", e1_file]) == 0
     assert json.loads(capsys.readouterr().out)["cost"] == "28"
@@ -379,6 +393,19 @@ def test_solve_rejects_epsilon_with_exponent(e1_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: not a rational: '1e-2000000'\n"
+
+
+@pytest.mark.parametrize(
+    "variant, text", [("pfct-s", "abc"), ("pfct-u", "abc"), ("fct-u", "1e9")]
+)
+def test_solve_refuses_a_bad_epsilon_on_every_variant(tmp_path, capsys, variant, text):
+    # These variants take no epsilon, and used to echo any text as one.
+    path = tmp_path / "inst.fct"
+    path.write_text(serialize_instance(generate(variant, 2, 3, 1)))
+    assert main(["solve", "--variant", variant, "--epsilon", text, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a rational: {text!r}\n"
 
 
 def test_solve_refuses_cost_too_long_to_print(tmp_path, capsys):
@@ -751,6 +778,8 @@ _GOOD_ROW = {"family": "pfct-s", "sizes": [[2, 3]], "seeds": 1}
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": 5}}]},
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"generator": {"max_supplies": 4}}}]},
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "solver": "pfct-ptas", "params": {"epsilon": 0.1}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "params": {"mode": "x"}}]},
+        {"rows": [_GOOD_ROW, {**_GOOD_ROW, "solver": "fct-bicriteria", "params": {"epsilon": "x"}}]},
         {"rows": [_GOOD_ROW, {"sizes": [[2, 3]], "seeds": 1}]},
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "seeds": "x"}]},
         {"rows": [_GOOD_ROW, {**_GOOD_ROW, "sizes": [[2, 3], [500, 501]]}]},

@@ -457,16 +457,29 @@ def test_certificate_nominal():
 def test_certificate_rejects_perturbed_primal():
     with pytest.raises(CertificateError) as info:
         verify_factor_revealing_certificate(primal={"x3": Fraction(1, 3)})
-    assert "(3x3+4x4+5x5+6x6) - z > 0" in str(info.value)
+    assert "primal row (2): 14/15 = 1 fails" in str(info.value)
+    assert "primal row (3): 1/5 <= 0 fails" in str(info.value)
+    with pytest.raises(CertificateError, match="primal nonnegativity: x6 = -1 < 0"):
+        verify_factor_revealing_certificate(primal={"x6": -1})
 
 
 def test_certificate_rejects_perturbed_dual():
     bad_y3 = Fraction(9, 10) - Fraction(1, 3) - Fraction(2, 5)
     with pytest.raises(CertificateError) as info:
         verify_factor_revealing_certificate(dual={"y3": bad_y3})
-    assert "y3 + y4 + y5 != 1" in str(info.value)
-    with pytest.raises(CertificateError, match="coefficient"):
+    assert "dual column r: 9/10 != 1" in str(info.value)
+    with pytest.raises(CertificateError, match="dual column x6: 3/10 != 0"):
         verify_factor_revealing_certificate(dual={"beta": Fraction(1, 4)})
+    with pytest.raises(CertificateError, match=r"dual multiplier beta of row \(3\): -1/5 < 0"):
+        verify_factor_revealing_certificate(dual={"beta": Fraction(-1, 5)})
+
+
+@pytest.mark.parametrize("primal, dual", [({"foo": 1}, None), (None, {"y6": 1})])
+def test_certificate_refuses_a_key_the_lp_lacks(primal, dual):
+    # A user error, not a failed certificate: CertificateError would mean exit 1.
+    with pytest.raises(FctpError, match="unknown (primal|dual) key") as info:
+        verify_factor_revealing_certificate(primal=primal, dual=dual)
+    assert not isinstance(info.value, CertificateError)
 
 
 def test_solve_pfct_u_rejects_unbalanced_instance():
