@@ -382,11 +382,14 @@ def _bench_rows(config) -> list[tuple]:
 
 
 def cmd_bench(args) -> int:
+    try:
+        # JSONDecodeError is a ValueError, as is an int past Python's digit limit.
+        config = json.loads(_read(args.config))
+    except ValueError as exc:
+        raise FctpError(f"bench config: {exc}") from None
     out_rows = []
     max_ratio: dict[str, Fraction] = {}
-    for family, solver, n, m, seed, params, want_oracle in _bench_rows(
-        json.loads(_read(args.config))
-    ):
+    for family, solver, n, m, seed, params, want_oracle in _bench_rows(config):
         record = {
             "family": family,
             "solver": solver,
@@ -500,7 +503,7 @@ def main(argv=None) -> int:
     except InstanceError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (FctpError, OSError, json.JSONDecodeError) as exc:
+    except (FctpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -477,23 +477,28 @@ def evaluate_cost(inst: Instance, sol: FlowSolution) -> Fraction:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """The FCT v1 text; each distinct cost object is formatted once per call,
-    keyed by id, which is stable while inst holds the object.  FctpError for
-    a side or a cost with more digits than Python converts to a string."""
+    """The FCT v1 text.  Each distinct row object is joined once per call,
+    the writer's match for _parse_cost_matrix, and each distinct cost object
+    is formatted once, both keyed by id, which is stable while inst holds
+    the object.  FctpError for a side or a cost with more digits than Python
+    converts to a string."""
     lines = ["FCT v1", f"{inst.n} {inst.m}"]
     try:
         lines += [" ".join(map(str, inst.supplies)), " ".join(map(str, inst.demands))]
     except ValueError:  # more digits than Python converts to a string
         raise FctpError("supply or demand too long to print") from None
-    texts = {}
+    texts, row_lines = {}, {}
     for row in inst.fixed + inst.linear:
-        out = []
-        for x in row:
-            text = texts.get(id(x))
-            if text is None:
-                text = texts[id(x)] = format_rational(x)
-            out.append(text)
-        lines.append(" ".join(out))
+        line = row_lines.get(id(row))
+        if line is None:
+            out = []
+            for x in row:
+                text = texts.get(id(x))
+                if text is None:
+                    text = texts[id(x)] = format_rational(x)
+                out.append(text)
+            line = row_lines[id(row)] = " ".join(out)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

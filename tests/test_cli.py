@@ -31,11 +31,13 @@ from fctp.reductions import make_threedm, threedm_to_pfct_u
 from fctp.model import (
     INF,
     MAX_COST_DIGITS,
+    evaluate_cost,
     make_instance,
     parse_instance,
     parse_solution,
     serialize_instance,
     uniform_pure_instance,
+    validate_solution,
 )
 
 
@@ -222,6 +224,7 @@ def test_certify_perturbed_fails(capsys):
     [
         ("--perturb-primal", "foo=1", "error: unknown primal key 'foo'"),
         ("--perturb-dual", "x3=1", "error: unknown dual key 'x3'"),
+        ("--perturb-primal", "x3", "error: expected KEY=P/Q, got 'x3'"),
     ],
 )
 def test_certify_refuses_an_unknown_key(capsys, flag, item, message):
@@ -231,9 +234,15 @@ def test_certify_refuses_an_unknown_key(capsys, flag, item, message):
     assert err.startswith(message)
 
 
-def test_oracle_command(e1_file, capsys):
+def test_oracle_command(e1_file, tmp_path, capsys):
     assert main(["oracle", "--input", e1_file]) == 0
     assert json.loads(capsys.readouterr().out)["cost"] == "28"
+    out = tmp_path / "e1.sol"
+    assert main(["oracle", "--input", e1_file, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == "28"
+    sol = parse_solution(out.read_text())
+    assert validate_solution(e1_instance(), sol) is None
+    assert evaluate_cost(e1_instance(), sol) == 28
 
 
 def test_oracle_memory_ceiling_exits_2(tmp_path, capsys):
@@ -435,6 +444,9 @@ def test_generate_dst(tmp_path, capsys):
     from fctp import oracle
 
     assert oracle.exact_fct(inst)[0] == 3
+    # Without --out the instance text goes to stdout.
+    assert main(["generate", "--from", "dst", "--input", str(src)]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_generate_setcover(tmp_path, capsys):
@@ -585,6 +597,16 @@ def test_bench_records_packing_guard_errors_per_row(tmp_path, monkeypatch):
     assert rows[0]["cost"] != "" and rows[1]["cost"] == ""
 
 
+def test_bench_records_an_unknown_solver_per_row(tmp_path):
+    config = tmp_path / "bench.json"
+    row = {"family": "pfct-s", "solver": "bogus", "sizes": [[2, 3]], "seeds": 1}
+    config.write_text(json.dumps({"rows": [row]}))
+    prefix = tmp_path / "unknown"
+    assert main(["bench", "--config", str(config), "--out-prefix", str(prefix)]) == 0
+    (record,) = [json.loads(line) for line in (tmp_path / "unknown.jsonl").read_text().splitlines()]
+    assert record["error"] == "unknown variant 'bogus'" and record["cost"] == ""
+
+
 def test_bench_empty_config(tmp_path):
     config = tmp_path / "empty.json"
     config.write_text("{}")
@@ -695,6 +717,7 @@ def test_bench_output_pinned(tmp_path, capsys):
         ("3dm", "3DM v1\n2 2\n1 1 -1\n2 2 2\n", 3),
         # A DST edge cost keeps its p.q grammar, and its line.
         ("dst", "DST v1\n4 1\n1\n2\n1 2 1e3\n", 5),
+        ("dst", "DST v1\n4 1\n1\n2\n1 2\n", 5),
         # Header sizes whose instance can exceed generators.MAX_CELLS cells.
         ("dst", "DST v1\n1000000000 3\n1\n3 4\n", 2),
         ("dst", "DST v1\n354 1\n1\n2\n1 2 1\n", 2),
@@ -804,6 +827,40 @@ def test_bench_rejects_malformed_config_before_any_row(tmp_path, capsys, config)
     path.write_text(json.dumps(config))
     prefix = tmp_path / "out"
     assert main(["bench", "--config", str(path), "--out-prefix", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("error: bench config: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+_LONG_SEEDS = '{"rows": [{"family": "pfct-s", "sizes": [[2, 3]], "seeds": ' + "9" * 5000 + "}]}"
+
+
+@pytest.mark.parametrize(
+    "text, digit_limit",
+    [
+        # Past Python's int-digit limit json.loads raises a plain ValueError;
+        # with no limit (0), the row count refuses the same config.
+        (_LONG_SEEDS, None),
+        (_LONG_SEEDS, 0),
+        ('{"rows": [', None),
+    ],
+    ids=["5000-digit seeds", "5000-digit seeds, no digit limit", "not JSON"],
+)
+def test_bench_refuses_a_config_json_cannot_read(tmp_path, capsys, text, digit_limit):
+    path = tmp_path / "bench.json"
+    path.write_text(text)
+    prefix = tmp_path / "out"
+    argv = ["bench", "--config", str(path), "--out-prefix", str(prefix)]
+    if digit_limit is None:
+        assert main(argv) == 2
+    elif hasattr(sys, "set_int_max_str_digits"):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digit_limit)
+        try:
+            assert main(argv) == 2
+        finally:
+            sys.set_int_max_str_digits(saved)
+    else:
+        pytest.skip("this Python has no int-digit limit")
     assert capsys.readouterr().err.startswith("error: bench config: ")
     assert not (tmp_path / "out.csv").exists()
 

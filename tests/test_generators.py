@@ -1,11 +1,12 @@
 import hashlib
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from fctp.errors import FctpError
-from fctp.generators import generate
+from fctp.generators import generate, random_pfct_u, split_total
 from fctp.model import make_flow, serialize_instance, serialize_solution, validate_instance
 
 
@@ -15,6 +16,16 @@ def test_generate_checks_options():
     with pytest.raises(FctpError, match="family 'fct'"):
         generate("fct", 2, 3, 1, forbid_probability=0.5)
     assert validate_instance(generate("pfct-s", 2, 3, 1, max_supply=1)) is None
+
+
+def test_small_totals_are_refused():
+    rng = random.Random(1)
+    with pytest.raises(FctpError, match="total too small to split"):
+        split_total(rng, 2, 3)
+    assert split_total(rng, 3, 3) == [1, 1, 1]
+    for vertices in (0, 1):
+        with pytest.raises(FctpError, match="need at least one source and one sink"):
+            random_pfct_u(rng, vertices)
 
 
 # (family, n, m, seed, options): every family, with 1 x m and n x 1 shapes.

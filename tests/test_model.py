@@ -1,5 +1,7 @@
+import collections
 import copy
 import dataclasses
+import hashlib
 import operator
 import pickle
 import random
@@ -609,6 +611,12 @@ def test_make_instance_shares_each_rational():
     zeros = pure_instance((1, 1), (1, 1), [[1, 2], [3, 4]]).linear
     assert len({id(c) for row in zeros for c in row}) == 1
 
+    class Count(int):
+        pass
+
+    counted = make_instance((1,), (1,), [[Count(3)]], [[0]])
+    assert type(counted.fixed[0][0]) is Fraction and counted.fixed[0][0] == 3
+
 
 @pytest.mark.parametrize(
     "args, message",
@@ -665,6 +673,7 @@ def test_make_flow_refuses_other_types():
         ({(0, 0): 0.1}, "flows must be ints or Fractions, not float"),
         ({(0, 0): True}, "flows must be ints or Fractions, not bool"),
         ({(0, 0): "1"}, "flows must be ints or Fractions, not str"),
+        ({(0, 0): 1, (1, 2): -1}, r"negative flow on edge \(2, 3\)"),
     ]:
         with pytest.raises(FctpError, match=message):
             make_flow(entries)
@@ -704,6 +713,53 @@ def test_serialize_minimal_instance_is_six_lines():
     assert len(text.strip().split("\n")) == 6
 
 
+class _CountedRow(tuple):
+    """A row that counts, per object, the iterations over it."""
+
+    iterations: collections.Counter = collections.Counter()
+
+    def __iter__(self):
+        _CountedRow.iterations[id(self)] += 1
+        return super().__iter__()
+
+
+def test_serialize_joins_each_distinct_row_object_once():
+    half = Fraction(1, 2)
+    shared = _CountedRow((half, Fraction(3), half))
+    other = _CountedRow((Fraction(1), Fraction(2), Fraction(3)))
+    inf_row = _CountedRow((INF, Fraction(0), half))
+    fixed = (shared, other, shared, shared)
+    linear = (inf_row, shared, inf_row, shared)
+    inst = Instance((3, 3, 3, 3), (4, 4, 4), fixed, linear)
+    _CountedRow.iterations.clear()
+    text = serialize_instance(inst)
+    assert _CountedRow.iterations == {id(shared): 1, id(other): 1, id(inf_row): 1}
+    plain = Instance(inst.supplies, inst.demands, tuple(map(tuple, fixed)), tuple(map(tuple, linear)))
+    assert len({id(row) for row in plain.fixed + plain.linear}) == 8
+    assert serialize_instance(plain) == text
+
+
+# One draw of each generator family, pfct-s at the sizes the lp_solve
+# workload writes; recorded before serialize_instance reused a shared row's line.
+_SERIALIZE_PIN_CASES = [
+    ("pfct-s", 80, 160, 1, {}),
+    ("pfct-s", 40, 80, 2, {}),
+    ("pfct-s", 6, 9, 3, {}),
+    ("pfct-u", 10, 14, 4, {}),
+    ("pure", 8, 12, 5, {}),
+    ("fct", 18, 36, 6, {}),
+    ("fct-u", 18, 36, 7, {}),
+    ("fct-u", 12, 20, 8, {"forbid_probability": 0.4}),
+]
+
+
+def test_serialize_output_pinned():
+    digest = hashlib.sha256()
+    for family, n, m, seed, options in _SERIALIZE_PIN_CASES:
+        digest.update(serialize_instance(generators.generate(family, n, m, seed, **options)).encode())
+    assert digest.hexdigest() == "8c7782798d4c6b338e086951645015b20e353a892969be64f76b34caa8237340"
+
+
 def test_parse_rejects_inf_in_fixed_costs():
     text = "FCT v1\n1 1\n1\n1\ninf\n0\n"
     with pytest.raises(ParseError, match="Infinity not allowed in f") as info:
@@ -718,6 +774,10 @@ def test_parse_reports_line_numbers():
         parse_instance("FCT v2\n")
     with pytest.raises(ParseError, match="negative"):
         parse_instance("FCT v1\n1 1\n1\n1\n-2\n0\n")
+    with pytest.raises(ParseError, match="line 2: n and m must be >= 1"):
+        parse_instance("FCT v1\n0 1\n\n1\n")
+    with pytest.raises(ParseError, match="line 7: trailing content after cost matrices"):
+        parse_instance("FCT v1\n1 1\n1\n1\n0\n0\n0\n")
 
 
 def test_parse_round_trips_every_generator_family():
@@ -809,6 +869,10 @@ def test_parse_solution_errors():
         parse_solution("SOL v1\n1 1 0\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_solution("SOL v1\n1 1 2\n1 1 3\n")
+    with pytest.raises(ParseError, match="line 2: expected 'relaxed p/q'"):
+        parse_solution("SOL v1\nrelaxed 1/2 3\n1 1 2\n")
+    with pytest.raises(ParseError, match="line 2: indices are 1-based"):
+        parse_solution("SOL v1\n0 1 2\n")
 
 
 def test_validate_solution_marginals(e1):
@@ -818,6 +882,11 @@ def test_validate_solution_marginals(e1):
     assert "column sum" in validate_solution(e1, bad)
     short = make_flow({(0, 0): 4, (1, 1): 2, (1, 2): 2})
     assert "row sum" in validate_solution(e1, short)
+    outside = make_flow({(0, 0): 4, (0, 1): 1, (1, 1): 1, (1, 3): 2})
+    assert validate_solution(e1, outside) == "edge (2, 4) out of range"
+    # make_flow drops a zero flow; a FlowSolution built directly keeps it.
+    zero = FlowSolution(entries={(0, 0): Fraction(4), (0, 1): Fraction(0)})
+    assert validate_solution(e1, zero) == "flow on edge (1, 2) not positive"
 
 
 def test_validate_solution_rejects_flow_on_forbidden_edge():

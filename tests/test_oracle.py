@@ -525,6 +525,8 @@ def test_exact_pfct_digraph_refuses_infeasible_without_subset_walk(monkeypatch):
         {0: 2, 1: 1},
         {5: 1, "t": 2},
     )
+    with pytest.raises(GuardError, match=r"too many edges \(16\) for subset enumeration"):
+        oracle.exact_pfct_digraph(dg, edge_guard=15)
     calls = []
     real_feasible = oracle.feasible
 
@@ -557,6 +559,9 @@ def test_exact_min_dominating_examples():
     uncovered = make_setcover(2, [(0,)])
     with pytest.raises(FctpError):
         oracle.exact_min_dominating(uncovered)
+    too_many = make_setcover(1, [(0,)] * (oracle.MAX_DOMINATING_SETS + 1))
+    with pytest.raises(GuardError, match="dominating guard exceeded: 13 sets > 12"):
+        oracle.exact_min_dominating(too_many)
 
 
 def test_partition_guard():

@@ -115,6 +115,13 @@ def test_enumerate_balanced_sets_examples():
     ]
 
 
+def test_enumerate_refuses_k_outside_3_to_6():
+    inst = uniform_pure_instance((3,), (1, 2))
+    for k in (2, 7):
+        with pytest.raises(FctpError, match="k must be between 3 and 6"):
+            enumerate_balanced_sets(inst, k)
+
+
 def test_enumerate_guard(monkeypatch):
     inst = uniform_pure_instance((1,) * 12, (1,) * 12)
     monkeypatch.setattr("fctp.pfct_u.MAX_ENUMERATED_SETS", 10)
@@ -463,6 +470,11 @@ def test_certificate_rejects_perturbed_primal():
         verify_factor_revealing_certificate(primal={"x6": -1})
 
 
+def test_certificate_rejects_a_primal_objective_other_than_six_fifths():
+    with pytest.raises(CertificateError, match="primal objective is 1, expected 6/5"):
+        verify_factor_revealing_certificate(primal={"r": 1})
+
+
 def test_certificate_rejects_perturbed_dual():
     bad_y3 = Fraction(9, 10) - Fraction(1, 3) - Fraction(2, 5)
     with pytest.raises(CertificateError) as info:
@@ -472,6 +484,8 @@ def test_certificate_rejects_perturbed_dual():
         verify_factor_revealing_certificate(dual={"beta": Fraction(1, 4)})
     with pytest.raises(CertificateError, match=r"dual multiplier beta of row \(3\): -1/5 < 0"):
         verify_factor_revealing_certificate(dual={"beta": Fraction(-1, 5)})
+    with pytest.raises(CertificateError, match="dual bound is 1, expected 6/5"):
+        verify_factor_revealing_certificate(dual={"alpha": 1})
 
 
 @pytest.mark.parametrize("primal, dual", [({"foo": 1}, None), (None, {"y6": 1})])
@@ -480,6 +494,11 @@ def test_certificate_refuses_a_key_the_lp_lacks(primal, dual):
     with pytest.raises(FctpError, match="unknown (primal|dual) key") as info:
         verify_factor_revealing_certificate(primal=primal, dual=dual)
     assert not isinstance(info.value, CertificateError)
+
+
+def test_solve_pfct_u_refuses_an_unknown_mode():
+    with pytest.raises(FctpError, match="unknown mode 'greedy'"):
+        solve_pfct_u(uniform_pure_instance((3,), (1, 2)), mode="greedy")
 
 
 def test_solve_pfct_u_rejects_unbalanced_instance():
